@@ -2,108 +2,25 @@
 
 Find a minimum-weight properly colored closed walk traversing every
 edge of a connected edge-colored weighted multigraph, or report that
-none exists.
+none exists. The package root exports the solver API; the pipeline
+stages, oracles and generators are imported from their own modules.
 """
 
-from .auxgraph import (
-    MatchingGraph,
-    build_matching_graph,
-    color_deficiency,
-    dump_matching_graph,
-    validate_matching_structure,
-)
-from .euler import (
-    EulerCheck,
-    TransitionSystem,
-    WalkReport,
-    build_transition_system,
-    check_pc_euler,
-    pc_euler_trail,
-    verify_pc_closed_walk,
-)
-from .graph import (
-    ColoredMultigraph,
-    DegreeProfile,
-    Edge,
-    GraphError,
-    InvariantError,
-    NormalizationMap,
-    PCWalk,
-    color_degrees,
-    contract_walk,
-    has_single_color_vertex,
-    is_balanced,
-    is_connected,
-    is_even,
-    normalize,
-    walk_from_edges,
-)
-from .matching import (
-    MatchingInstance,
-    PerfectMatching,
-    brute_force_matching,
-    min_weight_perfect_matching,
-)
-from .oracle import (
-    directed_cpp_brute_force,
-    encode_digraph,
-    enumerate_pc_walks,
-    gen_random_digraph,
-    gen_random_instance,
-    gen_random_trail_instance,
-    oracle_solve,
-    pc_walk_minima,
-)
-from .pcwalks import ShortestWalkFinder, min_pc_walk, shortest_pc_walks_from
-from .solver import Solution, apply_matching, edge_multiplicities, solve
+from .euler import check_pc_euler, pc_euler_trail, verify_pc_closed_walk
+from .graph import ColoredMultigraph, Edge, GraphError, InvariantError, PCWalk
+from .solver import Solution, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ColoredMultigraph",
-    "DegreeProfile",
     "Edge",
-    "EulerCheck",
     "GraphError",
     "InvariantError",
-    "MatchingGraph",
-    "MatchingInstance",
-    "NormalizationMap",
     "PCWalk",
-    "PerfectMatching",
-    "ShortestWalkFinder",
     "Solution",
-    "TransitionSystem",
-    "WalkReport",
-    "apply_matching",
-    "brute_force_matching",
-    "build_matching_graph",
-    "build_transition_system",
     "check_pc_euler",
-    "color_deficiency",
-    "color_degrees",
-    "contract_walk",
-    "directed_cpp_brute_force",
-    "dump_matching_graph",
-    "edge_multiplicities",
-    "encode_digraph",
-    "enumerate_pc_walks",
-    "gen_random_digraph",
-    "gen_random_instance",
-    "gen_random_trail_instance",
-    "has_single_color_vertex",
-    "is_balanced",
-    "is_connected",
-    "is_even",
-    "min_pc_walk",
-    "min_weight_perfect_matching",
-    "normalize",
-    "oracle_solve",
     "pc_euler_trail",
-    "pc_walk_minima",
-    "shortest_pc_walks_from",
     "solve",
-    "validate_matching_structure",
     "verify_pc_closed_walk",
-    "walk_from_edges",
 ]

@@ -43,7 +43,7 @@ class SlotVertex:
 class AuxEdge:
     a: int
     b: int
-    weight: int | float
+    weight: int
     signature: tuple[int, int, int, int] | None  # (u, c1, v, c2); None = artificial
 
     @property
@@ -70,12 +70,6 @@ class MatchingGraph:
         self.slot_indices = slot_indices
         self.filler_indices = filler_indices
         self.edge_by_pair = {(e.a, e.b): e for e in self.edges}
-
-    def owner_slots(self, u: int) -> list[int]:
-        out: list[int] = []
-        for c in range(1, self.g.k + 1):
-            out.extend(self.slot_indices.get((u, c), ()))
-        return out
 
     def as_matching_instance(self) -> MatchingInstance:
         return MatchingInstance.from_edges(

@@ -18,7 +18,15 @@ import sys
 
 from .auxgraph import build_matching_graph, dump_matching_graph
 from .euler import check_pc_euler, verify_pc_closed_walk
-from .graph import ColoredMultigraph, GraphError, PCWalk, color_degrees, is_connected, normalize
+from .graph import (
+    ColoredMultigraph,
+    GraphError,
+    InvariantError,
+    PCWalk,
+    color_degrees,
+    is_connected,
+    normalize,
+)
 from .oracle import gen_random_instance, oracle_solve
 from .solver import Solution, solve
 
@@ -181,7 +189,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-    sol = solve(g, verify=not args.no_verify)
+    sol = solve(g)
     if args.dump_aux is not None:
         dump_path = args.dump_aux or (args.instance + ".aux")
         try:
@@ -281,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--quiet", action="store_true", help="suppress the result document")
     p_solve.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip internal re-verification (benchmarking only)",
-    )
-    p_solve.add_argument(
         "--dump-aux",
         nargs="?",
         const="",
@@ -325,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

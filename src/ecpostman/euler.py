@@ -168,7 +168,8 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
         raise GraphError("trail extraction requires at least one edge")
     chk = check_pc_euler(g)
     if not chk.feasible:
-        raise GraphError(f"graph has no properly colored Euler trail: {chk.reason}")
+        where = "" if chk.vertex is None else f" at vertex {chk.vertex}"
+        raise GraphError(f"graph has no properly colored Euler trail: {chk.reason}{where}")
 
     ts = build_transition_system(g)
     partner = ts.partner_maps()
@@ -240,7 +241,7 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
 class WalkReport:
     ok: bool
     failure: str | None
-    weight: int | float
+    weight: int
     traversals: tuple[int, ...]
 
     def __bool__(self) -> bool:
@@ -266,7 +267,7 @@ def verify_pc_closed_walk(g: ColoredMultigraph, walk: PCWalk, require_cover: boo
         return fail("walk has no edges")
     if walk.vertices[0] != walk.vertices[-1]:
         return fail("walk is not closed")
-    total: int | float = 0
+    total = 0
     prev_color = None
     cur = walk.vertices[0]
     for eid, nxt in zip(walk.edges, walk.vertices[1:]):

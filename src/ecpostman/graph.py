@@ -1,7 +1,7 @@
 """Edge-colored weighted multigraphs: degree profiles, normalization, walks.
 
 Vertices are dense integers 0..n-1, colors are 1..k, weights are
-non-negative (int or float; int recommended for exact comparisons).
+non-negative integers, so every weight comparison and sum is exact.
 Parallel edges are allowed, loops are not. Graphs are immutable after
 construction; every operation is a pure query or returns a new graph.
 """
@@ -26,7 +26,7 @@ class Edge:
     u: int
     v: int
     color: int
-    weight: int | float
+    weight: int
 
     def other(self, x: int) -> int:
         if x == self.u:
@@ -45,19 +45,19 @@ class ColoredMultigraph:
     Args:
         n: number of vertices (ids 0..n-1).
         k: number of colors (ids 1..k; not every color needs to be used).
-        edges: iterable of (u, v, color, weight) tuples; edge ids are
-            assigned densely in input order.
+        edges: iterable of (u, v, color, weight) tuples with non-negative
+            integer weights; edge ids are assigned densely in input order.
     """
 
     __slots__ = ("n", "k", "edges", "incidence", "_color_counts")
 
-    def __init__(self, n: int, k: int, edges: Iterable[tuple[int, int, int, int | float]]):
+    def __init__(self, n: int, k: int, edges: Iterable[tuple[int, int, int, int]]):
         if n < 0 or k < 0:
             raise GraphError("vertex and color counts must be non-negative")
         self.n = n
         self.k = k
         built: list[Edge] = []
-        incidence: list[list[tuple[int, int, int, int | float]]] = [[] for _ in range(n)]
+        incidence: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         counts = [[0] * k for _ in range(n)]
         for eid, (u, v, color, weight) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
@@ -66,6 +66,8 @@ class ColoredMultigraph:
                 raise GraphError(f"edge {eid}: loops are not allowed")
             if not (1 <= color <= k):
                 raise GraphError(f"edge {eid}: color {color} not in 1..{k}")
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                raise GraphError(f"edge {eid}: weight {weight!r} is not an integer")
             if weight < 0:
                 raise GraphError(f"edge {eid}: negative weight")
             built.append(Edge(eid, u, v, color, weight))
@@ -74,7 +76,7 @@ class ColoredMultigraph:
             counts[u][color - 1] += 1
             counts[v][color - 1] += 1
         self.edges: tuple[Edge, ...] = tuple(built)
-        self.incidence: tuple[tuple[tuple[int, int, int, int | float], ...], ...] = tuple(
+        self.incidence: tuple[tuple[tuple[int, int, int, int], ...], ...] = tuple(
             tuple(lst) for lst in incidence
         )
         self._color_counts = tuple(tuple(c) for c in counts)
@@ -87,7 +89,7 @@ class ColoredMultigraph:
         self._check_vertex(u)
         return self._color_counts[u]
 
-    def total_weight(self) -> int | float:
+    def total_weight(self) -> int:
         return sum(e.weight for e in self.edges)
 
     def is_simple(self) -> bool:
@@ -193,7 +195,7 @@ class PCWalk:
     edges: tuple[int, ...]
     first_color: int
     last_color: int
-    weight: int | float
+    weight: int
 
     @property
     def closed(self) -> bool:
@@ -210,7 +212,7 @@ def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PC
         raise GraphError("a walk needs at least one edge")
     g._check_vertex(start)
     verts = [start]
-    total: int | float = 0
+    total = 0
     cur = start
     for eid in eids:
         e = g.edges[eid]
@@ -312,7 +314,7 @@ def normalize(g: ColoredMultigraph) -> tuple[ColoredMultigraph, NormalizationMap
     for i, eid in enumerate(parity_targets):
         middle_color_of[eid] = fresh_colors[offset + i]
 
-    new_edges: list[tuple[int, int, int, int | float]] = []
+    new_edges: list[tuple[int, int, int, int]] = []
     origin_of: list[int] = []
     paths: dict[int, SubdividedEdge] = {}
     next_vertex = g.n
@@ -359,7 +361,7 @@ def contract_walk(nmap: NormalizationMap, walk: PCWalk) -> PCWalk:
 
     out_eids: list[int] = []
     out_verts: list[int] = [walk.vertices[0]]
-    total: int | float = 0
+    total = 0
     i = 0
     m = len(walk.edges)
     while i < m:

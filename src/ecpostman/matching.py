@@ -4,7 +4,8 @@ The production path rides on networkx's blossom implementation (Galil's
 primal-dual algorithm), driven in maximum-cardinality mode on reflected
 weights so that the minimum-weight perfect matching drops out exactly;
 with integer weights every comparison is exact. The brute-force
-enumerator is the independent oracle used to cross-check it.
+enumerator in ``oracle`` is the independent reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ class MatchingInstance:
     """
 
     n: int
-    edges: tuple[tuple[int, int, int | float], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def from_edges(
-        cls, n: int, edges: list[tuple[int, int, int | float]] | tuple
+        cls, n: int, edges: list[tuple[int, int, int]] | tuple
     ) -> "MatchingInstance":
-        best: dict[tuple[int, int], int | float] = {}
+        best: dict[tuple[int, int], int] = {}
         for u, v, w in edges:
             if u == v:
                 raise GraphError("matching instances may not contain loops")
@@ -48,11 +49,7 @@ class MatchingInstance:
 @dataclass(frozen=True)
 class PerfectMatching:
     pairs: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted
-    weight: int | float
-
-
-def _weights_by_pair(inst: MatchingInstance) -> dict[tuple[int, int], int | float]:
-    return {(u, v): w for u, v, w in inst.edges}
+    weight: int
 
 
 def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | None:
@@ -76,7 +73,7 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     if 2 * len(mate) < inst.n:
         return None
     pairs = tuple(sorted((u, v) if u < v else (v, u) for u, v in mate))
-    lookup = _weights_by_pair(inst)
+    lookup = {(u, v): w for u, v, w in inst.edges}
     weight = sum(lookup[p] for p in pairs)
     seen: set[int] = set()
     for u, v in pairs:
@@ -84,53 +81,3 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     if len(seen) != inst.n:
         raise GraphError("matching backend returned a non-perfect matching")
     return PerfectMatching(pairs, weight)
-
-
-def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatching | None:
-    """Exhaustive minimum over all perfect matchings; the test oracle.
-
-    Restricted to small instances (n <= limit). Ties resolve to the
-    lexicographically first matching in ascending-partner order.
-    """
-    if inst.n > limit:
-        raise GraphError(f"brute force matching limited to n <= {limit}")
-    if inst.n == 0:
-        return PerfectMatching((), 0)
-    if inst.n % 2 != 0:
-        return None
-    adj: dict[int, list[tuple[int, int | float]]] = {u: [] for u in range(inst.n)}
-    for u, v, w in inst.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for u in adj:
-        adj[u].sort()
-
-    best_weight: list[int | float | None] = [None]
-    best_pairs: list[tuple[tuple[int, int], ...]] = [()]
-    chosen: list[tuple[int, int]] = []
-    matched = [False] * inst.n
-
-    def search(acc: int | float) -> None:
-        u = next((x for x in range(inst.n) if not matched[x]), None)
-        if u is None:
-            if best_weight[0] is None or acc < best_weight[0]:
-                best_weight[0] = acc
-                best_pairs[0] = tuple(sorted(chosen))
-            return
-        if best_weight[0] is not None and acc >= best_weight[0]:
-            return
-        matched[u] = True
-        for v, w in adj[u]:
-            if matched[v]:
-                continue
-            matched[v] = True
-            chosen.append((u, v) if u < v else (v, u))
-            search(acc + w)
-            chosen.pop()
-            matched[v] = False
-        matched[u] = False
-
-    search(0)
-    if best_weight[0] is None:
-        return None
-    return PerfectMatching(best_pairs[0], best_weight[0])

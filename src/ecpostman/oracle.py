@@ -1,10 +1,11 @@
 """Independent brute-force oracles and instance generators.
 
-Everything here exists to cross-check the main solver and the walk
-finder at desk scale: a multiplicity-search postman oracle, an
-exhaustive properly-colored-walk enumerator, the classic digraph
-encoding into two colors, a brute-force directed postman solver, and a
-deterministic random instance generator.
+Everything here exists to cross-check the main solver, the walk
+finder and the matching backend at desk scale: a multiplicity-search
+postman oracle, an exhaustive properly-colored-walk enumerator with a
+witness checker, an exhaustive perfect-matching search, the classic
+digraph encoding into two colors, a brute-force directed postman
+solver, and deterministic random instance generators.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graph import ColoredMultigraph, GraphError, is_connected
+from .graph import ColoredMultigraph, GraphError, PCWalk, is_connected
+from .matching import MatchingInstance, PerfectMatching
 
 DEFAULT_BOUND = 3
 MAX_CANDIDATES = 5_000_000
@@ -21,7 +23,7 @@ MAX_EXPANSIONS = 5_000_000
 
 def oracle_solve(
     g: ColoredMultigraph, bound: int = DEFAULT_BOUND, max_candidates: int = MAX_CANDIDATES
-) -> tuple[int | float, tuple[int, ...]] | None:
+) -> tuple[int, tuple[int, ...]] | None:
     """Exhaustive postman optimum over per-edge multiplicities 1..bound.
 
     A multiplicity vector is feasible when the multigraph with q_e
@@ -44,7 +46,7 @@ def oracle_solve(
 
     ends = [(e.u, e.v, e.color - 1, e.weight) for e in g.edges]
     n, k = g.n, g.k
-    best: tuple[int | float, tuple[int, ...]] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     deg = [0] * n
     col = [[0] * k for _ in range(n)]
     for q in itertools.product(range(1, bound + 1), repeat=m):
@@ -53,7 +55,7 @@ def oracle_solve(
             row = col[i]
             for c in range(k):
                 row[c] = 0
-        weight: int | float = 0
+        weight = 0
         for (u, v, c, w), mult in zip(ends, q):
             deg[u] += mult
             deg[v] += mult
@@ -79,7 +81,7 @@ def pc_walk_minima(
     c1: int,
     max_edges: int | None = None,
     max_expansions: int = MAX_EXPANSIONS,
-) -> dict[tuple[int, int], int | float]:
+) -> dict[tuple[int, int], int]:
     """Exhaustive minima of properly colored fixed-end walks from u.
 
     Depth-first search over actual walks in the multigraph (never the
@@ -92,12 +94,12 @@ def pc_walk_minima(
     g._check_vertex(u)
     if max_edges is None:
         max_edges = g.k * g.n
-    fronts: dict[tuple[int, int], list[tuple[int | float, int]]] = {}
-    best: dict[tuple[int, int], int | float] = {}
-    stack: list[tuple[int, int, int | float, int]] = []
+    fronts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    best: dict[tuple[int, int], int] = {}
+    stack: list[tuple[int, int, int, int]] = []
     expansions = 0
 
-    def offer(vertex: int, color: int, weight: int | float, length: int) -> None:
+    def offer(vertex: int, color: int, weight: int, length: int) -> None:
         state = (vertex, color)
         front = fronts.setdefault(state, [])
         for w0, l0 in front:
@@ -128,15 +130,103 @@ def pc_walk_minima(
 
 def enumerate_pc_walks(
     g: ColoredMultigraph, u: int, c1: int, v: int, c2: int, max_edges: int | None = None
-) -> int | float | None:
+) -> int | None:
     """Minimum weight over properly colored fixed-end walks u -> v with
     end colors (c1, c2), by exhaustive search; None when no walk exists."""
     g._check_vertex(v)
     return pc_walk_minima(g, u, c1, max_edges).get((v, c2))
 
 
+def check_walk_witness(
+    g: ColoredMultigraph, u: int, c1: int, v: int, c2: int, weight: int, walk: PCWalk
+) -> str | None:
+    """Validate a witness returned by the walk finder; None when consistent.
+
+    Endpoints and end colors must match the query, consecutive edges
+    must be adjacent with distinct colors, the recomputed weight must
+    equal the reported one, and no (vertex, entering color) state may
+    repeat.
+    """
+    if walk.vertices[0] != u or walk.vertices[-1] != v:
+        return "witness endpoints do not match query"
+    if walk.first_color != c1 or walk.last_color != c2:
+        return "witness end colors do not match query"
+    total = 0
+    cur = u
+    states = set()
+    prev_color = None
+    for eid, vertex in zip(walk.edges, walk.vertices[1:]):
+        e = g.edges[eid]
+        if {e.u, e.v} != {cur, vertex}:
+            return f"edge {eid} does not join {cur} and {vertex}"
+        if prev_color is not None and e.color == prev_color:
+            return f"consecutive edges share color {e.color}"
+        state = (vertex, e.color)
+        if state in states:
+            return f"state {state} visited twice"
+        states.add(state)
+        total += e.weight
+        prev_color = e.color
+        cur = vertex
+    if total != weight or walk.weight != weight:
+        return "witness weight mismatch"
+    if walk.num_edges > g.k * g.n:
+        return "witness longer than the state-space bound"
+    return None
+
+
+def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatching | None:
+    """Exhaustive minimum over all perfect matchings; the test oracle.
+
+    Restricted to small instances (n <= limit). Ties resolve to the
+    lexicographically first matching in ascending-partner order.
+    """
+    if inst.n > limit:
+        raise GraphError(f"brute force matching limited to n <= {limit}")
+    if inst.n == 0:
+        return PerfectMatching((), 0)
+    if inst.n % 2 != 0:
+        return None
+    adj: dict[int, list[tuple[int, int]]] = {u: [] for u in range(inst.n)}
+    for u, v, w in inst.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for u in adj:
+        adj[u].sort()
+
+    best_weight: list[int | None] = [None]
+    best_pairs: list[tuple[tuple[int, int], ...]] = [()]
+    chosen: list[tuple[int, int]] = []
+    matched = [False] * inst.n
+
+    def search(acc: int) -> None:
+        u = next((x for x in range(inst.n) if not matched[x]), None)
+        if u is None:
+            if best_weight[0] is None or acc < best_weight[0]:
+                best_weight[0] = acc
+                best_pairs[0] = tuple(sorted(chosen))
+            return
+        if best_weight[0] is not None and acc >= best_weight[0]:
+            return
+        matched[u] = True
+        for v, w in adj[u]:
+            if matched[v]:
+                continue
+            matched[v] = True
+            chosen.append((u, v) if u < v else (v, u))
+            search(acc + w)
+            chosen.pop()
+            matched[v] = False
+        matched[u] = False
+
+    search(0)
+    if best_weight[0] is None:
+        return None
+    return PerfectMatching(best_pairs[0], best_weight[0])
+
+
 def encode_digraph(
-    n: int, arcs: list[tuple[int, int, int | float]] | tuple
+    n: int, arcs: list[tuple[int, int, int]] | tuple
 ) -> ColoredMultigraph:
     """Encode a weighted digraph as a 2-colored multigraph.
 
@@ -148,7 +238,7 @@ def encode_digraph(
     """
     if not arcs:
         raise GraphError("encoding needs at least one arc")
-    edges: list[tuple[int, int, int, int | float]] = []
+    edges: list[tuple[int, int, int, int]] = []
     for idx, (u, v, w) in enumerate(arcs):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"arc {idx}: endpoint out of range")
@@ -160,10 +250,10 @@ def encode_digraph(
 
 def directed_cpp_brute_force(
     n: int,
-    arcs: list[tuple[int, int, int | float]] | tuple,
+    arcs: list[tuple[int, int, int]] | tuple,
     bound: int = DEFAULT_BOUND,
     max_candidates: int = MAX_CANDIDATES,
-) -> int | float | None:
+) -> int | None:
     """Brute-force directed postman optimum with multiplicities 1..bound.
 
     A multiplicity vector is feasible when every vertex ends up with
@@ -193,12 +283,12 @@ def directed_cpp_brute_force(
     if len(seen) != len(touched):
         return None
 
-    best: int | float | None = None
+    best: int | None = None
     balance = [0] * n
     for q in itertools.product(range(1, bound + 1), repeat=m):
         for i in touched:
             balance[i] = 0
-        weight: int | float = 0
+        weight = 0
         for (u, v, w), mult in zip(arcs, q):
             balance[u] += mult
             balance[v] -= mult

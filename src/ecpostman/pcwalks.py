@@ -24,9 +24,13 @@ class ShortestWalkFinder:
 
     def __init__(self, g: ColoredMultigraph):
         self.g = g
-        self._tables: dict[tuple[int, int], dict[tuple[int, int], tuple[int | float, PCWalk]]] = {}
+        self._tables: dict[tuple[int, int], dict[tuple[int, int], tuple[int, PCWalk]]] = {}
 
-    def table(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int | float, PCWalk]]:
+    def table(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int, PCWalk]]:
+        """Minima from u with first color c1, keyed by (end vertex, last color).
+
+        Each value is (weight, witness walk); unreachable keys are absent.
+        """
         key = (u, c1)
         cached = self._tables.get(key)
         if cached is None:
@@ -34,18 +38,18 @@ class ShortestWalkFinder:
             self._tables[key] = cached
         return cached
 
-    def min_walk(self, u: int, c1: int, v: int, c2: int) -> tuple[int | float, PCWalk] | None:
+    def min_walk(self, u: int, c1: int, v: int, c2: int) -> tuple[int, PCWalk] | None:
         return self.table(u, c1).get((v, c2))
 
-    def _dijkstra(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int | float, PCWalk]]:
+    def _dijkstra(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int, PCWalk]]:
         g = self.g
         g._check_vertex(u)
         incidence = g.incidence
         # heap entries (dist, edge-id sequence, vertex, entering color);
         # the sequence makes ties break deterministically and doubles as
         # the witness.
-        heap: list[tuple[int | float, tuple[int, ...], int, int]] = []
-        tentative: dict[tuple[int, int], tuple[int | float, tuple[int, ...]]] = {}
+        heap: list[tuple[int, tuple[int, ...], int, int]] = []
+        tentative: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         for eid, other, color, w in incidence[u]:
             if color == c1:
                 label = (w, (eid,))
@@ -53,7 +57,7 @@ class ShortestWalkFinder:
                 if state not in tentative or label < tentative[state]:
                     tentative[state] = label
                     heapq.heappush(heap, (w, (eid,), other, color))
-        settled: dict[tuple[int, int], tuple[int | float, tuple[int, ...]]] = {}
+        settled: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         while heap:
             dist, seq, x, c = heapq.heappop(heap)
             state = (x, c)
@@ -70,70 +74,7 @@ class ShortestWalkFinder:
                 if nxt not in tentative or label < tentative[nxt]:
                     tentative[nxt] = label
                     heapq.heappush(heap, (label[0], label[1], y, cy))
-        table: dict[tuple[int, int], tuple[int | float, PCWalk]] = {}
+        table: dict[tuple[int, int], tuple[int, PCWalk]] = {}
         for (x, c), (dist, seq) in settled.items():
             table[(x, c)] = (dist, walk_from_edges(g, u, seq))
         return table
-
-
-def shortest_pc_walks_from(
-    g: ColoredMultigraph, u: int, c1: int
-) -> dict[tuple[int, int], tuple[int | float, PCWalk]]:
-    """All minimum-weight properly colored walks from u starting in color c1.
-
-    Returns a table keyed by (target vertex, last color) holding the
-    minimum weight and a witness walk; unreachable pairs are absent. The
-    target may equal u (closed fixed-end walks, necessarily >= 2 edges).
-    A source with no incident edge of color c1 yields an empty table.
-    """
-    return ShortestWalkFinder(g).table(u, c1)
-
-
-def min_pc_walk(
-    g: ColoredMultigraph, u: int, c1: int, v: int, c2: int
-) -> tuple[int | float, PCWalk] | None:
-    """Minimum-weight properly colored walk u -> v with end colors (c1, c2).
-
-    Returns (weight, witness) or None when no such walk exists. u == v is
-    allowed and asks for a closed fixed-end walk.
-    """
-    g._check_vertex(v)
-    return ShortestWalkFinder(g).min_walk(u, c1, v, c2)
-
-
-def check_walk_witness(
-    g: ColoredMultigraph, u: int, c1: int, v: int, c2: int, weight: int | float, walk: PCWalk
-) -> str | None:
-    """Validate a witness returned by the walk finder; None when consistent.
-
-    Intended for tests and the paranoid verification pass: endpoints and
-    end colors must match the query, consecutive edges must be adjacent
-    with distinct colors, the recomputed weight must equal the reported
-    one, and no (vertex, entering color) state may repeat.
-    """
-    if walk.vertices[0] != u or walk.vertices[-1] != v:
-        return "witness endpoints do not match query"
-    if walk.first_color != c1 or walk.last_color != c2:
-        return "witness end colors do not match query"
-    total: int | float = 0
-    cur = u
-    states = set()
-    prev_color = None
-    for eid, vertex in zip(walk.edges, walk.vertices[1:]):
-        e = g.edges[eid]
-        if {e.u, e.v} != {cur, vertex}:
-            return f"edge {eid} does not join {cur} and {vertex}"
-        if prev_color is not None and e.color == prev_color:
-            return f"consecutive edges share color {e.color}"
-        state = (vertex, e.color)
-        if state in states:
-            return f"state {state} visited twice"
-        states.add(state)
-        total += e.weight
-        prev_color = e.color
-        cur = vertex
-    if total != weight or walk.weight != weight:
-        return "witness weight mismatch"
-    if walk.num_edges > g.k * g.n:
-        return "witness longer than the state-space bound"
-    return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auxgraph import MatchingGraph, build_matching_graph, validate_matching_structure
-from .euler import check_pc_euler, pc_euler_trail, verify_pc_closed_walk
+from .euler import pc_euler_trail, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
     GraphError,
@@ -46,8 +46,8 @@ class Solution:
 
     status: str  # "optimal" | "infeasible"
     reason: str | None
-    total_weight: int | float
-    matching_weight: int | float
+    total_weight: int
+    matching_weight: int
     multiplicities: tuple[int, ...]
     walk: PCWalk | None
 
@@ -86,25 +86,14 @@ def apply_matching(
     return ColoredMultigraph(g_norm.n, g_norm.k, rows), tuple(origin)
 
 
-def edge_multiplicities(g: ColoredMultigraph, walk: PCWalk) -> tuple[int, ...]:
-    """Per-edge traversal counts of a covering walk; zero counts are bugs."""
-    counts = [0] * len(g.edges)
-    for eid in walk.edges:
-        counts[eid] += 1
-    for eid, c in enumerate(counts):
-        if c == 0:
-            raise InvariantError(f"solution walk never traverses edge {eid}")
-    return tuple(counts)
-
-
-def solve(g: ColoredMultigraph, verify: bool = True) -> Solution:
+def solve(g: ColoredMultigraph) -> Solution:
     """Solve the postman problem on an edge-colored multigraph exactly.
 
     Returns an optimal Solution or an infeasible one (disconnected
     input, a vertex incident to one color only, or no perfect matching
-    in the auxiliary graph). Internal verification failures raise
-    InvariantError rather than returning silently wrong answers; pass
-    verify=False only for benchmarking.
+    in the auxiliary graph). Every optimal answer is verified before it
+    is returned; a failed check raises InvariantError rather than
+    returning a silently wrong answer.
     """
     if g.n == 0 or not g.edges:
         raise GraphError("solver needs a graph with at least one edge")
@@ -120,21 +109,17 @@ def solve(g: ColoredMultigraph, verify: bool = True) -> Solution:
     if matching is None:
         return _infeasible(INFEASIBLE_NO_MATCHING)
 
-    if verify:
-        structure = validate_matching_structure(mg, matching.pairs)
-        if not structure.ok:
-            raise InvariantError(
-                "matching structure validation failed: " + "; ".join(structure.failures)
-            )
+    structure = validate_matching_structure(mg, matching.pairs)
+    if not structure.ok:
+        raise InvariantError(
+            "matching structure validation failed: " + "; ".join(structure.failures)
+        )
 
     duplicated, origin = apply_matching(g_norm, mg, matching.pairs)
-    feasibility = check_pc_euler(duplicated)
-    if not feasibility.feasible:
-        raise InvariantError(
-            f"duplicated graph lost trail feasibility: {feasibility.reason} "
-            f"at vertex {feasibility.vertex}"
-        )
-    trail = pc_euler_trail(duplicated)
+    try:
+        trail = pc_euler_trail(duplicated)
+    except GraphError as exc:
+        raise InvariantError(f"duplicated graph lost trail feasibility: {exc}") from None
 
     norm_walk = PCWalk(
         vertices=trail.vertices,
@@ -145,16 +130,12 @@ def solve(g: ColoredMultigraph, verify: bool = True) -> Solution:
     )
     walk = contract_walk(nmap, norm_walk)
 
-    if verify:
-        report = verify_pc_closed_walk(g, walk, require_cover=True)
-        if not report.ok:
-            raise InvariantError(f"solution walk failed verification: {report.failure}")
-
-    q = edge_multiplicities(g, walk)
-    total = sum(c * e.weight for c, e in zip(q, g.edges))
-    if verify and total != g.total_weight() + matching.weight:
+    report = verify_pc_closed_walk(g, walk, require_cover=True)
+    if not report.ok:
+        raise InvariantError(f"solution walk failed verification: {report.failure}")
+    if report.weight != g.total_weight() + matching.weight:
         raise InvariantError(
-            f"weight accounting broken: tour {total} != "
+            f"weight accounting broken: tour {report.weight} != "
             f"{g.total_weight()} + {matching.weight}"
         )
-    return Solution("optimal", None, total, matching.weight, q, walk)
+    return Solution("optimal", None, report.weight, matching.weight, report.traversals, walk)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from ecpostman import ColoredMultigraph, PCWalk, color_degrees, is_connected
+from ecpostman import ColoredMultigraph, PCWalk
+from ecpostman.auxgraph import MatchingGraph
+from ecpostman.graph import color_degrees, is_connected
 
 
 def mg(n: int, k: int, edges) -> ColoredMultigraph:
@@ -45,6 +47,14 @@ def bowtie() -> ColoredMultigraph:
             (4, 0, 3, 1),
         ],
     )
+
+
+def owner_slots(aux: MatchingGraph, u: int) -> list[int]:
+    """Indices of u's slot vertices in the auxiliary graph, by ascending color."""
+    out: list[int] = []
+    for c in range(1, aux.g.k + 1):
+        out.extend(aux.slot_indices.get((u, c), ()))
+    return out
 
 
 @st.composite

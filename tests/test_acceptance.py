@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated size, zero tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL
-line per criterion (scripts/run_acceptance.py does exactly that).
+line per criterion.
 All expected values come from independent brute-force oracles or are
 frozen from hand-traced examples; weights are integers throughout, so
 every comparison is exact.
@@ -17,27 +17,22 @@ import pytest
 
 from conftest import mg, walk_addition_violation
 
-from ecpostman import (
-    GraphError,
-    apply_matching,
-    build_matching_graph,
-    check_pc_euler,
+from ecpostman import GraphError, check_pc_euler, pc_euler_trail, solve, verify_pc_closed_walk
+from ecpostman.auxgraph import build_matching_graph, validate_matching_structure
+from ecpostman.graph import normalize
+from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
+from ecpostman.oracle import (
+    brute_force_matching,
     directed_cpp_brute_force,
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
-    min_weight_perfect_matching,
-    normalize,
     oracle_solve,
-    pc_euler_trail,
     pc_walk_minima,
-    solve,
-    validate_matching_structure,
-    verify_pc_closed_walk,
 )
-from ecpostman.matching import MatchingInstance, brute_force_matching
 from ecpostman.pcwalks import ShortestWalkFinder
+from ecpostman.solver import apply_matching
 
 C1_RANDOM = 6000
 C1_CONSTRUCTED = 4000

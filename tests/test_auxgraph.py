@@ -3,20 +3,18 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import mg, multigraphs
+from conftest import mg, multigraphs, owner_slots
 
-from ecpostman import (
-    DegreeProfile,
-    GraphError,
+from ecpostman import GraphError
+from ecpostman.auxgraph import (
     build_matching_graph,
     color_deficiency,
-    color_degrees,
     dump_matching_graph,
-    gen_random_instance,
-    min_weight_perfect_matching,
-    normalize,
     validate_matching_structure,
 )
+from ecpostman.graph import DegreeProfile, color_degrees, normalize
+from ecpostman.matching import min_weight_perfect_matching
+from ecpostman.oracle import gen_random_instance
 from ecpostman.pcwalks import ShortestWalkFinder
 
 
@@ -41,7 +39,7 @@ def test_balanced_vertex_sizes():
     # hub with d = 4, colors {1, 1, 2, 3}, k = 3: 4 slots, no filler
     g = mg(5, 3, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (0, 4, 3, 1), (1, 2, 2, 1), (3, 4, 1, 1)])
     aux = build_matching_graph(g)
-    assert len(aux.owner_slots(0)) == 4
+    assert len(owner_slots(aux, 0)) == 4
     assert 0 not in aux.filler_indices
 
 
@@ -49,7 +47,7 @@ def test_unbalanced_vertex_sizes():
     # hub with d = 3, colors {1, 1, 2}: dominant 1, 4 slots, 3 fillers
     g = mg(4, 3, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (1, 2, 2, 1), (1, 3, 3, 1), (2, 3, 3, 1)])
     aux = build_matching_graph(g)
-    assert len(aux.owner_slots(0)) == 4
+    assert len(owner_slots(aux, 0)) == 4
     assert len(aux.filler_indices[0]) == 3
     assert not aux.slot_indices.get((0, 1))  # dominant color has no slots
 
@@ -95,7 +93,7 @@ def test_walk_edge_weights_match_walk_finder(house):
 @given(multigraphs(connected=True))
 @settings(max_examples=100, deadline=None)
 def test_class_size_parities(g):
-    from ecpostman import has_single_color_vertex
+    from ecpostman.graph import has_single_color_vertex
 
     if has_single_color_vertex(g) is not None:
         return
@@ -103,14 +101,14 @@ def test_class_size_parities(g):
     aux = build_matching_graph(gn)
     total = 0
     for u in range(gn.n):
-        z = len(aux.owner_slots(u)) + len(aux.filler_indices.get(u, ()))
+        z = len(owner_slots(aux, u)) + len(aux.filler_indices.get(u, ()))
         assert z % 2 == gn.degree(u) % 2
         total += z
     assert total % 2 == 0
     # derived size identities per vertex
     for u in range(gn.n):
         prof = color_degrees(gn, u)
-        x = len(aux.owner_slots(u))
+        x = len(owner_slots(aux, u))
         if prof.dominant is None:
             assert x == (gn.k - 2) * prof.degree
         else:
@@ -147,7 +145,7 @@ def complete_with_artificial(aux, walk_pairs):
     pairs = list(walk_pairs)
     for u in range(aux.g.n):
         prof = color_degrees(aux.g, u)
-        slots = [i for i in aux.owner_slots(u) if i not in matched]
+        slots = [i for i in owner_slots(aux, u) if i not in matched]
         if prof.dominant is None:
             assert len(slots) % 2 == 0
             extension = list(zip(slots[0::2], slots[1::2]))
@@ -171,7 +169,7 @@ def complete_with_artificial(aux, walk_pairs):
 def test_completion_by_artificial_edges():
     for seed in (1, 5, 11, 23, 42, 77):
         g = gen_random_instance(4, 3, 6, 3, seed=seed)
-        from ecpostman import has_single_color_vertex, is_connected
+        from ecpostman.graph import has_single_color_vertex, is_connected
 
         if has_single_color_vertex(g) is not None:
             continue

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ecpostman import InvariantError
 from ecpostman.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -89,6 +90,17 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "broken.ecg:2:" in captured.err
+
+
+def test_solve_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise InvariantError("weight accounting broken")
+
+    monkeypatch.setattr("ecpostman.cli.solve", broken)
+    assert run_cli("solve", write(tmp_path, "tri.ecg", TRIANGLE)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: weight accounting broken\n"
 
 
 def test_solve_quiet(tmp_path, capsys):

@@ -7,16 +7,10 @@ from hypothesis import given, settings
 
 from conftest import mg, multigraphs
 
-from ecpostman import (
-    GraphError,
-    PCWalk,
-    build_transition_system,
-    check_pc_euler,
-    gen_random_trail_instance,
-    pc_euler_trail,
-    verify_pc_closed_walk,
-    walk_from_edges,
-)
+from ecpostman import GraphError, PCWalk, check_pc_euler, pc_euler_trail, verify_pc_closed_walk
+from ecpostman.euler import build_transition_system
+from ecpostman.graph import walk_from_edges
+from ecpostman.oracle import gen_random_trail_instance
 
 
 def brute_force_has_pc_euler_trail(g) -> bool:
@@ -119,7 +113,7 @@ def test_trail_alternating_four_cycle():
 
 
 def test_trail_requires_feasibility(single_color_path):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="odd-degree at vertex 0"):
         pc_euler_trail(single_color_path)
 
 

@@ -5,11 +5,8 @@ from hypothesis import given, settings
 
 from conftest import mg, multigraphs
 
-from ecpostman import (
-    ColoredMultigraph,
-    GraphError,
-    InvariantError,
-    PCWalk,
+from ecpostman import ColoredMultigraph, GraphError, InvariantError, PCWalk
+from ecpostman.graph import (
     color_degrees,
     contract_walk,
     has_single_color_vertex,
@@ -30,6 +27,10 @@ def test_rejects_loops_and_bad_colors():
         mg(2, 1, [(0, 1, 1, -1)])
     with pytest.raises(GraphError):
         mg(2, 1, [(0, 2, 1, 1)])
+    with pytest.raises(GraphError, match="edge 0"):
+        mg(2, 1, [(0, 1, 1, 0.5)])
+    with pytest.raises(GraphError, match="edge 0"):
+        mg(2, 1, [(0, 1, 1, True)])
 
 
 def test_color_degrees_triangle(triangle):

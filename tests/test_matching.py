@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecpostman import GraphError, brute_force_matching, min_weight_perfect_matching
-from ecpostman.matching import MatchingInstance
+from ecpostman import GraphError
+from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
+from ecpostman.oracle import brute_force_matching
 
 
 def inst(n, edges):

@@ -4,18 +4,16 @@ import pytest
 
 from conftest import mg
 
-from ecpostman import (
-    GraphError,
-    check_pc_euler,
+from ecpostman import GraphError, check_pc_euler, solve
+from ecpostman.graph import is_connected
+from ecpostman.oracle import (
     directed_cpp_brute_force,
     encode_digraph,
     enumerate_pc_walks,
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
-    is_connected,
     oracle_solve,
-    solve,
 )
 
 
@@ -55,7 +53,7 @@ def test_enumerate_disconnected_absent():
 
 
 def test_enumerate_explosion_guard(triangle):
-    from ecpostman import pc_walk_minima
+    from ecpostman.oracle import pc_walk_minima
 
     with pytest.raises(GraphError):
         pc_walk_minima(triangle, 0, 1, max_expansions=1)

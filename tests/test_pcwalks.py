@@ -4,19 +4,15 @@ from hypothesis import given, settings
 
 from conftest import mg, multigraphs
 
-from ecpostman import (
-    ColoredMultigraph,
-    min_pc_walk,
-    normalize,
-    pc_walk_minima,
-    shortest_pc_walks_from,
-)
-from ecpostman.pcwalks import ShortestWalkFinder, check_walk_witness
+from ecpostman import ColoredMultigraph
+from ecpostman.graph import normalize
+from ecpostman.oracle import check_walk_witness, pc_walk_minima
+from ecpostman.pcwalks import ShortestWalkFinder
 
 
 def test_triangle_fixed_values(triangle):
     # frozen from exhaustive enumeration of walks up to 4 edges
-    table = shortest_pc_walks_from(triangle, 0, 1)
+    table = ShortestWalkFinder(triangle).table(0, 1)
     assert table[(2, 2)][0] == 2
     assert [e for e in table[(2, 2)][1].edges] == [0, 1]
     assert table[(0, 3)][0] == 3
@@ -26,30 +22,30 @@ def test_triangle_fixed_values(triangle):
 def test_triangle_matches_enumeration(triangle):
     for u in range(3):
         for c1 in range(1, 4):
-            table = shortest_pc_walks_from(triangle, u, c1)
+            table = ShortestWalkFinder(triangle).table(u, c1)
             brute = pc_walk_minima(triangle, u, c1)
             assert {key: w for key, (w, _) in table.items()} == brute
 
 
 def test_single_edge_walk(triangle):
-    hit = min_pc_walk(triangle, 0, 1, 1, 1)
+    hit = ShortestWalkFinder(triangle).min_walk(0, 1, 1, 1)
     assert hit is not None
     weight, walk = hit
     assert weight == 1 and walk.edges == (0,)
 
 
 def test_no_incident_color_gives_empty_table(triangle):
-    assert shortest_pc_walks_from(triangle, 0, 5) == {}
+    assert ShortestWalkFinder(triangle).table(0, 5) == {}
 
 
 def test_disconnected_target_absent():
     g = mg(6, 3, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 3, 1), (3, 4, 1, 1), (4, 5, 2, 1), (5, 3, 3, 1)])
-    assert min_pc_walk(g, 0, 1, 3, 1) is None
+    assert ShortestWalkFinder(g).min_walk(0, 1, 3, 1) is None
 
 
 def test_closed_walk_to_source_needs_two_edges():
     g = mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1)])
-    hit = min_pc_walk(g, 0, 1, 0, 2)
+    hit = ShortestWalkFinder(g).min_walk(0, 1, 0, 2)
     assert hit is not None and hit[1].num_edges == 2
 
 
