@@ -1,12 +1,18 @@
 """End-to-end postman solver for edge-colored multigraphs.
 
-Pipeline: reject vertices seeing a single color, normalize (simple
-graph, odd color count), build the auxiliary matching graph, find a
-minimum-weight perfect matching, duplicate the witness walk of every
-matched non-artificial edge, extract a properly colored Euler trail of
-the duplicated graph, contract it back to the original multigraph and
-re-verify everything before returning. Absence of a perfect matching is
-the infeasibility criterion.
+Pipeline: reject disconnected inputs and vertices seeing a single
+color, normalize (simple graph, odd color count), build the auxiliary
+matching graph, find a minimum-weight perfect matching, duplicate the
+witness walk of every matched non-artificial edge, extract a properly
+colored Euler trail of the duplicated graph, contract it back to the
+original multigraph and re-verify everything before returning. Absence
+of a perfect matching is the infeasibility criterion.
+
+An input that is already connected with every vertex even and balanced
+has a properly colored Euler trail (Kotzig), which is optimal: it
+traverses every edge once. Such an input skips the walk tables, the
+auxiliary model and the matching; its normalized graph goes straight to
+the trail with matching weight 0 and through the same verification.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auxgraph import MatchingGraph, build_matching_graph, validate_matching_structure
-from .euler import pc_euler_trail, verify_pc_closed_walk
+from .euler import check_pc_euler, pc_euler_trail, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
     GraphError,
@@ -23,7 +29,6 @@ from .graph import (
     PCWalk,
     contract_walk,
     has_single_color_vertex,
-    is_connected,
     normalize,
 )
 from .matching import min_weight_perfect_matching
@@ -91,31 +96,39 @@ def solve(g: ColoredMultigraph) -> Solution:
 
     Returns an optimal Solution or an infeasible one (disconnected
     input, a vertex incident to one color only, or no perfect matching
-    in the auxiliary graph). Every optimal answer is verified before it
-    is returned; a failed check raises InvariantError rather than
-    returning a silently wrong answer.
+    in the auxiliary graph). An input that already has a properly
+    colored Euler trail is answered by that trail without building the
+    auxiliary graph. Every optimal answer is verified before it is
+    returned; a failed check raises InvariantError rather than returning
+    a silently wrong answer.
     """
     if g.n == 0 or not g.edges:
         raise GraphError("solver needs a graph with at least one edge")
-    if not is_connected(g):
+    chk = check_pc_euler(g)
+    if chk.reason == "disconnected":
         return _infeasible(INFEASIBLE_DISCONNECTED)
     if has_single_color_vertex(g) is not None:
         return _infeasible(INFEASIBLE_SINGLE_COLOR)
 
     g_norm, nmap = normalize(g)
-    finder = ShortestWalkFinder(g_norm)
-    mg = build_matching_graph(g_norm, finder)
-    matching = min_weight_perfect_matching(mg.as_matching_instance())
-    if matching is None:
-        return _infeasible(INFEASIBLE_NO_MATCHING)
+    if chk.feasible:
+        # every vertex is already even and balanced: nothing to duplicate
+        duplicated, origin, matching_weight = g_norm, tuple(range(len(g_norm.edges))), 0
+    else:
+        finder = ShortestWalkFinder(g_norm)
+        mg = build_matching_graph(g_norm, finder)
+        matching = min_weight_perfect_matching(mg.as_matching_instance())
+        if matching is None:
+            return _infeasible(INFEASIBLE_NO_MATCHING)
 
-    structure = validate_matching_structure(mg, matching.pairs)
-    if not structure.ok:
-        raise InvariantError(
-            "matching structure validation failed: " + "; ".join(structure.failures)
-        )
+        structure = validate_matching_structure(mg, matching.pairs)
+        if not structure.ok:
+            raise InvariantError(
+                "matching structure validation failed: " + "; ".join(structure.failures)
+            )
 
-    duplicated, origin = apply_matching(g_norm, mg, matching.pairs)
+        duplicated, origin = apply_matching(g_norm, mg, matching.pairs)
+        matching_weight = matching.weight
     try:
         trail = pc_euler_trail(duplicated)
     except GraphError as exc:
@@ -133,9 +146,9 @@ def solve(g: ColoredMultigraph) -> Solution:
     report = verify_pc_closed_walk(g, walk, require_cover=True)
     if not report.ok:
         raise InvariantError(f"solution walk failed verification: {report.failure}")
-    if report.weight != g.total_weight() + matching.weight:
+    if report.weight != g.total_weight() + matching_weight:
         raise InvariantError(
             f"weight accounting broken: tour {report.weight} != "
-            f"{g.total_weight()} + {matching.weight}"
+            f"{g.total_weight()} + {matching_weight}"
         )
-    return Solution("optimal", None, report.weight, matching.weight, report.traversals, walk)
+    return Solution("optimal", None, report.weight, matching_weight, report.traversals, walk)

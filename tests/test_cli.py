@@ -3,9 +3,11 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ecpostman
 from ecpostman import InvariantError
 from ecpostman.cli import (
     EXIT_ERROR,
@@ -239,8 +241,11 @@ def test_format_result_consistency():
 def test_byte_identical_across_processes(tmp_path):
     inst = write(tmp_path, "house.ecg", HOUSE)
     outputs = []
+    # the child must import the package this test imported, installed or not
+    src = str(Path(ecpostman.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for hashseed in ("0", "1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "ecpostman.cli", "solve", inst],
             capture_output=True,

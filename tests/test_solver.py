@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -16,9 +17,16 @@ from ecpostman import (
     verify_pc_closed_walk,
 )
 from ecpostman.auxgraph import build_matching_graph
-from ecpostman.graph import has_single_color_vertex, normalize
+from ecpostman.euler import pc_euler_trail
+from ecpostman.graph import contract_walk, has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
-from ecpostman.oracle import gen_random_instance, oracle_solve
+from ecpostman.oracle import (
+    encode_digraph,
+    gen_random_digraph,
+    gen_random_instance,
+    gen_random_trail_instance,
+    oracle_solve,
+)
 from ecpostman.pcwalks import ShortestWalkFinder
 from ecpostman.solver import apply_matching
 
@@ -72,6 +80,51 @@ def test_feasible_instance_total_equals_graph_weight(bowtie):
     assert sol.total_weight == bowtie.total_weight()
     assert sol.matching_weight == 0
     assert all(q == 1 for q in sol.multiplicities)
+
+
+def test_eulerian_input_needs_no_model(triangle, bowtie, house, monkeypatch):
+    parallel = gen_random_trail_instance(5, 3, 12, 9, 0)
+    assert not parallel.is_simple()
+    assert not normalize(parallel)[1].identity
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the model path ran on an already-Eulerian input")
+
+    monkeypatch.setattr("ecpostman.solver.build_matching_graph", unreachable)
+    monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", unreachable)
+    for g in (triangle, bowtie, parallel):
+        sol = solve(g)
+        assert sol.optimal and sol.matching_weight == 0
+        assert sol.total_weight == g.total_weight()
+        assert sol.multiplicities == (1,) * len(g.edges)
+        assert verify_pc_closed_walk(g, sol.walk, True).ok
+    with pytest.raises(AssertionError, match="model path ran"):
+        solve(house)
+
+
+def test_eulerian_route_matches_the_model_route():
+    for seed in range(20):
+        g = gen_random_trail_instance(12, 3, 24, 9, seed)
+        gn, nmap = normalize(g)
+        aux = build_matching_graph(gn)
+        matching = min_weight_perfect_matching(aux.as_matching_instance())
+        assert matching.weight == 0
+        assert all(aux.edge_by_pair[p].artificial for p in matching.pairs)
+        assert solve(g).walk == contract_walk(nmap, pc_euler_trail(gn))
+
+
+def test_eulerian_input_with_free_edges_is_traversed_once():
+    # A minimum matching may pick a free repair walk here (multiplicity 3 on
+    # the last edge); the input's own trail is as cheap and uses each edge once.
+    base = gen_random_trail_instance(8, 3, 14, 3, 6)
+    rng = random.Random(6)
+    g = ColoredMultigraph(
+        base.n, base.k, [(e.u, e.v, e.color, rng.choice([0, 0, 1])) for e in base.edges]
+    )
+    assert check_pc_euler(g).feasible and g.edges[-1].weight == 0
+    sol = solve(g)
+    assert sol.optimal and sol.total_weight == g.total_weight() == 4
+    assert sol.multiplicities == (1,) * len(g.edges)
 
 
 def test_all_artificial_matching_keeps_graph(triangle):
@@ -203,3 +256,55 @@ def test_relabeling_keeps_the_optimum(beyond_oracle):
         relabeled = solve(ColoredMultigraph(g.n, g.k, rows))
         assert (relabeled.status, relabeled.reason) == (sol.status, sol.reason)
         assert relabeled.total_weight == sol.total_weight
+
+
+def test_parallel_copy_never_helps(beyond_oracle):
+    for i, (g, sol) in enumerate(beyond_oracle):
+        e = g.edges[(5 * i) % len(g.edges)]
+        rows = [(f.u, f.v, f.color, f.weight) for f in g.edges] + [(e.u, e.v, e.color, e.weight)]
+        copied = solve(ColoredMultigraph(g.n, g.k, rows))
+        if copied.optimal:
+            # a walk covering the copy covers g at the same weight
+            assert sol.optimal and copied.total_weight >= sol.total_weight
+
+
+def _directed_postman_flow(n, arcs):
+    """Directed postman optimum by min-cost flow on extra arc uses, or None."""
+    d = nx.MultiDiGraph()
+    for v in range(n):
+        d.add_node(v, demand=0)
+    for u, v, w in arcs:
+        d.add_edge(u, v, weight=w)
+        d.nodes[u]["demand"] += 1
+        d.nodes[v]["demand"] -= 1
+    if not nx.is_weakly_connected(d):
+        return None
+    try:
+        extra, _ = nx.network_simplex(d)
+    except nx.NetworkXUnfeasible:
+        return None
+    return sum(w for _, _, w in arcs) + extra
+
+
+def test_digraph_encoding_gives_the_directed_optimum():
+    """Eight 12-vertex, 30-arc digraphs, far past the brute-force oracle.
+
+    Only digraphs whose every vertex has in- and out-arcs are kept (the
+    first eight of seeds 0-73), so that every solve reaches the matching
+    stage instead of stopping at a single-color vertex.
+    """
+    verdicts = []
+    seed = 0
+    while len(verdicts) < 8:
+        n, arcs = gen_random_digraph(12, 30, 9, seed)
+        seed += 1
+        g = encode_digraph(n, arcs)
+        if has_single_color_vertex(g) is not None:
+            continue
+        sol = solve(g)
+        expected = _directed_postman_flow(n, arcs)
+        assert sol.optimal == (expected is not None)
+        if sol.optimal:
+            assert sol.total_weight == expected
+        verdicts.append(sol.optimal)
+    assert any(verdicts) and not all(verdicts)
