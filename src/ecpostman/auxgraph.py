@@ -7,7 +7,9 @@ fillers among themselves and to all slots of the same owner, and, at
 balanced owners, all slot pairs of the same owner. Every remaining slot
 pair (a at (u, i), b at (v, j)) receives an edge weighted by the
 minimum properly colored fixed-end walk from u to v with end colors
-(i, j), when one exists; the witness walk is stored per signature.
+(i, j), when one exists. Interchangeable slot copies share that walk, so
+it is looked up once per pair of slot classes (u, i), (v, j) and its
+witness is stored once per signature.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -83,10 +85,10 @@ def build_matching_graph(
     """Construct the auxiliary matching graph of a normalized instance.
 
     Requires a simple graph with an odd number of colors >= 3 and no
-    vertex incident to a single color only. Walk queries are shared per
-    (u, first color) through the finder, and per-signature minima and
-    witnesses are computed once regardless of how many interchangeable
-    slot copies reference them.
+    vertex incident to a single color only. Walk edges are built per
+    pair of slot classes (u, c) and (v, c'): one lookup in the finder's
+    table for (u, c) gives the weight and witness shared by every slot
+    pair between the two classes.
     """
     if g.k % 2 == 0 or g.k < 3:
         raise GraphError("auxiliary graph needs an odd color count >= 3")
@@ -119,52 +121,45 @@ def build_matching_graph(
                 vertices.append(SlotVertex(u, None, copy))
             filler_indices[u] = idxs
 
+    # indices ascend within an owner (slots by color, then fillers), so
+    # every artificial pair below is already (smaller, larger)
     edges: list[AuxEdge] = []
-    artificial_pairs: set[tuple[int, int]] = set()
-
-    def add_artificial(a: int, b: int) -> None:
-        pair = (a, b) if a < b else (b, a)
-        artificial_pairs.add(pair)
-        edges.append(AuxEdge(pair[0], pair[1], 0, None))
-
     for u in range(g.n):
-        prof = profiles[u]
         slots = []
         for c in range(1, g.k + 1):
             slots.extend(slot_indices.get((u, c), ()))
-        if prof.dominant is None:
+        if profiles[u].dominant is None:
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
-                    add_artificial(slots[i], slots[j])
+                    edges.append(AuxEdge(slots[i], slots[j], 0, None))
         else:
             fill = filler_indices[u]
             for i in range(len(fill)):
                 for j in range(i + 1, len(fill)):
-                    add_artificial(fill[i], fill[j])
+                    edges.append(AuxEdge(fill[i], fill[j], 0, None))
             for s in slots:
                 for f in fill:
-                    add_artificial(s, f)
+                    edges.append(AuxEdge(s, f, 0, None))
 
-    colored = [
-        (idx, sv.owner, sv.color) for idx, sv in enumerate(vertices) if sv.color is not None
-    ]
-    cache: dict[tuple[int, int, int, int], PCWalk | None] = {}
-    for i in range(len(colored)):
-        a_idx, u, cu = colored[i]
-        for j in range(i + 1, len(colored)):
-            b_idx, v, cv = colored[j]
-            if (a_idx, b_idx) in artificial_pairs:
-                continue
+    # slot classes come in ascending index order, so pairing each class
+    # with itself and every later class visits each slot pair a < b once
+    walk_edges: list[AuxEdge] = []
+    witnesses: dict[tuple[int, int, int, int], PCWalk] = {}
+    classes = list(slot_indices.items())
+    for i, ((u, cu), a_slots) in enumerate(classes):
+        table = finder.table(u, cu)
+        for (v, cv), b_slots in classes[i:]:
+            hit = table.get((v, cv))
+            if hit is None or (u == v and profiles[u].dominant is None):
+                continue  # no walk, or an artificial pair of a balanced owner
+            weight, walk = hit
             sig = (u, cu, v, cv)
-            if sig not in cache:
-                hit = finder.min_walk(u, cu, v, cv)
-                cache[sig] = hit[1] if hit is not None else None
-            walk = cache[sig]
-            if walk is None:
-                continue
-            edges.append(AuxEdge(a_idx, b_idx, walk.weight, sig))
-
-    witnesses = {sig: w for sig, w in cache.items() if w is not None}
+            pairs = [(a, b) for a in a_slots for b in b_slots if a < b]
+            if pairs:
+                witnesses[sig] = walk
+                walk_edges.extend(AuxEdge(a, b, weight, sig) for a, b in pairs)
+    walk_edges.sort(key=lambda e: (e.a, e.b))
+    edges.extend(walk_edges)
     return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices)
 
 
@@ -172,9 +167,6 @@ def build_matching_graph(
 class StructureReport:
     ok: bool
     failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_matching_structure(

@@ -24,7 +24,6 @@ from .graph import (
     InvariantError,
     PCWalk,
     color_degrees,
-    is_connected,
     normalize,
 )
 from .oracle import gen_random_instance, oracle_solve
@@ -219,11 +218,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"vertex {u + 1} degree {prof.degree} "
             f"even {yn(prof.degree % 2 == 0)} balanced {yn(prof.dominant is None)}"
         )
-    connected = is_connected(g)
-    print(f"connected {yn(connected)}")
-    feasible = check_pc_euler(g).feasible
-    print(f"pc-euler {yn(feasible)}")
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+    chk = check_pc_euler(g)
+    print(f"connected {yn(chk.reason != 'disconnected')}")
+    print(f"pc-euler {yn(chk.feasible)}")
+    return EXIT_OK if chk.feasible else EXIT_INFEASIBLE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

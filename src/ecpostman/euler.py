@@ -29,9 +29,6 @@ class EulerCheck:
     reason: str | None = None
     vertex: int | None = None
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 def check_pc_euler(g: ColoredMultigraph) -> EulerCheck:
     """Decide whether g admits a properly colored Euler trail.
@@ -173,13 +170,10 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
 
     ts = build_transition_system(g)
     partner = ts.partner_maps()
-    trails = _extract_trails(g, partner)
 
-    trail_of = [0] * len(g.edges)
-    for idx, (_, eids) in enumerate(trails):
-        for eid in eids:
-            trail_of[eid] = idx
-    parent = list(range(len(trails)))
+    # union-find over edge ids: each set is the edge set of one closed
+    # trail of the current pairing, starting from the transition pairs
+    parent = list(range(len(g.edges)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -187,8 +181,11 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
             x = parent[x]
         return x
 
+    for vertex_pairs in ts.pairs:
+        for a, b in vertex_pairs:
+            parent[find(b)] = find(a)
+
     pairs_at: list[list[tuple[int, int]]] = [sorted(vp) for vp in ts.pairs]
-    merges = 0
     for v in range(g.n):
         local = pairs_at[v]
         if len(local) < 2:
@@ -196,7 +193,7 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
         base = local[0]
         for idx in range(1, len(local)):
             p = local[idx]
-            rb, rp = find(trail_of[base[0]]), find(trail_of[p[0]])
+            rb, rp = find(base[0]), find(p[0])
             if rb == rp:
                 continue
             new_base, new_p = _cross_repair(g, base, p)
@@ -206,14 +203,7 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
             local[0] = new_base
             local[idx] = new_p
             parent[rp] = rb
-            merges += 1
             base = new_base
-
-    roots = {find(i) for i in range(len(trails))}
-    if len(roots) != 1:
-        raise InvariantError("trail merging did not reach a single trail")
-    if merges != len(trails) - 1:
-        raise InvariantError("unexpected number of trail merges")
 
     merged = _extract_trails(g, partner)
     if len(merged) != 1:
@@ -243,9 +233,6 @@ class WalkReport:
     failure: str | None
     weight: int
     traversals: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_pc_closed_walk(g: ColoredMultigraph, walk: PCWalk, require_cover: bool) -> WalkReport:

@@ -138,17 +138,6 @@ def color_degrees(g: ColoredMultigraph, u: int) -> DegreeProfile:
     return DegreeProfile(u, d, counts, dominant)
 
 
-def is_balanced(g: ColoredMultigraph, u: int) -> bool:
-    """True iff no color occurs on more than half of u's incident edges."""
-    counts = g.color_counts(u)
-    d = len(g.incidence[u])
-    return all(2 * cnt <= d for cnt in counts)
-
-
-def is_even(g: ColoredMultigraph, u: int) -> bool:
-    return g.degree(u) % 2 == 0
-
-
 def is_connected(g: ColoredMultigraph) -> bool:
     """True iff all n vertices lie in one component (isolated vertices count)."""
     if g.n == 0:

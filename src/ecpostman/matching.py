@@ -62,7 +62,7 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     """
     if inst.n == 0:
         return PerfectMatching((), 0)
-    if inst.n % 2 != 0 or not inst.edges:
+    if not inst.edges:
         return None
     ceiling = 1 + max(w for _, _, w in inst.edges)
     graph = nx.Graph()

@@ -18,8 +18,8 @@ class ShortestWalkFinder:
     """Memoized single-source shortest properly-colored-walk queries.
 
     One instance wraps one immutable graph; tables are cached per
-    (source vertex, first color), which is what the auxiliary matching
-    graph construction hammers on.
+    (source vertex, first color), the key of a slot class in the
+    auxiliary matching graph.
     """
 
     def __init__(self, g: ColoredMultigraph):
@@ -37,9 +37,6 @@ class ShortestWalkFinder:
             cached = self._dijkstra(u, c1)
             self._tables[key] = cached
         return cached
-
-    def min_walk(self, u: int, c1: int, v: int, c2: int) -> tuple[int, PCWalk] | None:
-        return self.table(u, c1).get((v, c2))
 
     def _dijkstra(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int, PCWalk]]:
         g = self.g

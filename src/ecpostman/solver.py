@@ -32,7 +32,6 @@ from .graph import (
     normalize,
 )
 from .matching import min_weight_perfect_matching
-from .pcwalks import ShortestWalkFinder
 
 INFEASIBLE_DISCONNECTED = "disconnected"
 INFEASIBLE_SINGLE_COLOR = "single-color-vertex"
@@ -115,8 +114,7 @@ def solve(g: ColoredMultigraph) -> Solution:
         # every vertex is already even and balanced: nothing to duplicate
         duplicated, origin, matching_weight = g_norm, tuple(range(len(g_norm.edges))), 0
     else:
-        finder = ShortestWalkFinder(g_norm)
-        mg = build_matching_graph(g_norm, finder)
+        mg = build_matching_graph(g_norm)
         matching = min_weight_perfect_matching(mg.as_matching_instance())
         if matching is None:
             return _infeasible(INFEASIBLE_NO_MATCHING)

@@ -12,7 +12,7 @@ from ecpostman.auxgraph import (
     dump_matching_graph,
     validate_matching_structure,
 )
-from ecpostman.graph import DegreeProfile, color_degrees, normalize
+from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import gen_random_instance
 from ecpostman.pcwalks import ShortestWalkFinder
@@ -73,21 +73,54 @@ def test_no_walk_edges_inside_balanced_class(triangle):
             assert e.weight == 0
 
 
-def test_walk_edge_weights_match_walk_finder(house):
-    gn, _ = normalize(house)
+def check_walk_edges(gn):
+    """Every walk edge carries its walk minimum, and no walk edge is missing.
+
+    Returns the number of walk edges.
+    """
     finder = ShortestWalkFinder(gn)
     aux = build_matching_graph(gn, finder)
-    seen_walk_edge = False
+    walk_edges = {}
     for e in aux.edges:
         if e.artificial:
             continue
-        seen_walk_edge = True
         u, c1, v, c2 = e.signature
-        hit = finder.min_walk(u, c1, v, c2)
+        hit = finder.table(u, c1).get((v, c2))
         assert hit is not None and hit[0] == e.weight
         witness = aux.witnesses[e.signature]
         assert witness.weight == e.weight
-    assert seen_walk_edge
+        assert (e.a, e.b) not in walk_edges  # one walk edge per slot pair
+        walk_edges[(e.a, e.b)] = e
+    # reverse direction, slot pair by slot pair
+    slots = [(idx, sv) for idx, sv in enumerate(aux.vertices) if sv.color is not None]
+    expected = 0
+    for i, (a, sa) in enumerate(slots):
+        for b, sb in slots[i + 1:]:
+            balanced = color_degrees(gn, sa.owner).dominant is None
+            hit = finder.table(sa.owner, sa.color).get((sb.owner, sb.color))
+            if (sa.owner == sb.owner and balanced) or hit is None:
+                assert (a, b) not in walk_edges
+                continue
+            edge = walk_edges.get((a, b))
+            assert edge is not None and edge.weight == hit[0]
+            expected += 1
+    assert len(walk_edges) == expected
+    return expected
+
+
+def test_walk_edge_weights_match_walk_finder(house):
+    gn, _ = normalize(house)
+    assert check_walk_edges(gn) > 0
+    checked = 0
+    for seed in range(40):
+        g = gen_random_instance(5, 3, 8, 4, seed=seed)
+        if has_single_color_vertex(g) is not None:
+            continue
+        check_walk_edges(normalize(g)[0])
+        checked += 1
+        if checked == 4:
+            break
+    assert checked == 4
 
 
 @given(multigraphs(connected=True))

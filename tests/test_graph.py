@@ -10,9 +10,7 @@ from ecpostman.graph import (
     color_degrees,
     contract_walk,
     has_single_color_vertex,
-    is_balanced,
     is_connected,
-    is_even,
     normalize,
     walk_from_edges,
 )
@@ -46,7 +44,7 @@ def test_color_degrees_dominant():
     p = color_degrees(g, 0)
     assert p.degree == 3 and p.count(1) == 2
     assert p.dominant == 1
-    assert not is_balanced(g, 0) and not is_even(g, 0)
+    assert p.dominant is not None and p.degree % 2 != 0
 
 
 def test_color_degrees_no_dominant_at_half():
@@ -54,7 +52,7 @@ def test_color_degrees_no_dominant_at_half():
     g = mg(5, 3, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (0, 4, 3, 1)])
     p = color_degrees(g, 0)
     assert p.degree == 4 and p.count(1) == 2 and p.dominant is None
-    assert is_balanced(g, 0) and is_even(g, 0)
+    assert p.dominant is None and p.degree % 2 == 0
 
 
 def test_color_degrees_unknown_vertex(triangle):
@@ -183,7 +181,7 @@ def test_degree_sums_and_dominance(g):
         dominants = [c for c in range(1, g.k + 1) if 2 * p.count(c) > p.degree]
         assert len(dominants) <= 1
         assert (p.dominant is None) == (not dominants)
-        assert is_balanced(g, u) == (p.dominant is None)
+        assert (p.dominant is None) == all(2 * cnt <= p.degree for cnt in p.per_color)
 
 
 @given(multigraphs())

@@ -28,7 +28,7 @@ def test_triangle_matches_enumeration(triangle):
 
 
 def test_single_edge_walk(triangle):
-    hit = ShortestWalkFinder(triangle).min_walk(0, 1, 1, 1)
+    hit = ShortestWalkFinder(triangle).table(0, 1).get((1, 1))
     assert hit is not None
     weight, walk = hit
     assert weight == 1 and walk.edges == (0,)
@@ -40,12 +40,12 @@ def test_no_incident_color_gives_empty_table(triangle):
 
 def test_disconnected_target_absent():
     g = mg(6, 3, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 3, 1), (3, 4, 1, 1), (4, 5, 2, 1), (5, 3, 3, 1)])
-    assert ShortestWalkFinder(g).min_walk(0, 1, 3, 1) is None
+    assert ShortestWalkFinder(g).table(0, 1).get((3, 1)) is None
 
 
 def test_closed_walk_to_source_needs_two_edges():
     g = mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1)])
-    hit = ShortestWalkFinder(g).min_walk(0, 1, 0, 2)
+    hit = ShortestWalkFinder(g).table(0, 1).get((0, 2))
     assert hit is not None and hit[1].num_edges == 2
 
 
