@@ -6,7 +6,9 @@ than half of any vertex's incident edge ends. Extraction works through
 a transition system: a pairing of the edge ends at each vertex into
 distinctly colored pairs, which decomposes the edge set into closed
 properly colored trails that are then merged by cross re-pairing at
-shared vertices.
+shared vertices. The edge screen (``uncoverable_edge``) decides the
+weaker question the postman problem asks: whether some properly colored
+closed walk covers every edge, with edges traversed any number of times.
 """
 
 from __future__ import annotations
@@ -48,6 +50,95 @@ def check_pc_euler(g: ColoredMultigraph) -> EulerCheck:
         if any(2 * cnt > d for cnt in g.color_counts(u)):
             return EulerCheck(False, "unbalanced", u)
     return EulerCheck(True)
+
+
+def uncoverable_edge(g: ColoredMultigraph) -> int | None:
+    """Return the lowest edge id on no properly colored closed walk, or None.
+
+    A connected multigraph has a covering properly colored closed walk
+    iff every edge lies on some properly colored closed walk: one such
+    walk per edge, added up, is even and balanced everywhere, so Kotzig's
+    theorem gives an Euler trail of the sum.
+
+    The test runs on a digraph of arcs and hubs. Node 2e is edge e
+    traversed u -> v and 2e + 1 is v -> u. Each (vertex x, color c)
+    present at x gets a hub; an arc entering x with color c points to
+    every hub of x with another color, and hub (x, c) points to every
+    arc leaving x with color c. Cycles of this digraph are exactly the
+    properly colored closed walks, wraparound included, so edge e lies
+    on one iff node 2e sits in a strongly connected component of more
+    than one node.
+    """
+    m = len(g.edges)
+    succ: list[list[int]] = [[] for _ in range(2 * m)]
+    hubs_at: list[dict[int, int]] = []
+    for x in range(g.n):
+        hubs: dict[int, int] = {}
+        for eid, _, color, _ in g.incidence[x]:
+            hub = hubs.get(color)
+            if hub is None:
+                hub = hubs[color] = len(succ)
+                succ.append([])
+            # the arc of eid that leaves x
+            succ[hub].append(2 * eid if g.edges[eid].u == x else 2 * eid + 1)
+        hubs_at.append(hubs)
+    for e in g.edges:
+        for arc, head in ((2 * e.eid, e.v), (2 * e.eid + 1, e.u)):
+            succ[arc] = [hub for color, hub in hubs_at[head].items() if color != e.color]
+
+    cyclic = _on_cycle(succ)
+    return next((eid for eid in range(m) if not cyclic[2 * eid]), None)
+
+
+def _on_cycle(succ: list[list[int]]) -> list[bool]:
+    """Mark the nodes whose strongly connected component has several nodes.
+
+    Tarjan's algorithm with an explicit stack of (node, successor
+    iterator) frames, so deep digraphs cannot hit the recursion limit.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    component: list[int] = []
+    cyclic = [False] * n
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        component.append(root)
+        on_stack[root] = True
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    component.append(w)
+                    on_stack[w] = True
+                    frames.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    w = component.pop()
+                    on_stack[w] = False
+                    if w != v:
+                        cyclic[v] = cyclic[w] = True
+                        while w != v:
+                            w = component.pop()
+                            on_stack[w] = False
+                            cyclic[w] = True
+    return cyclic
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,21 @@
 """End-to-end postman solver for edge-colored multigraphs.
 
 Pipeline: reject disconnected inputs and vertices seeing a single
-color, normalize (simple graph, odd color count), build the auxiliary
-matching graph, find a minimum-weight perfect matching, duplicate the
-witness walk of every matched non-artificial edge, extract a properly
-colored Euler trail of the duplicated graph, contract it back to the
-original multigraph and re-verify everything before returning. Absence
-of a perfect matching is the infeasibility criterion.
+color, reject inputs with an edge on no properly colored closed walk,
+normalize (simple graph, odd color count), build the auxiliary matching
+graph, find a minimum-weight perfect matching, duplicate the witness
+walk of every matched non-artificial edge, extract a properly colored
+Euler trail of the duplicated graph, contract it back to the original
+multigraph and re-verify everything before returning.
+
+The edge screen (``uncoverable_edge``) is the infeasibility criterion:
+a connected input has a covering properly colored closed walk iff every
+edge lies on some properly colored closed walk. It runs in time linear
+in the size of its arc digraph, so an infeasible input builds no model.
+Its verdict keeps the historical reason ``no-perfect-matching``. Every
+input that passes it still goes through the blossom, whose failure to
+find a perfect matching would contradict the screen and is an internal
+error, so each criterion checks the other on every feasible solve.
 
 An input that is already connected with every vertex even and balanced
 has a properly colored Euler trail (Kotzig), which is optimal: it
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auxgraph import MatchingGraph, build_matching_graph, validate_matching_structure
-from .euler import check_pc_euler, pc_euler_trail, verify_pc_closed_walk
+from .euler import check_pc_euler, pc_euler_trail, uncoverable_edge, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
     GraphError,
@@ -94,12 +103,14 @@ def solve(g: ColoredMultigraph) -> Solution:
     """Solve the postman problem on an edge-colored multigraph exactly.
 
     Returns an optimal Solution or an infeasible one (disconnected
-    input, a vertex incident to one color only, or no perfect matching
-    in the auxiliary graph). An input that already has a properly
-    colored Euler trail is answered by that trail without building the
-    auxiliary graph. Every optimal answer is verified before it is
-    returned; a failed check raises InvariantError rather than returning
-    a silently wrong answer.
+    input, a vertex incident to one color only, or an edge on no
+    properly colored closed walk, reported as no-perfect-matching). An
+    input that already has a properly colored Euler trail is answered by
+    that trail without building the auxiliary graph. Every optimal
+    answer is verified before it is returned; a failed check, including
+    a blossom that finds no perfect matching for an input the edge
+    screen passed, raises InvariantError rather than returning a
+    silently wrong answer.
     """
     if g.n == 0 or not g.edges:
         raise GraphError("solver needs a graph with at least one edge")
@@ -109,6 +120,9 @@ def solve(g: ColoredMultigraph) -> Solution:
     if has_single_color_vertex(g) is not None:
         return _infeasible(INFEASIBLE_SINGLE_COLOR)
 
+    if not chk.feasible and uncoverable_edge(g) is not None:
+        return _infeasible(INFEASIBLE_NO_MATCHING)
+
     g_norm, nmap = normalize(g)
     if chk.feasible:
         # every vertex is already even and balanced: nothing to duplicate
@@ -117,7 +131,9 @@ def solve(g: ColoredMultigraph) -> Solution:
         mg = build_matching_graph(g_norm)
         matching = min_weight_perfect_matching(mg.as_matching_instance())
         if matching is None:
-            return _infeasible(INFEASIBLE_NO_MATCHING)
+            raise InvariantError(
+                "no perfect matching although every edge lies on a PC closed walk"
+            )
 
         structure = validate_matching_structure(mg, matching.pairs)
         if not structure.ok:

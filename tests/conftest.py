@@ -49,6 +49,26 @@ def bowtie() -> ColoredMultigraph:
     )
 
 
+@pytest.fixture
+def trapped_triangle() -> ColoredMultigraph:
+    # the triangle plus the benchmark's eulerian trap hung off vertex 0:
+    # 0-3 and 3-4 of color 1, 4-5 of color 2, 5-3 of color 3; edge 3 (0-3)
+    # lies on no properly colored closed walk
+    return mg(
+        6,
+        3,
+        [
+            (0, 1, 1, 1),
+            (1, 2, 2, 1),
+            (2, 0, 3, 1),
+            (0, 3, 1, 1),
+            (3, 4, 1, 1),
+            (4, 5, 2, 1),
+            (5, 3, 3, 1),
+        ],
+    )
+
+
 def owner_slots(aux: MatchingGraph, u: int) -> list[int]:
     """Indices of u's slot vertices in the auxiliary graph, by ascending color."""
     out: list[int] = []

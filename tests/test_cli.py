@@ -24,6 +24,8 @@ from ecpostman.solver import solve
 TRIANGLE = "ecg 3 3 3\n1 2 1 1\n2 3 2 1\n3 1 3 1\n"
 HOUSE = "ecg 4 3 5\n1 2 1 1\n2 3 2 5\n3 1 3 1\n2 4 3 1\n4 3 1 1\n"
 SINGLE_COLOR = "ecg 3 1 2\n1 2 1 1\n2 3 1 1\n"
+# the triangle plus a pendant trap; edge 1-4 lies on no properly colored closed walk
+TRAPPED = TRIANGLE.replace("ecg 3 3 3", "ecg 6 3 7") + "1 4 1 1\n4 5 1 1\n5 6 2 1\n6 4 3 1\n"
 
 
 def write(tmp_path, name, text):
@@ -86,6 +88,14 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert out == "status infeasible\nreason single-color-vertex\n"
 
 
+def test_solve_trapped_instance_is_infeasible(tmp_path, capsys):
+    path = write(tmp_path, "trap.ecg", TRAPPED)
+    assert run_cli("solve", path) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == "status infeasible\nreason no-perfect-matching\n"
+    assert captured.err == ""
+
+
 def test_solve_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "broken.ecg", "ecg 3 3 1\n1 4 1 1\n")
     assert run_cli("solve", path) == EXIT_ERROR
@@ -103,6 +113,14 @@ def test_solve_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: weight accounting broken\n"
+
+
+def test_solve_blossom_disagreement_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", lambda inst: None)
+    assert run_cli("solve", write(tmp_path, "house.ecg", HOUSE)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: no perfect matching although")
 
 
 def test_solve_quiet(tmp_path, capsys):

@@ -3,14 +3,16 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import mg, multigraphs
 
 from ecpostman import GraphError, PCWalk, check_pc_euler, pc_euler_trail, verify_pc_closed_walk
-from ecpostman.euler import build_transition_system
-from ecpostman.graph import walk_from_edges
-from ecpostman.oracle import gen_random_trail_instance
+from ecpostman.auxgraph import build_matching_graph
+from ecpostman.euler import build_transition_system, uncoverable_edge
+from ecpostman.graph import has_single_color_vertex, normalize, walk_from_edges
+from ecpostman.matching import min_weight_perfect_matching
+from ecpostman.oracle import encode_digraph, gen_random_trail_instance
 
 
 def brute_force_has_pc_euler_trail(g) -> bool:
@@ -196,3 +198,29 @@ def test_constructed_instances_are_feasible():
         t = pc_euler_trail(g)
         rep = verify_pc_closed_walk(g, t, True)
         assert rep.ok and all(c == 1 for c in rep.traversals)
+
+
+def test_uncoverable_edge_names_the_trap(triangle, trapped_triangle):
+    assert uncoverable_edge(trapped_triangle) == 3
+    assert uncoverable_edge(triangle) is None
+
+
+def test_uncoverable_edge_of_a_one_way_join():
+    # strong halves {0, 1, 2} and {3, 4, 5}; arcs 3 and 7 run left to right
+    arcs = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 4, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (0, 3, 1)]
+    g = encode_digraph(6, arcs)
+    assert uncoverable_edge(g) == 6 and g.edges[6].color == 1
+    back = encode_digraph(6, arcs + [(5, 2, 1)])
+    assert uncoverable_edge(back) is None
+
+
+# most small draws have a single-color vertex; this shape keeps both
+# verdicts common among the rest
+@given(multigraphs(min_n=3, max_n=4, max_m=9, connected=True))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_edge_screen_agrees_with_the_blossom(g):
+    assume(has_single_color_vertex(g) is None)
+    assume(not check_pc_euler(g).feasible)
+    aux = build_matching_graph(normalize(g)[0])
+    matching = min_weight_perfect_matching(aux.as_matching_instance())
+    assert (uncoverable_edge(g) is None) == (matching is not None)

@@ -17,7 +17,7 @@ from ecpostman import (
     verify_pc_closed_walk,
 )
 from ecpostman.auxgraph import build_matching_graph
-from ecpostman.euler import pc_euler_trail
+from ecpostman.euler import pc_euler_trail, uncoverable_edge
 from ecpostman.graph import contract_walk, has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
@@ -100,6 +100,54 @@ def test_eulerian_input_needs_no_model(triangle, bowtie, house, monkeypatch):
         assert verify_pc_closed_walk(g, sol.walk, True).ok
     with pytest.raises(AssertionError, match="model path ran"):
         solve(house)
+
+
+def test_screened_infeasibility_builds_no_model(trapped_triangle, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the model path ran on a screened-out input")
+
+    for name in ("normalize", "build_matching_graph", "min_weight_perfect_matching"):
+        monkeypatch.setattr(f"ecpostman.solver.{name}", unreachable)
+    sol = solve(trapped_triangle)
+    assert (sol.status, sol.reason) == ("infeasible", "no-perfect-matching")
+
+
+def test_no_matching_after_the_screen_is_an_invariant_error(house, monkeypatch):
+    monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", lambda inst: None)
+    with pytest.raises(InvariantError, match="no perfect matching although"):
+        solve(house)
+
+
+def test_blossom_verdict_equals_the_screen_verdict(monkeypatch):
+    """With the screen bypassed, the blossom alone decides every verdict.
+
+    The corpus is the gen_random_instance(9, 3, 14, 9, seed) draws of
+    seeds 0-299 that reach the model (no single-color vertex, not
+    already Eulerian; 13 draws, 3 infeasible) and the first 16
+    gen_random_digraph(12, 30, 9, seed) encodings without a
+    single-color vertex (seeds 0-113, 2 infeasible).
+    """
+    drawn = [gen_random_instance(9, 3, 14, 9, seed) for seed in range(300)]
+    drawn = [
+        g for g in drawn if has_single_color_vertex(g) is None and not check_pc_euler(g).feasible
+    ]
+    encoded = []
+    seed = 0
+    while len(encoded) < 16:
+        g = encode_digraph(*gen_random_digraph(12, 30, 9, seed))
+        seed += 1
+        if has_single_color_vertex(g) is None:
+            encoded.append(g)
+    corpus = drawn + encoded
+    screened = [uncoverable_edge(g) is None for g in corpus]
+    assert not all(screened[: len(drawn)]) and not all(screened[len(drawn) :])
+    monkeypatch.setattr("ecpostman.solver.uncoverable_edge", lambda g: None)
+    for g, feasible in zip(corpus, screened):
+        if feasible:
+            assert solve(g).optimal
+        else:
+            with pytest.raises(InvariantError, match="no perfect matching"):
+                solve(g)
 
 
 def test_eulerian_route_matches_the_model_route():
