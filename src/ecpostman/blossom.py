@@ -1,0 +1,806 @@
+"""Maximum-weight maximum-cardinality matching by Edmonds' blossom algorithm.
+
+This is a port of ``max_weight_matching(G, maxcardinality=True)`` from
+networkx 3.6.1 (``networkx/algorithms/matching.py``), which follows
+Galil's primal-dual formulation ("Efficient Algorithms for Finding
+Maximum Matching in Graphs", ACM Computing Surveys, 1986) of Edmonds'
+blossom method. It keeps networkx's control flow, every iteration order
+and every strict ``<`` tie-break, so on the graph that ``networkx.Graph``
+builds from the same vertices ``0..n-1`` and the same edge list it
+returns the same matching, not merely one of equal weight. What changed
+is the representation:
+
+* vertices are ``0..n-1``; blossoms get the ids ``n, n+1, ...`` in
+  creation order and an id is never reused, so per-blossom state lives in
+  lists indexed by id next to the per-vertex state;
+* ``adj[v]`` holds the records ``(v, w, 2*weight)`` in edge order, which
+  is the order of ``G.neighbors(v)``; a least-slack edge is kept as its
+  record, so its slack needs no weight lookup;
+* the live blossoms are the keys of the insertion-ordered ``blossomdual``
+  dict, so "vertices, then live blossoms in creation order" is the order
+  in which networkx walks ``blossomparent``;
+* the optimality check is the module-level :func:`verify_optimum`, which
+  raises :class:`InvariantError` and so survives ``python -O``.
+
+networkx's inline ``assert`` statements are kept.
+
+The networkx code is distributed under the 3-clause BSD license:
+
+   Copyright (c) 2004-2025, NetworkX Developers
+   Aric Hagberg <hagberg@lanl.gov>
+   Dan Schult <dschult@colgate.edu>
+   Pieter Swart <swart@lanl.gov>
+   All rights reserved.
+
+   Redistribution and use in source and binary forms, with or without
+   modification, are permitted provided that the following conditions are
+   met:
+
+     * Redistributions of source code must retain the above copyright
+       notice, this list of conditions and the following disclaimer.
+
+     * Redistributions in binary form must reproduce the above
+       copyright notice, this list of conditions and the following
+       disclaimer in the documentation and/or other materials provided
+       with the distribution.
+
+     * Neither the name of the NetworkX Developers nor the names of its
+       contributors may be used to endorse or promote products derived
+       from this software without specific prior written permission.
+
+   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from itertools import chain
+
+from .graph import InvariantError
+
+SINGLE = -1  # mate of an unmatched vertex; also "no vertex" in scan_blossom
+
+
+def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Maximum-weight matching among the maximum-cardinality ones.
+
+    ``edges`` holds loop-free ``(u, v, weight)`` triples with integer
+    weights, at most one per vertex pair. Returns ``mate`` with ``mate[v]``
+    the partner of v, or ``SINGLE`` when v is unmatched. The dual
+    certificate is checked by :func:`verify_optimum` before returning.
+    """
+    if not n:
+        return []
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    maxweight = 0
+    for i, j, wt in edges:
+        if wt > maxweight:
+            maxweight = wt
+        adj[i].append((i, j, 2 * wt))
+        adj[j].append((j, i, 2 * wt))
+
+    # mate[v] is v's partner, or SINGLE; updated during augmentation.
+    mate = [SINGLE] * n
+
+    # Per id (vertex or blossom), valid for vertices and live blossoms:
+    # label[b] is 0 (free), 1 (S) or 2 (T) for a top-level blossom b; a
+    # vertex inside a T-blossom has label 2 iff it is reachable from an
+    # S-vertex outside it. labeledge[b] = (v, w) is the edge through which
+    # b got its label (w in b), or None if b's base is single.
+    label: list[int] = [0] * n
+    labeledge: list[tuple[int, int] | None] = [None] * n
+    # bestedge[w] is the least-slack edge record (v, w, 2*weight) from an
+    # S-vertex to the free vertex w; bestedge[b] of a top-level S-blossom b
+    # is the least-slack record to a different S-blossom (v inside b).
+    bestedge: list[tuple[int, int, int] | None] = [None] * n
+    # blossomparent[b] is b's immediate parent blossom, None at top level.
+    blossomparent: list[int | None] = [None] * n
+    # blossombase[b] is the base vertex of b.
+    blossombase: list[int] = list(range(n))
+    # Blossom ids only (vertex entries stay None): childs[b] lists b's
+    # sub-blossoms from the base around the blossom, bedges[b][i] = (v, w)
+    # joins v in childs[b][i] to w in childs[b][i+1], and mybestedges[b] of
+    # a top-level S-blossom lists least-slack records to neighbouring
+    # S-blossoms, or None if not computed yet.
+    childs: list[list[int] | None] = [None] * n
+    bedges: list[list[tuple[int, int]] | None] = [None] * n
+    mybestedges: list[list[tuple[int, int, int]] | None] = [None] * n
+
+    # If v is a top-level vertex, inblossom[v] == v; otherwise it is the
+    # top-level blossom that contains v.
+    inblossom = list(range(n))
+
+    # dualvar[v] = 2 * u(v); initially u(v) = maxweight / 2.
+    dualvar = [maxweight] * n
+
+    # blossomdual[b] = z(b) for every live non-trivial blossom b, in
+    # creation order.
+    blossomdual: dict[int, int] = {}
+
+    # v * n + w is in allowedge if edge (v, w) is known to have zero slack.
+    allowedge: set[int] = set()
+
+    # Queue of newly discovered S-vertices.
+    queue: list[int] = []
+
+    def leaves(b: int) -> list[int]:
+        """The leaf vertices of blossom b, in networkx's stack order."""
+        out = []
+        stack = [*childs[b]]
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(childs[t])
+            else:
+                out.append(t)
+        return out
+
+    # Assign label t to the top-level blossom containing vertex w,
+    # coming through an edge from vertex v (None for a single base).
+    def assign_label(w: int, t: int, v: int | None) -> None:
+        b = inblossom[w]
+        assert not label[w] and not label[b]
+        label[w] = label[b] = t
+        if v is not None:
+            labeledge[w] = labeledge[b] = (v, w)
+        else:
+            labeledge[w] = labeledge[b] = None
+        bestedge[w] = bestedge[b] = None
+        if t == 1:
+            # b became an S-vertex/blossom; add it(s vertices) to the queue.
+            if b >= n:
+                queue.extend(leaves(b))
+            else:
+                queue.append(b)
+        elif t == 2:
+            # b became a T-vertex/blossom; assign label S to its mate.
+            base = blossombase[b]
+            assign_label(mate[base], 1, base)
+
+    # Trace back from vertices v and w to discover either a new blossom
+    # or an augmenting path. Return the base vertex of the new blossom,
+    # or SINGLE if an augmenting path was found.
+    def scan_blossom(v: int, w: int) -> int:
+        path = []
+        base = SINGLE
+        while v != SINGLE:
+            # Look for a breadcrumb in v's blossom or put a new breadcrumb.
+            b = inblossom[v]
+            if label[b] & 4:
+                base = blossombase[b]
+                break
+            assert label[b] == 1
+            path.append(b)
+            label[b] = 5
+            # Trace one step back.
+            if labeledge[b] is None:
+                # The base of blossom b is single; stop tracing this path.
+                assert mate[blossombase[b]] == SINGLE
+                v = SINGLE
+            else:
+                assert labeledge[b][0] == mate[blossombase[b]]
+                v = labeledge[b][0]
+                b = inblossom[v]
+                assert label[b] == 2
+                # b is a T-blossom; trace one more step back.
+                v = labeledge[b][0]
+            # Swap v and w so that we alternate between both paths.
+            if w != SINGLE:
+                v, w = w, v
+        # Remove breadcrumbs.
+        for b in path:
+            label[b] = 1
+        return base
+
+    # Construct a new blossom with given base, through S-vertices v and w.
+    # Label the new blossom as S; set its dual variable to zero;
+    # relabel its T-vertices to S and add them to the queue.
+    def add_blossom(base: int, v: int, w: int) -> None:
+        bb = inblossom[base]
+        bv = inblossom[v]
+        bw = inblossom[w]
+        # Create blossom.
+        b = len(blossombase)
+        path: list[int] = []
+        edgs = [(v, w)]
+        blossombase.append(base)
+        blossomparent.append(None)
+        blossomparent[bb] = b
+        childs.append(path)
+        bedges.append(edgs)
+        mybestedges.append(None)
+        label.append(0)
+        labeledge.append(None)
+        bestedge.append(None)
+        # Trace back from v to base.
+        while bv != bb:
+            # Add bv to the new blossom.
+            blossomparent[bv] = b
+            path.append(bv)
+            edgs.append(labeledge[bv])
+            assert label[bv] == 2 or (
+                label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]]
+            )
+            # Trace one step back.
+            v = labeledge[bv][0]
+            bv = inblossom[v]
+        # Add base sub-blossom; reverse lists.
+        path.append(bb)
+        path.reverse()
+        edgs.reverse()
+        # Trace back from w to base.
+        while bw != bb:
+            # Add bw to the new blossom.
+            blossomparent[bw] = b
+            path.append(bw)
+            edgs.append((labeledge[bw][1], labeledge[bw][0]))
+            assert label[bw] == 2 or (
+                label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]]
+            )
+            # Trace one step back.
+            w = labeledge[bw][0]
+            bw = inblossom[w]
+        # Set label to S.
+        assert label[bb] == 1
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        # Set dual variable to zero.
+        blossomdual[b] = 0
+        # Relabel vertices.
+        for v in leaves(b):
+            if label[inblossom[v]] == 2:
+                # This T-vertex now turns into an S-vertex because it becomes
+                # part of an S-blossom; add it to the queue.
+                queue.append(v)
+            inblossom[v] = b
+        # Compute mybestedges[b].
+        bestedgeto: dict[int, tuple[int, int, int]] = {}
+        for bv in path:
+            if bv >= n:
+                if mybestedges[bv] is not None:
+                    # Walk this subblossom's least-slack edges.
+                    nblist = mybestedges[bv]
+                    # The sub-blossom won't need this data again.
+                    mybestedges[bv] = None
+                else:
+                    # This subblossom does not have a list of least-slack
+                    # edges; get the information from the vertices.
+                    nblist = [k for v in leaves(bv) for k in adj[v]]
+            else:
+                nblist = adj[bv]
+            for k in nblist:
+                i, j, _ = k
+                if inblossom[j] == b:
+                    i, j = j, i
+                bj = inblossom[j]
+                if (
+                    bj != b
+                    and label[bj] == 1
+                    and (
+                        bj not in bestedgeto
+                        or dualvar[i] + dualvar[j] - k[2] < slack(bestedgeto[bj])
+                    )
+                ):
+                    bestedgeto[bj] = k
+            # Forget about least-slack edge of the subblossom.
+            bestedge[bv] = None
+        mybestedges[b] = mine = list(bestedgeto.values())
+        # Select bestedge[b].
+        mybestedge = None
+        mybestslack = 0
+        for k in mine:
+            kslack = slack(k)
+            if mybestedge is None or kslack < mybestslack:
+                mybestedge = k
+                mybestslack = kslack
+        bestedge[b] = mybestedge
+
+    # Expand the given top-level blossom.
+    def expand_blossom(b: int, endstage: bool) -> None:
+        # A trampoline keeps the recursion over nested sub-blossoms off the
+        # call stack: each generator yields the sub-blossom to expand next.
+
+        def _recurse(b, endstage):
+            # Convert sub-blossoms into top-level blossoms.
+            for s in childs[b]:
+                blossomparent[s] = None
+                if s >= n:
+                    if endstage and blossomdual[s] == 0:
+                        # Recursively expand this sub-blossom.
+                        yield s
+                    else:
+                        for v in leaves(s):
+                            inblossom[v] = s
+                else:
+                    inblossom[s] = s
+            # If we expand a T-blossom during a stage, its sub-blossoms must be
+            # relabeled.
+            if (not endstage) and label[b] == 2:
+                bchilds = childs[b]
+                bedg = bedges[b]
+                # Figure out through which sub-blossom the expanding blossom
+                # obtained its label initially.
+                entrychild = inblossom[labeledge[b][1]]
+                # Decide in which direction we will go round the blossom.
+                j = bchilds.index(entrychild)
+                if j & 1:
+                    # Start index is odd; go forward and wrap.
+                    j -= len(bchilds)
+                    jstep = 1
+                else:
+                    # Start index is even; go backward.
+                    jstep = -1
+                # Move along the blossom until we get to the base.
+                v, w = labeledge[b]
+                while j != 0:
+                    # Relabel the T-sub-blossom.
+                    if jstep == 1:
+                        p, q = bedg[j]
+                    else:
+                        q, p = bedg[j - 1]
+                    label[w] = 0
+                    label[q] = 0
+                    assign_label(w, 2, v)
+                    # Step to the next S-sub-blossom and note its forward edge.
+                    allowedge.add(p * n + q)
+                    allowedge.add(q * n + p)
+                    j += jstep
+                    if jstep == 1:
+                        v, w = bedg[j]
+                    else:
+                        w, v = bedg[j - 1]
+                    # Step to the next T-sub-blossom.
+                    allowedge.add(v * n + w)
+                    allowedge.add(w * n + v)
+                    j += jstep
+                # Relabel the base T-sub-blossom WITHOUT stepping through to
+                # its mate (so don't call assign_label).
+                bw = bchilds[j]
+                label[w] = label[bw] = 2
+                labeledge[w] = labeledge[bw] = (v, w)
+                bestedge[bw] = None
+                # Continue along the blossom until we get back to entrychild.
+                j += jstep
+                while bchilds[j] != entrychild:
+                    # Examine the vertices of the sub-blossom to see whether
+                    # it is reachable from a neighboring S-vertex outside the
+                    # expanding blossom.
+                    bv = bchilds[j]
+                    if label[bv] == 1:
+                        # This sub-blossom just got label S through one of its
+                        # neighbors; leave it be.
+                        j += jstep
+                        continue
+                    if bv >= n:
+                        for v in leaves(bv):
+                            if label[v]:
+                                break
+                    else:
+                        v = bv
+                    # If the sub-blossom contains a reachable vertex, assign
+                    # label T to the sub-blossom.
+                    if label[v]:
+                        assert label[v] == 2
+                        assert inblossom[v] == bv
+                        label[v] = 0
+                        label[mate[blossombase[bv]]] = 0
+                        assign_label(v, 2, labeledge[v][0])
+                    j += jstep
+            # Remove the expanded blossom entirely; its id is never reused.
+            label[b] = 0
+            labeledge[b] = bestedge[b] = None
+            childs[b] = bedges[b] = mybestedges[b] = None
+            del blossomdual[b]
+
+        stack = [_recurse(b, endstage)]
+        while stack:
+            top = stack[-1]
+            for s in top:
+                stack.append(_recurse(s, endstage))
+                break
+            else:
+                stack.pop()
+
+    # Swap matched/unmatched edges over an alternating path through blossom b
+    # between vertex v and the base vertex. Keep blossom bookkeeping
+    # consistent.
+    def augment_blossom(b: int, v: int) -> None:
+        # The same trampoline as in expand_blossom.
+
+        def _recurse(b, v):
+            # Bubble up through the blossom tree from vertex v to an immediate
+            # sub-blossom of b.
+            t = v
+            while blossomparent[t] != b:
+                t = blossomparent[t]
+            # Recursively deal with the first sub-blossom.
+            if t >= n:
+                yield (t, v)
+            # Decide in which direction we will go round the blossom.
+            bchilds = childs[b]
+            bedg = bedges[b]
+            i = j = bchilds.index(t)
+            if i & 1:
+                # Start index is odd; go forward and wrap.
+                j -= len(bchilds)
+                jstep = 1
+            else:
+                # Start index is even; go backward.
+                jstep = -1
+            # Move along the blossom until we get to the base.
+            while j != 0:
+                # Step to the next sub-blossom and augment it recursively.
+                j += jstep
+                t = bchilds[j]
+                if jstep == 1:
+                    w, x = bedg[j]
+                else:
+                    x, w = bedg[j - 1]
+                if t >= n:
+                    yield (t, w)
+                # Step to the next sub-blossom and augment it recursively.
+                j += jstep
+                t = bchilds[j]
+                if t >= n:
+                    yield (t, x)
+                # Match the edge connecting those sub-blossoms.
+                mate[w] = x
+                mate[x] = w
+            # Rotate the list of sub-blossoms to put the new base at the front.
+            childs[b] = bchilds[i:] + bchilds[:i]
+            bedges[b] = bedg[i:] + bedg[:i]
+            blossombase[b] = blossombase[childs[b][0]]
+            assert blossombase[b] == v
+
+        stack = [_recurse(b, v)]
+        while stack:
+            top = stack[-1]
+            for args in top:
+                stack.append(_recurse(*args))
+                break
+            else:
+                stack.pop()
+
+    # Swap matched/unmatched edges over an alternating path between two
+    # single vertices. The augmenting path runs through S-vertices v and w.
+    def augment_matching(v: int, w: int) -> None:
+        for s, j in ((v, w), (w, v)):
+            # Match vertex s to vertex j. Then trace back from s
+            # until we find a single vertex, swapping matched and unmatched
+            # edges as we go.
+            while 1:
+                bs = inblossom[s]
+                assert label[bs] == 1
+                assert (
+                    labeledge[bs] is None and mate[blossombase[bs]] == SINGLE
+                ) or (labeledge[bs][0] == mate[blossombase[bs]])
+                # Augment through the S-blossom from s to base.
+                if bs >= n:
+                    augment_blossom(bs, s)
+                # Update mate[s]
+                mate[s] = j
+                # Trace one step back.
+                if labeledge[bs] is None:
+                    # Reached single vertex; stop.
+                    break
+                t = labeledge[bs][0]
+                bt = inblossom[t]
+                assert label[bt] == 2
+                # Trace one more step back.
+                s, j = labeledge[bt]
+                # Augment through the T-blossom from j to base.
+                assert blossombase[bt] == t
+                if bt >= n:
+                    augment_blossom(bt, j)
+                # Update mate[j]
+                mate[j] = s
+
+    def slack(k: tuple[int, int, int]) -> int:
+        """2 * slack of edge record k (does not work inside blossoms)."""
+        return dualvar[k[0]] + dualvar[k[1]] - k[2]
+
+    vertices = range(n)
+    unlabeled = [0] * n
+    nothing = [None] * n
+
+    # Main loop: continue until no further improvement is possible.
+    while 1:
+        # Each iteration of this loop is a "stage".
+        # A stage finds an augmenting path and uses that to improve
+        # the matching.
+
+        # Remove labels from top-level blossoms/vertices, and forget all
+        # about least-slack edges. Only vertices and live blossoms are ever
+        # read, so only their entries are reset.
+        label[:n] = unlabeled
+        labeledge[:n] = bestedge[:n] = nothing
+        for b in blossomdual:
+            label[b] = 0
+            labeledge[b] = bestedge[b] = mybestedges[b] = None
+
+        # Loss of labeling means that we can not be sure that currently
+        # allowable edges remain allowable throughout this stage.
+        allowedge.clear()
+
+        # Make queue empty.
+        queue.clear()
+
+        # Label single blossoms/vertices with S and put them in the queue.
+        # A single top-level vertex is labelled inline: after the reset,
+        # assign_label(v, 1, None) would only set its label and queue it.
+        for v in vertices:
+            if mate[v] == SINGLE:
+                if inblossom[v] == v:
+                    label[v] = 1
+                    queue.append(v)
+                elif not label[inblossom[v]]:
+                    assign_label(v, 1, None)
+
+        # Loop until we succeed in augmenting the matching.
+        augmented = 0
+        while 1:
+            # Each iteration of this loop is a "substage".
+            # A substage tries to find an augmenting path;
+            # if found, the path is used to improve the matching and
+            # the stage ends. If there is no augmenting path, the
+            # primal-dual method is used to pump some slack out of
+            # the dual variables.
+
+            # Continue labeling until all vertices which are reachable
+            # through an alternating path have got a label.
+            while queue and not augmented:
+                # Take an S vertex from the queue.
+                v = queue.pop()
+                assert label[inblossom[v]] == 1
+
+                # Scan its neighbors:
+                # inblossom[v] changes only when add_blossom absorbs v.
+                bv = inblossom[v]
+                dv = dualvar[v]
+                vn = v * n
+                for k in adj[v]:
+                    w = k[1]
+                    # w is a neighbor to v
+                    bw = inblossom[w]
+                    if bv == bw:
+                        # this edge is internal to a blossom; ignore it
+                        continue
+                    if vn + w in allowedge:
+                        allowed = True
+                    else:
+                        kslack = dv + dualvar[w] - k[2]
+                        allowed = kslack <= 0
+                        if allowed:
+                            # edge k has zero slack => it is allowable
+                            allowedge.add(vn + w)
+                            allowedge.add(w * n + v)
+                    if allowed:
+                        if not label[bw]:
+                            # (C1) w is a free vertex;
+                            # label w with T and label its mate with S (R12).
+                            assign_label(w, 2, v)
+                        elif label[bw] == 1:
+                            # (C2) w is an S-vertex (not in the same blossom);
+                            # follow back-links to discover either an
+                            # augmenting path or a new blossom.
+                            base = scan_blossom(v, w)
+                            if base != SINGLE:
+                                # Found a new blossom; add it to the blossom
+                                # bookkeeping and turn it into an S-blossom.
+                                add_blossom(base, v, w)
+                                bv = inblossom[v]
+                            else:
+                                # Found an augmenting path; augment the
+                                # matching and end this stage.
+                                augment_matching(v, w)
+                                augmented = 1
+                                break
+                        elif not label[w]:
+                            # w is inside a T-blossom, but w itself has not
+                            # yet been reached from outside the blossom;
+                            # mark it as reached (we need this to relabel
+                            # during T-blossom expansion).
+                            assert label[bw] == 2
+                            label[w] = 2
+                            labeledge[w] = (v, w)
+                    elif label[bw] == 1:
+                        # keep track of the least-slack non-allowable edge to
+                        # a different S-blossom.
+                        best = bestedge[bv]
+                        if best is None or kslack < slack(best):
+                            bestedge[bv] = k
+                    elif not label[w]:
+                        # w is a free vertex (or an unreached vertex inside
+                        # a T-blossom) but we can not reach it yet;
+                        # keep track of the least-slack edge that reaches w.
+                        best = bestedge[w]
+                        if best is None or kslack < slack(best):
+                            bestedge[w] = k
+
+            if augmented:
+                break
+
+            # There is no augmenting path under these constraints;
+            # compute delta and reduce slack in the optimization problem.
+            # (Note that our vertex dual variables, edge slacks and delta's
+            # are pre-multiplied by two.)
+            deltatype = -1
+            delta = deltaedge = deltablossom = None
+
+            # Compute delta2: the minimum slack on any edge between
+            # an S-vertex and a free vertex.
+            for v in vertices:
+                if not label[inblossom[v]] and bestedge[v] is not None:
+                    d = slack(bestedge[v])
+                    if deltatype == -1 or d < delta:
+                        delta = d
+                        deltatype = 2
+                        deltaedge = bestedge[v]
+
+            # Compute delta3: half the minimum slack on any edge between
+            # a pair of S-blossoms.
+            for b in chain(vertices, blossomdual):
+                if (
+                    blossomparent[b] is None
+                    and label[b] == 1
+                    and bestedge[b] is not None
+                ):
+                    kslack = slack(bestedge[b])
+                    assert (kslack % 2) == 0
+                    d = kslack // 2
+                    if deltatype == -1 or d < delta:
+                        delta = d
+                        deltatype = 3
+                        deltaedge = bestedge[b]
+
+            # Compute delta4: minimum z variable of any T-blossom.
+            for b in blossomdual:
+                if (
+                    blossomparent[b] is None
+                    and label[b] == 2
+                    and (deltatype == -1 or blossomdual[b] < delta)
+                ):
+                    delta = blossomdual[b]
+                    deltatype = 4
+                    deltablossom = b
+
+            if deltatype == -1:
+                # No further improvement possible; max-cardinality optimum
+                # reached. Do a final delta update to make the optimum
+                # verifiable.
+                deltatype = 1
+                delta = max(0, min(dualvar))
+
+            # Update dual variables according to delta.
+            for v in vertices:
+                if label[inblossom[v]] == 1:
+                    # S-vertex: 2*u = 2*u - 2*delta
+                    dualvar[v] -= delta
+                elif label[inblossom[v]] == 2:
+                    # T-vertex: 2*u = 2*u + 2*delta
+                    dualvar[v] += delta
+            for b in blossomdual:
+                if blossomparent[b] is None:
+                    if label[b] == 1:
+                        # top-level S-blossom: z = z + 2*delta
+                        blossomdual[b] += delta
+                    elif label[b] == 2:
+                        # top-level T-blossom: z = z - 2*delta
+                        blossomdual[b] -= delta
+
+            # Take action at the point where minimum delta occurred.
+            if deltatype == 1:
+                # No further improvement possible; optimum reached.
+                break
+            elif deltatype == 2:
+                # Use the least-slack edge to continue the search.
+                v, w, _ = deltaedge
+                assert label[inblossom[v]] == 1
+                allowedge.add(v * n + w)
+                allowedge.add(w * n + v)
+                queue.append(v)
+            elif deltatype == 3:
+                # Use the least-slack edge to continue the search.
+                v, w, _ = deltaedge
+                allowedge.add(v * n + w)
+                allowedge.add(w * n + v)
+                assert label[inblossom[v]] == 1
+                queue.append(v)
+            elif deltatype == 4:
+                # Expand the least-z blossom.
+                expand_blossom(deltablossom, False)
+
+            # End of a this substage.
+
+        # Paranoia check that the matching is symmetric.
+        for v in vertices:
+            assert mate[v] == SINGLE or mate[mate[v]] == v
+
+        # Stop when no more augmenting path can be found.
+        if not augmented:
+            break
+
+        # End of a stage; expand all S-blossoms which have zero dual.
+        for b in list(blossomdual):
+            if b not in blossomdual:
+                continue  # already expanded
+            if blossomparent[b] is None and label[b] == 1 and blossomdual[b] == 0:
+                expand_blossom(b, True)
+
+    verify_optimum(edges, mate, dualvar, blossomdual, blossomparent, bedges)
+    return mate
+
+
+def verify_optimum(
+    edges: Sequence[tuple[int, int, int]],
+    mate: Sequence[int],
+    dualvar: Sequence[int],
+    blossomdual: dict[int, int],
+    blossomparent: Sequence[int | None],
+    bedges: Sequence[Sequence[tuple[int, int]] | None],
+) -> None:
+    """Check the dual certificate of a maximum-cardinality optimum.
+
+    The arguments are the end state of :func:`max_weight_matching`:
+    ``dualvar`` holds twice the vertex duals, ``blossomdual`` the duals of
+    the live blossoms, and ``blossomparent`` and ``bedges`` are indexed by
+    vertex or blossom id. Raises :class:`InvariantError` when a condition
+    fails.
+    """
+
+    def fail(what: str) -> None:
+        raise InvariantError(f"blossom optimality certificate broken: {what}")
+
+    # Vertices may have negative dual; find a constant non-negative number
+    # to add to all vertex duals.
+    vdualoffset = max(0, -min(dualvar))
+    # 0. all dual variables are non-negative
+    if min(dualvar) + vdualoffset < 0:
+        fail("negative vertex dual")
+    if blossomdual and min(blossomdual.values()) < 0:
+        fail("negative blossom dual")
+    # 0. all edges have non-negative slack and
+    # 1. all matched edges have zero slack;
+    for i, j, wt in edges:
+        s = dualvar[i] + dualvar[j] - 2 * wt
+        iblossoms = [i]
+        jblossoms = [j]
+        while blossomparent[iblossoms[-1]] is not None:
+            iblossoms.append(blossomparent[iblossoms[-1]])
+        while blossomparent[jblossoms[-1]] is not None:
+            jblossoms.append(blossomparent[jblossoms[-1]])
+        iblossoms.reverse()
+        jblossoms.reverse()
+        for bi, bj in zip(iblossoms, jblossoms):
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        if s < 0:
+            fail(f"edge ({i}, {j}) has negative slack")
+        if mate[i] == j or mate[j] == i:
+            if not (mate[i] == j and mate[j] == i):
+                fail(f"edge ({i}, {j}) is matched on one side only")
+            if s != 0:
+                fail(f"matched edge ({i}, {j}) has slack")
+    # 2. all single vertices have zero dual value;
+    for v, m in enumerate(mate):
+        if m == SINGLE and dualvar[v] + vdualoffset != 0:
+            fail(f"single vertex {v} has non-zero dual")
+    # 3. all blossoms with positive dual value are full.
+    for b, z in blossomdual.items():
+        if z > 0:
+            if len(bedges[b]) % 2 != 1:
+                fail(f"blossom {b} has an even number of sub-blossoms")
+            for i, j in bedges[b][1::2]:
+                if mate[i] != j or mate[j] != i:
+                    fail(f"blossom {b} is not full")

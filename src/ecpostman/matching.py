@@ -1,19 +1,21 @@
 """Exact minimum-weight perfect matching on general weighted graphs.
 
-The production path rides on networkx's blossom implementation (Galil's
-primal-dual algorithm), driven in maximum-cardinality mode on reflected
-weights so that the minimum-weight perfect matching drops out exactly;
-with integer weights every comparison is exact. The brute-force
+The matcher is ``blossom.max_weight_matching``, an in-repo port of
+networkx's blossom implementation (Galil's primal-dual form of Edmonds'
+algorithm) that keeps networkx's iteration orders and tie-breaks, so it
+returns the very matching networkx would. It runs in maximum-cardinality
+mode on reflected weights, so that the minimum-weight perfect matching
+drops out exactly; with integer weights every comparison is exact, and
+the dual certificate is checked on every call. The brute-force
 enumerator in ``oracle`` is the independent reference it is checked
-against.
+against, and the tests compare it pair for pair with networkx.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
+from .blossom import SINGLE, max_weight_matching
 from .graph import GraphError
 
 
@@ -65,14 +67,10 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     if not inst.edges:
         return None
     ceiling = 1 + max(w for _, _, w in inst.edges)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(inst.n))
-    for u, v, w in inst.edges:
-        graph.add_edge(u, v, weight=ceiling - w)
-    mate = nx.max_weight_matching(graph, maxcardinality=True)
-    if 2 * len(mate) < inst.n:
+    mate = max_weight_matching(inst.n, [(u, v, ceiling - w) for u, v, w in inst.edges])
+    if SINGLE in mate:
         return None
-    pairs = tuple(sorted((u, v) if u < v else (v, u) for u, v in mate))
+    pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)
     lookup = {(u, v): w for u, v, w in inst.edges}
     weight = sum(lookup[p] for p in pairs)
     seen: set[int] = set()

@@ -256,12 +256,16 @@ def test_format_result_consistency():
     assert doc.endswith("\n") and "\r" not in doc
 
 
+def child_pythonpath():
+    """PYTHONPATH under which a child imports the package this test imported."""
+    src = str(Path(ecpostman.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
 def test_byte_identical_across_processes(tmp_path):
     inst = write(tmp_path, "house.ecg", HOUSE)
     outputs = []
-    # the child must import the package this test imported, installed or not
-    src = str(Path(ecpostman.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    path = child_pythonpath()
     for hashseed in ("0", "1", "31337"):
         env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         proc = subprocess.run(
@@ -272,3 +276,20 @@ def test_byte_identical_across_processes(tmp_path):
         assert proc.returncode == EXIT_OK
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_solving_does_not_import_networkx(tmp_path):
+    inst = write(tmp_path, "house.ecg", HOUSE)
+    code = (
+        "import sys; from ecpostman.cli import main; rc = main(['solve', sys.argv[1]]); "
+        "print('networkx' in sys.modules, file=sys.stderr); sys.exit(rc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, inst],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=child_pythonpath()),
+    )
+    assert proc.returncode == EXIT_OK
+    assert "total_weight 11" in proc.stdout
+    assert proc.stderr == "False\n"
