@@ -9,7 +9,7 @@ pair (a at (u, i), b at (v, j)) receives an edge weighted by the
 minimum properly colored fixed-end walk from u to v with end colors
 (i, j), when one exists. Interchangeable slot copies share that walk, so
 it is looked up once per pair of slot classes (u, i), (v, j) and its
-witness is stored once per signature.
+witness, the edge-id sequence of the walk, is stored once per signature.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ColoredMultigraph, DegreeProfile, GraphError, PCWalk, color_degrees
+from .graph import ColoredMultigraph, DegreeProfile, GraphError, color_degrees
 from .matching import MatchingInstance
 from .pcwalks import ShortestWalkFinder
 
@@ -61,7 +61,7 @@ class MatchingGraph:
         g: ColoredMultigraph,
         vertices: list[SlotVertex],
         edges: list[AuxEdge],
-        witnesses: dict[tuple[int, int, int, int], PCWalk],
+        witnesses: dict[tuple[int, int, int, int], tuple[int, ...]],
         slot_indices: dict[tuple[int, int], list[int]],
         filler_indices: dict[int, list[int]],
     ):
@@ -79,23 +79,20 @@ class MatchingGraph:
         )
 
 
-def build_matching_graph(
-    g: ColoredMultigraph, finder: ShortestWalkFinder | None = None
-) -> MatchingGraph:
+def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
     """Construct the auxiliary matching graph of a normalized instance.
 
     Requires a simple graph with an odd number of colors >= 3 and no
     vertex incident to a single color only. Walk edges are built per
-    pair of slot classes (u, c) and (v, c'): one lookup in the finder's
-    table for (u, c) gives the weight and witness shared by every slot
-    pair between the two classes.
+    pair of slot classes (u, c) and (v, c'): one lookup in the walk
+    table for (u, c) gives the weight and witness edge ids shared by
+    every slot pair between the two classes.
     """
     if g.k % 2 == 0 or g.k < 3:
         raise GraphError("auxiliary graph needs an odd color count >= 3")
     if not g.is_simple():
         raise GraphError("auxiliary graph needs a simple (normalized) graph")
-    if finder is None:
-        finder = ShortestWalkFinder(g)
+    finder = ShortestWalkFinder(g)
 
     vertices: list[SlotVertex] = []
     slot_indices: dict[tuple[int, int], list[int]] = {}
@@ -144,7 +141,7 @@ def build_matching_graph(
     # slot classes come in ascending index order, so pairing each class
     # with itself and every later class visits each slot pair a < b once
     walk_edges: list[AuxEdge] = []
-    witnesses: dict[tuple[int, int, int, int], PCWalk] = {}
+    witnesses: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
     classes = list(slot_indices.items())
     for i, ((u, cu), a_slots) in enumerate(classes):
         table = finder.table(u, cu)
@@ -152,11 +149,11 @@ def build_matching_graph(
             hit = table.get((v, cv))
             if hit is None or (u == v and profiles[u].dominant is None):
                 continue  # no walk, or an artificial pair of a balanced owner
-            weight, walk = hit
+            weight, eids = hit
             sig = (u, cu, v, cv)
             pairs = [(a, b) for a in a_slots for b in b_slots if a < b]
             if pairs:
-                witnesses[sig] = walk
+                witnesses[sig] = eids
                 walk_edges.extend(AuxEdge(a, b, weight, sig) for a, b in pairs)
     walk_edges.sort(key=lambda e: (e.a, e.b))
     edges.extend(walk_edges)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .auxgraph import build_matching_graph, dump_matching_graph
+from .auxgraph import dump_matching_graph
 from .euler import check_pc_euler, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
@@ -24,10 +24,9 @@ from .graph import (
     InvariantError,
     PCWalk,
     color_degrees,
-    normalize,
 )
 from .oracle import gen_random_instance, oracle_solve
-from .solver import Solution, solve
+from .solver import Solution, solve_with_model
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,7 +126,8 @@ def parse_tour_text(text: str, g: ColoredMultigraph, path: str = "<tour>") -> PC
 
     Accepts either a bare token stream or a result document (the line
     starting with 'tour' is used). Edge tokens may be '7', 'e7' or
-    'e7:2'; vertices and edge ids are 1-based.
+    'e7:2', where the suffix must be the edge's color; vertices and
+    edge ids are 1-based.
     """
     tokens: list[str] | None = None
     for raw in text.splitlines():
@@ -157,14 +157,18 @@ def parse_tour_text(text: str, g: ColoredMultigraph, path: str = "<tour>") -> PC
         return val - 1
 
     def edge(tok: str) -> int:
-        body = tok[1:] if tok.startswith("e") else tok
-        body = body.split(":", 1)[0]
+        body, colon, suffix = tok.removeprefix("e").partition(":")
         try:
             val = int(body)
+            color = int(suffix) if colon else None
         except ValueError:
             raise ParseError(path, 1, f"bad edge token {tok!r}") from None
         if not (1 <= val <= len(g.edges)):
             raise ParseError(path, 1, f"edge {val} out of range")
+        if color is not None and color != g.edges[val - 1].color:
+            raise ParseError(
+                path, 1, f"edge token {tok!r}: edge {val} has color {g.edges[val - 1].color}"
+            )
         return val - 1
 
     verts = [vertex(tokens[0])]
@@ -188,18 +192,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-    sol = solve(g)
+    sol, model = solve_with_model(g)
     if args.dump_aux is not None:
-        dump_path = args.dump_aux or (args.instance + ".aux")
-        try:
-            g_norm, _ = normalize(g)
-            dump = dump_matching_graph(build_matching_graph(g_norm))
-        except GraphError as exc:
-            # instances rejected before the auxiliary graph exists
-            print(f"note: no auxiliary graph to dump: {exc}", file=sys.stderr)
+        if model is None:
+            why = sol.reason or "already Eulerian"
+            print(f"note: no auxiliary graph to dump: {why}", file=sys.stderr)
         else:
-            with open(dump_path, "w", encoding="utf-8") as fh:
-                fh.write(dump)
+            with open(args.dump_aux or (args.instance + ".aux"), "w", encoding="utf-8") as fh:
+                fh.write(dump_matching_graph(model))
     if not args.quiet:
         sys.stdout.write(format_result(g, sol))
     return EXIT_OK if sol.optimal else EXIT_INFEASIBLE
@@ -232,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ParseError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-    report = verify_pc_closed_walk(g, walk, require_cover=True)
+    report = verify_pc_closed_walk(g, walk)
     if report.ok:
         print("verdict pass")
         print(f"weight {report.weight}")

@@ -326,11 +326,11 @@ class WalkReport:
     traversals: tuple[int, ...]
 
 
-def verify_pc_closed_walk(g: ColoredMultigraph, walk: PCWalk, require_cover: bool) -> WalkReport:
+def verify_pc_closed_walk(g: ColoredMultigraph, walk: PCWalk) -> WalkReport:
     """Check a closed walk for structure, properness, coverage and weight.
 
     Properness includes the wraparound pair (last edge vs first edge).
-    With require_cover, every edge of g must be traversed at least once.
+    Every edge of g must be traversed at least once.
     The report carries the first failure and the per-edge traversal
     counts; the reported walk weight must equal the recomputed one.
     """
@@ -366,7 +366,7 @@ def verify_pc_closed_walk(g: ColoredMultigraph, walk: PCWalk, require_cover: boo
         return fail(f"wraparound edges share color {first.color}")
     if walk.first_color != first.color or walk.last_color != last.color:
         return fail("recorded end colors are wrong")
-    if require_cover and any(c == 0 for c in counts):
+    if any(c == 0 for c in counts):
         missing = counts.index(0)
         return fail(f"edge {missing} is never traversed")
     if walk.weight != total:

@@ -190,10 +190,6 @@ class PCWalk:
     def closed(self) -> bool:
         return self.vertices[0] == self.vertices[-1]
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
 
 def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PCWalk:
     """Assemble a PCWalk from a start vertex and a chained edge-id sequence."""

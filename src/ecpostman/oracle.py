@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graph import ColoredMultigraph, GraphError, PCWalk, is_connected
+from .graph import ColoredMultigraph, GraphError, is_connected
 from .matching import MatchingInstance, PerfectMatching
 
 DEFAULT_BOUND = 3
@@ -138,39 +138,43 @@ def enumerate_pc_walks(
 
 
 def check_walk_witness(
-    g: ColoredMultigraph, u: int, c1: int, v: int, c2: int, weight: int, walk: PCWalk
+    g: ColoredMultigraph, u: int, c1: int, v: int, c2: int, weight: int, eids: tuple[int, ...]
 ) -> str | None:
-    """Validate a witness returned by the walk finder; None when consistent.
+    """Validate a witness edge-id sequence from the walk finder; None when consistent.
 
-    Endpoints and end colors must match the query, consecutive edges
-    must be adjacent with distinct colors, the recomputed weight must
-    equal the reported one, and no (vertex, entering color) state may
-    repeat.
+    Walked from u, consecutive edges must be adjacent with distinct
+    colors and no (vertex, entering color) state may repeat; the end
+    vertex and end colors must match the query, the recomputed weight
+    the reported one, and the length the k * n state bound.
     """
-    if walk.vertices[0] != u or walk.vertices[-1] != v:
-        return "witness endpoints do not match query"
-    if walk.first_color != c1 or walk.last_color != c2:
-        return "witness end colors do not match query"
+    if not eids:
+        return "witness has no edges"
     total = 0
     cur = u
     states = set()
     prev_color = None
-    for eid, vertex in zip(walk.edges, walk.vertices[1:]):
+    for eid in eids:
+        if not (0 <= eid < len(g.edges)):
+            return f"edge id {eid} out of range"
         e = g.edges[eid]
-        if {e.u, e.v} != {cur, vertex}:
-            return f"edge {eid} does not join {cur} and {vertex}"
+        if cur not in (e.u, e.v):
+            return f"edge {eid} does not touch {cur}"
         if prev_color is not None and e.color == prev_color:
             return f"consecutive edges share color {e.color}"
-        state = (vertex, e.color)
+        cur = e.other(cur)
+        state = (cur, e.color)
         if state in states:
             return f"state {state} visited twice"
         states.add(state)
         total += e.weight
         prev_color = e.color
-        cur = vertex
-    if total != weight or walk.weight != weight:
+    if cur != v:
+        return "witness endpoints do not match query"
+    if g.edges[eids[0]].color != c1 or prev_color != c2:
+        return "witness end colors do not match query"
+    if total != weight:
         return "witness weight mismatch"
-    if walk.num_edges > g.k * g.n:
+    if len(eids) > g.k * g.n:
         return "witness longer than the state-space bound"
     return None
 

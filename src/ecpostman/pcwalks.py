@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import heapq
 
-from .graph import ColoredMultigraph, PCWalk, walk_from_edges
+from .graph import ColoredMultigraph
+
+# (end vertex, last color) -> (weight, edge ids of a minimum walk)
+WalkTable = dict[tuple[int, int], tuple[int, tuple[int, ...]]]
 
 
 class ShortestWalkFinder:
@@ -24,12 +27,15 @@ class ShortestWalkFinder:
 
     def __init__(self, g: ColoredMultigraph):
         self.g = g
-        self._tables: dict[tuple[int, int], dict[tuple[int, int], tuple[int, PCWalk]]] = {}
+        self._tables: dict[tuple[int, int], WalkTable] = {}
 
-    def table(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int, PCWalk]]:
+    def table(self, u: int, c1: int) -> WalkTable:
         """Minima from u with first color c1, keyed by (end vertex, last color).
 
-        Each value is (weight, witness walk); unreachable keys are absent.
+        Each value is (weight, edge-id sequence of a minimum walk);
+        unreachable keys are absent. Each key is asked for once; the cache
+        keeps every table alive with the finder, so benchmark/tracer.py
+        can count one Dijkstra run per table identity.
         """
         key = (u, c1)
         cached = self._tables.get(key)
@@ -38,7 +44,7 @@ class ShortestWalkFinder:
             self._tables[key] = cached
         return cached
 
-    def _dijkstra(self, u: int, c1: int) -> dict[tuple[int, int], tuple[int, PCWalk]]:
+    def _dijkstra(self, u: int, c1: int) -> WalkTable:
         g = self.g
         g._check_vertex(u)
         incidence = g.incidence
@@ -46,7 +52,7 @@ class ShortestWalkFinder:
         # the sequence makes ties break deterministically and doubles as
         # the witness.
         heap: list[tuple[int, tuple[int, ...], int, int]] = []
-        tentative: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        tentative: WalkTable = {}
         for eid, other, color, w in incidence[u]:
             if color == c1:
                 label = (w, (eid,))
@@ -54,7 +60,7 @@ class ShortestWalkFinder:
                 if state not in tentative or label < tentative[state]:
                     tentative[state] = label
                     heapq.heappush(heap, (w, (eid,), other, color))
-        settled: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        settled: WalkTable = {}
         while heap:
             dist, seq, x, c = heapq.heappop(heap)
             state = (x, c)
@@ -71,7 +77,4 @@ class ShortestWalkFinder:
                 if nxt not in tentative or label < tentative[nxt]:
                     tentative[nxt] = label
                     heapq.heappush(heap, (label[0], label[1], y, cy))
-        table: dict[tuple[int, int], tuple[int, PCWalk]] = {}
-        for (x, c), (dist, seq) in settled.items():
-            table[(x, c)] = (dist, walk_from_edges(g, u, seq))
-        return table
+        return settled

@@ -26,7 +26,7 @@ the trail with matching weight 0 and through the same verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .auxgraph import MatchingGraph, build_matching_graph, validate_matching_structure
 from .euler import check_pc_euler, pc_euler_trail, uncoverable_edge, verify_pc_closed_walk
@@ -91,8 +91,7 @@ def apply_matching(
             raise InvariantError(f"matched pair {pair} is not an auxiliary edge")
         if edge.artificial:
             continue
-        witness = mg.witnesses[edge.signature]
-        for eid in witness.edges:
+        for eid in mg.witnesses[edge.signature]:
             e = g_norm.edges[eid]
             rows.append((e.u, e.v, e.color, e.weight))
             origin.append(eid)
@@ -112,21 +111,27 @@ def solve(g: ColoredMultigraph) -> Solution:
     screen passed, raises InvariantError rather than returning a
     silently wrong answer.
     """
+    return solve_with_model(g)[0]
+
+
+def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | None]:
+    """``solve``, plus the auxiliary model it built (None when it built none)."""
     if g.n == 0 or not g.edges:
         raise GraphError("solver needs a graph with at least one edge")
     chk = check_pc_euler(g)
     if chk.reason == "disconnected":
-        return _infeasible(INFEASIBLE_DISCONNECTED)
+        return _infeasible(INFEASIBLE_DISCONNECTED), None
     if has_single_color_vertex(g) is not None:
-        return _infeasible(INFEASIBLE_SINGLE_COLOR)
+        return _infeasible(INFEASIBLE_SINGLE_COLOR), None
 
     if not chk.feasible and uncoverable_edge(g) is not None:
-        return _infeasible(INFEASIBLE_NO_MATCHING)
+        return _infeasible(INFEASIBLE_NO_MATCHING), None
 
     g_norm, nmap = normalize(g)
     if chk.feasible:
         # every vertex is already even and balanced: nothing to duplicate
         duplicated, origin, matching_weight = g_norm, tuple(range(len(g_norm.edges))), 0
+        mg = None
     else:
         mg = build_matching_graph(g_norm)
         matching = min_weight_perfect_matching(mg.as_matching_instance())
@@ -148,16 +153,10 @@ def solve(g: ColoredMultigraph) -> Solution:
     except GraphError as exc:
         raise InvariantError(f"duplicated graph lost trail feasibility: {exc}") from None
 
-    norm_walk = PCWalk(
-        vertices=trail.vertices,
-        edges=tuple(origin[eid] for eid in trail.edges),
-        first_color=trail.first_color,
-        last_color=trail.last_color,
-        weight=trail.weight,
-    )
+    norm_walk = replace(trail, edges=tuple(origin[eid] for eid in trail.edges))
     walk = contract_walk(nmap, norm_walk)
 
-    report = verify_pc_closed_walk(g, walk, require_cover=True)
+    report = verify_pc_closed_walk(g, walk)
     if not report.ok:
         raise InvariantError(f"solution walk failed verification: {report.failure}")
     if report.weight != g.total_weight() + matching_weight:
@@ -165,4 +164,4 @@ def solve(g: ColoredMultigraph) -> Solution:
             f"weight accounting broken: tour {report.weight} != "
             f"{g.total_weight()} + {matching_weight}"
         )
-    return Solution("optimal", None, report.weight, matching_weight, report.traversals, walk)
+    return Solution("optimal", None, report.weight, matching_weight, report.traversals, walk), mg

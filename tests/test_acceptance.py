@@ -19,7 +19,7 @@ from conftest import mg, walk_addition_violation
 
 from ecpostman import GraphError, check_pc_euler, pc_euler_trail, solve, verify_pc_closed_walk
 from ecpostman.auxgraph import build_matching_graph, validate_matching_structure
-from ecpostman.graph import normalize
+from ecpostman.graph import normalize, walk_from_edges
 from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
@@ -66,7 +66,7 @@ def test_criterion_1_trail_equivalence():
         chk = check_pc_euler(g)
         if chk.feasible:
             trail = pc_euler_trail(g)
-            rep = verify_pc_closed_walk(g, trail, require_cover=True)
+            rep = verify_pc_closed_walk(g, trail)
             assert rep.ok, f"seed {seed}: {rep.failure}"
             assert all(c == 1 for c in rep.traversals), f"seed {seed}: not exact-once"
             feasible_seen += 1
@@ -82,7 +82,7 @@ def test_criterion_1_trail_equivalence():
         cases += 1
         assert check_pc_euler(g).feasible, f"constructed seed {seed} flagged infeasible"
         trail = pc_euler_trail(g)
-        rep = verify_pc_closed_walk(g, trail, require_cover=True)
+        rep = verify_pc_closed_walk(g, trail)
         assert rep.ok and all(c == 1 for c in rep.traversals), f"seed {seed}"
         feasible_seen += 1
     report(1, cases >= 10_000, f"trail equivalence on {cases} cases ({feasible_seen} feasible)")
@@ -152,11 +152,10 @@ def end_to_end_records():
             hit = oracle_solve(g, bound)
             rec["oracle_agrees"] = hit is not None and hit[0] == sol.total_weight
             rec["multiplicity_bound_ok"] = max(sol.multiplicities) <= bound
-            rec["walk_ok"] = verify_pc_closed_walk(g, sol.walk, require_cover=True).ok
+            rec["walk_ok"] = verify_pc_closed_walk(g, sol.walk).ok
 
             g_norm, _ = normalize(g)
-            finder = ShortestWalkFinder(g_norm)
-            aux = build_matching_graph(g_norm, finder)
+            aux = build_matching_graph(g_norm)
             matching = min_weight_perfect_matching(aux.as_matching_instance())
             rec["structure_ok"] = (
                 matching is not None
@@ -169,7 +168,7 @@ def end_to_end_records():
                 if edge.artificial:
                     continue
                 after, _ = apply_matching(current, aux, (pair,))
-                witness = aux.witnesses[edge.signature]
+                witness = walk_from_edges(g_norm, edge.signature[0], aux.witnesses[edge.signature])
                 if walk_addition_violation(current, after, witness) is not None:
                     effects_ok = False
                 current = after

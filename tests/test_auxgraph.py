@@ -14,7 +14,7 @@ from ecpostman.auxgraph import (
 )
 from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
-from ecpostman.oracle import gen_random_instance
+from ecpostman.oracle import check_walk_witness, gen_random_instance
 from ecpostman.pcwalks import ShortestWalkFinder
 
 
@@ -79,7 +79,7 @@ def check_walk_edges(gn):
     Returns the number of walk edges.
     """
     finder = ShortestWalkFinder(gn)
-    aux = build_matching_graph(gn, finder)
+    aux = build_matching_graph(gn)
     walk_edges = {}
     for e in aux.edges:
         if e.artificial:
@@ -87,8 +87,7 @@ def check_walk_edges(gn):
         u, c1, v, c2 = e.signature
         hit = finder.table(u, c1).get((v, c2))
         assert hit is not None and hit[0] == e.weight
-        witness = aux.witnesses[e.signature]
-        assert witness.weight == e.weight
+        assert check_walk_witness(gn, u, c1, v, c2, e.weight, aux.witnesses[e.signature]) is None
         assert (e.a, e.b) not in walk_edges  # one walk edge per slot pair
         walk_edges[(e.a, e.b)] = e
     # reverse direction, slot pair by slot pair

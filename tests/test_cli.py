@@ -9,6 +9,7 @@ import pytest
 
 import ecpostman
 from ecpostman import InvariantError
+from ecpostman.auxgraph import build_matching_graph, dump_matching_graph
 from ecpostman.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -19,6 +20,8 @@ from ecpostman.cli import (
     parse_instance_text,
     parse_tour_text,
 )
+from ecpostman.graph import normalize
+from ecpostman.pcwalks import ShortestWalkFinder
 from ecpostman.solver import solve
 
 TRIANGLE = "ecg 3 3 3\n1 2 1 1\n2 3 2 1\n3 1 3 1\n"
@@ -108,7 +111,7 @@ def test_solve_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise InvariantError("weight accounting broken")
 
-    monkeypatch.setattr("ecpostman.cli.solve", broken)
+    monkeypatch.setattr("ecpostman.cli.solve_with_model", broken)
     assert run_cli("solve", write(tmp_path, "tri.ecg", TRIANGLE)) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -130,7 +133,7 @@ def test_solve_quiet(tmp_path, capsys):
 
 
 def test_solve_dump_aux_sidecar(tmp_path, capsys):
-    path = write(tmp_path, "tri.ecg", TRIANGLE)
+    path = write(tmp_path, "house.ecg", HOUSE)
     assert run_cli("solve", path, "--dump-aux") == EXIT_OK
     capsys.readouterr()
     side = path + ".aux"
@@ -139,6 +142,32 @@ def test_solve_dump_aux_sidecar(tmp_path, capsys):
     explicit = str(tmp_path / "h.txt")
     assert run_cli("solve", path, "--dump-aux", explicit) == EXIT_OK
     assert os.path.exists(explicit)
+    # an Eulerian input is answered by its own trail and builds no model
+    tri = write(tmp_path, "tri.ecg", TRIANGLE)
+    assert run_cli("solve", tri, "--dump-aux") == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("status optimal")
+    assert "no auxiliary graph" in captured.err
+    assert not os.path.exists(tri + ".aux")
+
+
+def test_solve_dump_aux_builds_no_second_model(tmp_path, monkeypatch):
+    calls = []
+    table = ShortestWalkFinder.table
+
+    def counted(self, u, c1):
+        calls.append((u, c1))
+        return table(self, u, c1)
+
+    monkeypatch.setattr(ShortestWalkFinder, "table", counted)
+    path = write(tmp_path, "house.ecg", HOUSE)
+    assert run_cli("solve", path, "--quiet") == EXIT_OK
+    plain = len(calls)
+    assert plain > 0
+    assert run_cli("solve", path, "--quiet", "--dump-aux") == EXIT_OK
+    assert len(calls) == 2 * plain
+    g_norm, _ = normalize(parse_instance_text(HOUSE))
+    assert open(path + ".aux").read() == dump_matching_graph(build_matching_graph(g_norm))
 
 
 def test_solve_dump_aux_on_unbuildable_instance(tmp_path, capsys):
@@ -192,6 +221,20 @@ def test_verify_round_trip(tmp_path, capsys):
     assert run_cli("verify", inst, tour) == EXIT_OK
     out = capsys.readouterr().out
     assert "verdict pass" in out and "weight 11" in out
+
+
+@pytest.mark.parametrize("token", ["e1:3", "e1:x"])
+def test_verify_rejects_wrong_edge_color(tmp_path, capsys, token):
+    # edge 1 of the house has color 1
+    inst = write(tmp_path, "house.ecg", HOUSE)
+    assert run_cli("solve", inst) == EXIT_OK
+    doc = capsys.readouterr().out
+    assert "e1:1 " in doc
+    tour = write(tmp_path, "house.tour", doc.replace("e1:1 ", token + " ", 1))
+    assert run_cli("verify", inst, tour) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(token) in captured.err
 
 
 def test_verify_bare_token_tour(tmp_path, capsys):

@@ -96,14 +96,14 @@ def test_trail_triangle(triangle):
     t = pc_euler_trail(triangle)
     assert t.vertices == (0, 1, 2, 0)
     assert t.edges == (0, 1, 2)
-    assert verify_pc_closed_walk(triangle, t, True).ok
+    assert verify_pc_closed_walk(triangle, t).ok
 
 
 def test_trail_bowtie(bowtie):
     t = pc_euler_trail(bowtie)
     assert t.vertices == (0, 1, 2, 0, 3, 4, 0)
     assert [bowtie.edges[e].color for e in t.edges] == [1, 2, 3, 1, 2, 3]
-    rep = verify_pc_closed_walk(bowtie, t, True)
+    rep = verify_pc_closed_walk(bowtie, t)
     assert rep.ok and all(c == 1 for c in rep.traversals)
 
 
@@ -111,7 +111,7 @@ def test_trail_alternating_four_cycle():
     g = mg(4, 2, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 1), (3, 0, 2, 1)])
     t = pc_euler_trail(g)
     assert sorted(t.edges) == [0, 1, 2, 3]
-    assert verify_pc_closed_walk(g, t, True).ok
+    assert verify_pc_closed_walk(g, t).ok
 
 
 def test_trail_requires_feasibility(single_color_path):
@@ -129,26 +129,26 @@ def test_trail_starts_at_smallest_vertex_smallest_edge(bowtie):
 def test_verify_rejects_color_repeat():
     g = mg(2, 1, [(0, 1, 1, 1)])
     walk = PCWalk((0, 1, 0), (0, 0), 1, 1, 2)
-    rep = verify_pc_closed_walk(g, walk, True)
+    rep = verify_pc_closed_walk(g, walk)
     assert not rep.ok and "color" in rep.failure
 
 
 def test_verify_rejects_missing_coverage(triangle):
     walk = walk_from_edges(triangle, 0, [0, 1, 2])
     partial = PCWalk(walk.vertices[:3], walk.edges[:2], 1, 2, 2)
-    rep = verify_pc_closed_walk(triangle, partial, True)
+    rep = verify_pc_closed_walk(triangle, partial)
     assert not rep.ok  # not even closed
     two_cycle = mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 1, 1, 1)])
     # impossible to cover three parallel edges with that walk
     w = walk_from_edges(two_cycle, 0, [0, 1])
-    rep = verify_pc_closed_walk(two_cycle, w, True)
+    rep = verify_pc_closed_walk(two_cycle, w)
     assert not rep.ok and "traversed" in rep.failure
 
 
 def test_verify_weight_mismatch(triangle):
     walk = walk_from_edges(triangle, 0, [0, 1, 2])
     lying = PCWalk(walk.vertices, walk.edges, walk.first_color, walk.last_color, 99)
-    assert not verify_pc_closed_walk(triangle, lying, True).ok
+    assert not verify_pc_closed_walk(triangle, lying).ok
 
 
 def test_feasibility_necessity_against_tiny_brute_force():
@@ -179,7 +179,7 @@ def test_extraction_iff_feasible(g):
     chk = check_pc_euler(g)
     if chk.feasible:
         t = pc_euler_trail(g)
-        rep = verify_pc_closed_walk(g, t, True)
+        rep = verify_pc_closed_walk(g, t)
         assert rep.ok
         assert sorted(t.edges) == list(range(len(g.edges)))
     else:
@@ -196,7 +196,7 @@ def test_constructed_instances_are_feasible():
         g = gen_random_trail_instance(2 + seed % 4, k, m, 3, seed)
         assert check_pc_euler(g).feasible
         t = pc_euler_trail(g)
-        rep = verify_pc_closed_walk(g, t, True)
+        rep = verify_pc_closed_walk(g, t)
         assert rep.ok and all(c == 1 for c in rep.traversals)
 
 

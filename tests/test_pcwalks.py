@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from conftest import mg, multigraphs
 
 from ecpostman import ColoredMultigraph
-from ecpostman.graph import normalize
+from ecpostman.graph import normalize, walk_from_edges
 from ecpostman.oracle import check_walk_witness, pc_walk_minima
 from ecpostman.pcwalks import ShortestWalkFinder
 
@@ -14,9 +14,9 @@ def test_triangle_fixed_values(triangle):
     # frozen from exhaustive enumeration of walks up to 4 edges
     table = ShortestWalkFinder(triangle).table(0, 1)
     assert table[(2, 2)][0] == 2
-    assert [e for e in table[(2, 2)][1].edges] == [0, 1]
+    assert table[(2, 2)][1] == (0, 1)
     assert table[(0, 3)][0] == 3
-    assert table[(0, 3)][1].vertices == (0, 1, 2, 0)
+    assert walk_from_edges(triangle, 0, table[(0, 3)][1]).vertices == (0, 1, 2, 0)
 
 
 def test_triangle_matches_enumeration(triangle):
@@ -30,8 +30,8 @@ def test_triangle_matches_enumeration(triangle):
 def test_single_edge_walk(triangle):
     hit = ShortestWalkFinder(triangle).table(0, 1).get((1, 1))
     assert hit is not None
-    weight, walk = hit
-    assert weight == 1 and walk.edges == (0,)
+    weight, eids = hit
+    assert weight == 1 and eids == (0,)
 
 
 def test_no_incident_color_gives_empty_table(triangle):
@@ -46,7 +46,7 @@ def test_disconnected_target_absent():
 def test_closed_walk_to_source_needs_two_edges():
     g = mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1)])
     hit = ShortestWalkFinder(g).table(0, 1).get((0, 2))
-    assert hit is not None and hit[1].num_edges == 2
+    assert hit is not None and len(hit[1]) == 2
 
 
 def test_finder_caches_tables(triangle):
@@ -54,6 +54,23 @@ def test_finder_caches_tables(triangle):
     t1 = finder.table(0, 1)
     t2 = finder.table(0, 1)
     assert t1 is t2
+
+
+def test_witness_checker_rejects_each_fault(triangle):
+    assert check_walk_witness(triangle, 0, 1, 2, 2, 2, (0, 1)) is None
+    faults = {
+        "no edges": (triangle, 0, 1, 2, 2, 0, ()),
+        "out of range": (triangle, 0, 1, 2, 2, 2, (0, 7)),
+        "does not touch": (triangle, 0, 2, 2, 2, 1, (1,)),
+        "share color": (mg(2, 2, [(0, 1, 1, 1), (0, 1, 1, 1)]), 0, 1, 0, 1, 2, (0, 1)),
+        "visited twice": (triangle, 0, 1, 1, 1, 4, (0, 1, 2, 0)),
+        "endpoints": (triangle, 0, 1, 1, 2, 2, (0, 1)),
+        "end colors": (triangle, 0, 1, 2, 3, 2, (0, 1)),
+        "weight": (triangle, 0, 1, 2, 2, 3, (0, 1)),
+    }
+    for needle, (g, *query) in faults.items():
+        failure = check_walk_witness(g, *query)
+        assert failure is not None and needle in failure, (needle, failure)
 
 
 @given(multigraphs(max_n=6, max_m=8))
@@ -65,9 +82,9 @@ def test_matches_enumeration_and_witnesses(g):
             table = finder.table(u, c1)
             brute = pc_walk_minima(g, u, c1)
             assert set(table) == set(brute)
-            for (v, c2), (w, walk) in table.items():
+            for (v, c2), (w, eids) in table.items():
                 assert w == brute[(v, c2)]
-                assert check_walk_witness(g, u, c1, v, c2, w, walk) is None
+                assert check_walk_witness(g, u, c1, v, c2, w, eids) is None
 
 
 @given(multigraphs(max_n=5, max_m=6))

@@ -18,7 +18,7 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
-from ecpostman.graph import contract_walk, has_single_color_vertex, normalize
+from ecpostman.graph import contract_walk, has_single_color_vertex, normalize, walk_from_edges
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
@@ -27,7 +27,6 @@ from ecpostman.oracle import (
     gen_random_trail_instance,
     oracle_solve,
 )
-from ecpostman.pcwalks import ShortestWalkFinder
 from ecpostman.solver import apply_matching
 
 
@@ -36,7 +35,7 @@ def test_triangle_is_already_optimal(triangle):
     assert sol.optimal
     assert sol.total_weight == 3 and sol.matching_weight == 0
     assert sol.multiplicities == (1, 1, 1)
-    assert verify_pc_closed_walk(triangle, sol.walk, True).ok
+    assert verify_pc_closed_walk(triangle, sol.walk).ok
 
 
 def test_single_color_path_is_infeasible(single_color_path):
@@ -57,14 +56,14 @@ def test_house_graph_costs_eleven(house):
     assert sorted(sol.multiplicities) == [1, 1, 1, 2, 2]
     # never pays for the weight-5 edge twice
     assert sol.multiplicities[1] == 1
-    rep = verify_pc_closed_walk(house, sol.walk, True)
+    rep = verify_pc_closed_walk(house, sol.walk)
     assert rep.ok and rep.weight == 11
     assert oracle_solve(house, 3)[0] == 11
 
 
 def test_house_multiplicity_totals(house):
     sol = solve(house)
-    q = verify_pc_closed_walk(house, sol.walk, True).traversals
+    q = verify_pc_closed_walk(house, sol.walk).traversals
     assert q == sol.multiplicities
     assert sum(c * e.weight for c, e in zip(q, house.edges)) == 11
 
@@ -97,7 +96,7 @@ def test_eulerian_input_needs_no_model(triangle, bowtie, house, monkeypatch):
         assert sol.optimal and sol.matching_weight == 0
         assert sol.total_weight == g.total_weight()
         assert sol.multiplicities == (1,) * len(g.edges)
-        assert verify_pc_closed_walk(g, sol.walk, True).ok
+        assert verify_pc_closed_walk(g, sol.walk).ok
     with pytest.raises(AssertionError, match="model path ran"):
         solve(house)
 
@@ -186,13 +185,12 @@ def test_all_artificial_matching_keeps_graph(triangle):
 
 def test_apply_matching_duplicates_witness_edges(house):
     gn, _ = normalize(house)
-    finder = ShortestWalkFinder(gn)
-    aux = build_matching_graph(gn, finder)
+    aux = build_matching_graph(gn)
     matching = min_weight_perfect_matching(aux.as_matching_instance())
     g2, origin = apply_matching(gn, aux, matching.pairs)
     added = len(g2.edges) - len(gn.edges)
     expected = sum(
-        aux.witnesses[aux.edge_by_pair[p].signature].num_edges
+        len(aux.witnesses[aux.edge_by_pair[p].signature])
         for p in matching.pairs
         if not aux.edge_by_pair[p].artificial
     )
@@ -204,8 +202,7 @@ def test_apply_matching_duplicates_witness_edges(house):
 
 def test_duplication_degree_effects(house):
     gn, _ = normalize(house)
-    finder = ShortestWalkFinder(gn)
-    aux = build_matching_graph(gn, finder)
+    aux = build_matching_graph(gn)
     matching = min_weight_perfect_matching(aux.as_matching_instance())
     current = gn
     for pair in sorted(matching.pairs):
@@ -213,7 +210,7 @@ def test_duplication_degree_effects(house):
         if edge.artificial:
             continue
         after, _ = apply_matching(current, aux, (pair,))
-        witness = aux.witnesses[edge.signature]
+        witness = walk_from_edges(gn, edge.signature[0], aux.witnesses[edge.signature])
         assert walk_addition_violation(current, after, witness) is None
         current = after
 
@@ -231,7 +228,7 @@ def test_multiplicities_demand_coverage(triangle):
     sol = solve(triangle)
     partial = sol.walk
     smaller = mg(3, 3, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 3, 1), (0, 1, 2, 1)])
-    assert not verify_pc_closed_walk(smaller, partial, True).ok
+    assert not verify_pc_closed_walk(smaller, partial).ok
 
 
 @given(multigraphs(connected=True, max_m=6))
@@ -259,7 +256,7 @@ def test_parallel_heavy_instances_agree_with_oracle():
             bound = max(3, max(sol.multiplicities))
             hit = oracle_solve(g, bound)
             assert hit is not None and hit[0] == sol.total_weight
-            assert verify_pc_closed_walk(g, sol.walk, True).ok
+            assert verify_pc_closed_walk(g, sol.walk).ok
         else:
             assert oracle_solve(g, 3) is None
 
