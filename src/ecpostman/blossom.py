@@ -8,7 +8,7 @@ blossom method. It keeps networkx's control flow, every iteration order
 and every strict ``<`` tie-break, so on the graph that ``networkx.Graph``
 builds from the same vertices ``0..n-1`` and the same edge list it
 returns the same matching, not merely one of equal weight. What changed
-is the representation:
+is the representation and some bookkeeping:
 
 * vertices are ``0..n-1``; blossoms get the ids ``n, n+1, ...`` in
   creation order and an id is never reused, so per-blossom state lives in
@@ -20,7 +20,22 @@ is the representation:
   dict, so "vertices, then live blossoms in creation order" is the order
   in which networkx walks ``blossomparent``;
 * the optimality check is the module-level :func:`verify_optimum`, which
-  raises :class:`InvariantError` and so survives ``python -O``.
+  raises :class:`InvariantError` and so survives ``python -O``; it builds
+  each vertex's chain of enclosing blossoms once, not once per edge end;
+* networkx's ``allowedge`` set is gone: the scan takes an edge as
+  allowable exactly when its slack, computed from the vertex duals, is
+  at most zero. With integer duals that is the answer the set gave. An
+  edge entered the set when a scan found its slack zero, when a delta2
+  or delta3 update brought exactly that edge to zero, or as a ``bedges``
+  edge of a T-blossom expanded at z = 0, whose endpoints then share no
+  blossom. In each case one endpoint is an S-vertex, and an S label
+  lasts until the stage ends, so the slack cannot grow again: a dual
+  update leaves an S-T slack as it is and lowers an S-S or S-free one.
+  Conversely, a scanned edge of slack zero always entered the set;
+* the single vertices are kept in an ascending list that drops the two
+  each augmentation matches, so a stage does not look at all n mates;
+* the main loop reads its hottest state through plain locals rather
+  than the closure cells the nested helpers share.
 
 networkx's inline ``assert`` statements are kept.
 
@@ -127,11 +142,12 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
     # creation order.
     blossomdual: dict[int, int] = {}
 
-    # v * n + w is in allowedge if edge (v, w) is known to have zero slack.
-    allowedge: set[int] = set()
-
     # Queue of newly discovered S-vertices.
     queue: list[int] = []
+
+    # The single vertices in ascending order. An augmentation matches the
+    # two it connects, and a matched vertex never becomes single again.
+    singles = list(range(n))
 
     def leaves(b: int) -> list[int]:
         """The leaf vertices of blossom b, in networkx's stack order."""
@@ -345,23 +361,19 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
                 while j != 0:
                     # Relabel the T-sub-blossom.
                     if jstep == 1:
-                        p, q = bedg[j]
+                        q = bedg[j][1]
                     else:
-                        q, p = bedg[j - 1]
+                        q = bedg[j - 1][0]
                     label[w] = 0
                     label[q] = 0
                     assign_label(w, 2, v)
-                    # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge.add(p * n + q)
-                    allowedge.add(q * n + p)
+                    # Step to the next S-sub-blossom.
                     j += jstep
                     if jstep == 1:
                         v, w = bedg[j]
                     else:
                         w, v = bedg[j - 1]
                     # Step to the next T-sub-blossom.
-                    allowedge.add(v * n + w)
-                    allowedge.add(w * n + v)
                     j += jstep
                 # Relabel the base T-sub-blossom WITHOUT stepping through to
                 # its mate (so don't call assign_label).
@@ -480,6 +492,7 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
             # edges as we go.
             while 1:
                 bs = inblossom[s]
+                base = blossombase[bs]
                 assert label[bs] == 1
                 assert (
                     labeledge[bs] is None and mate[blossombase[bs]] == SINGLE
@@ -491,7 +504,8 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
                 mate[s] = j
                 # Trace one step back.
                 if labeledge[bs] is None:
-                    # Reached single vertex; stop.
+                    # Reached single vertex; stop. The path now matches it.
+                    singles.remove(base)
                     break
                 t = labeledge[bs][0]
                 bt = inblossom[t]
@@ -513,6 +527,12 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
     unlabeled = [0] * n
     nothing = [None] * n
 
+    # The main loop reads the state it touches most through plain locals:
+    # the helpers above close over these names, and a closure variable
+    # costs a cell dereference on every read. The lists are only mutated,
+    # never rebound, so both names always see the same state.
+    label_, inblossom_, dualvar_, bestedge_, adj_ = label, inblossom, dualvar, bestedge, adj
+
     # Main loop: continue until no further improvement is possible.
     while 1:
         # Each iteration of this loop is a "stage".
@@ -522,15 +542,11 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
         # Remove labels from top-level blossoms/vertices, and forget all
         # about least-slack edges. Only vertices and live blossoms are ever
         # read, so only their entries are reset.
-        label[:n] = unlabeled
-        labeledge[:n] = bestedge[:n] = nothing
+        label_[:n] = unlabeled
+        labeledge[:n] = bestedge_[:n] = nothing
         for b in blossomdual:
-            label[b] = 0
-            labeledge[b] = bestedge[b] = mybestedges[b] = None
-
-        # Loss of labeling means that we can not be sure that currently
-        # allowable edges remain allowable throughout this stage.
-        allowedge.clear()
+            label_[b] = 0
+            labeledge[b] = bestedge_[b] = mybestedges[b] = None
 
         # Make queue empty.
         queue.clear()
@@ -538,13 +554,12 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
         # Label single blossoms/vertices with S and put them in the queue.
         # A single top-level vertex is labelled inline: after the reset,
         # assign_label(v, 1, None) would only set its label and queue it.
-        for v in vertices:
-            if mate[v] == SINGLE:
-                if inblossom[v] == v:
-                    label[v] = 1
-                    queue.append(v)
-                elif not label[inblossom[v]]:
-                    assign_label(v, 1, None)
+        for v in singles:
+            if inblossom_[v] == v:
+                label_[v] = 1
+                queue.append(v)
+            elif not label_[inblossom_[v]]:
+                assign_label(v, 1, None)
 
         # Loop until we succeed in augmenting the matching.
         augmented = 0
@@ -561,35 +576,28 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
             while queue and not augmented:
                 # Take an S vertex from the queue.
                 v = queue.pop()
-                assert label[inblossom[v]] == 1
+                assert label_[inblossom_[v]] == 1
 
                 # Scan its neighbors:
                 # inblossom[v] changes only when add_blossom absorbs v.
-                bv = inblossom[v]
-                dv = dualvar[v]
-                vn = v * n
-                for k in adj[v]:
+                bv = inblossom_[v]
+                dv = dualvar_[v]
+                for k in adj_[v]:
                     w = k[1]
                     # w is a neighbor to v
-                    bw = inblossom[w]
+                    bw = inblossom_[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    if vn + w in allowedge:
-                        allowed = True
-                    else:
-                        kslack = dv + dualvar[w] - k[2]
-                        allowed = kslack <= 0
-                        if allowed:
-                            # edge k has zero slack => it is allowable
-                            allowedge.add(vn + w)
-                            allowedge.add(w * n + v)
-                    if allowed:
-                        if not label[bw]:
+                    kslack = dv + dualvar_[w] - k[2]
+                    if kslack <= 0:
+                        # edge k has zero slack => it is allowable (the
+                        # module docstring says why no allowedge set is kept)
+                        if not label_[bw]:
                             # (C1) w is a free vertex;
                             # label w with T and label its mate with S (R12).
                             assign_label(w, 2, v)
-                        elif label[bw] == 1:
+                        elif label_[bw] == 1:
                             # (C2) w is an S-vertex (not in the same blossom);
                             # follow back-links to discover either an
                             # augmenting path or a new blossom.
@@ -598,34 +606,38 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
                                 # Found a new blossom; add it to the blossom
                                 # bookkeeping and turn it into an S-blossom.
                                 add_blossom(base, v, w)
-                                bv = inblossom[v]
+                                bv = inblossom_[v]
                             else:
                                 # Found an augmenting path; augment the
                                 # matching and end this stage.
                                 augment_matching(v, w)
                                 augmented = 1
                                 break
-                        elif not label[w]:
+                        elif not label_[w]:
                             # w is inside a T-blossom, but w itself has not
                             # yet been reached from outside the blossom;
                             # mark it as reached (we need this to relabel
                             # during T-blossom expansion).
-                            assert label[bw] == 2
-                            label[w] = 2
+                            assert label_[bw] == 2
+                            label_[w] = 2
                             labeledge[w] = (v, w)
-                    elif label[bw] == 1:
+                    elif label_[bw] == 1:
                         # keep track of the least-slack non-allowable edge to
                         # a different S-blossom.
-                        best = bestedge[bv]
-                        if best is None or kslack < slack(best):
-                            bestedge[bv] = k
-                    elif not label[w]:
+                        best = bestedge_[bv]
+                        if best is None or kslack < (
+                            dualvar_[best[0]] + dualvar_[best[1]] - best[2]
+                        ):
+                            bestedge_[bv] = k
+                    elif not label_[w]:
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
                         # keep track of the least-slack edge that reaches w.
-                        best = bestedge[w]
-                        if best is None or kslack < slack(best):
-                            bestedge[w] = k
+                        best = bestedge_[w]
+                        if best is None or kslack < (
+                            dualvar_[best[0]] + dualvar_[best[1]] - best[2]
+                        ):
+                            bestedge_[w] = k
 
             if augmented:
                 break
@@ -640,34 +652,34 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
             # Compute delta2: the minimum slack on any edge between
             # an S-vertex and a free vertex.
             for v in vertices:
-                if not label[inblossom[v]] and bestedge[v] is not None:
-                    d = slack(bestedge[v])
+                if not label_[inblossom_[v]] and bestedge_[v] is not None:
+                    d = slack(bestedge_[v])
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 2
-                        deltaedge = bestedge[v]
+                        deltaedge = bestedge_[v]
 
             # Compute delta3: half the minimum slack on any edge between
             # a pair of S-blossoms.
             for b in chain(vertices, blossomdual):
                 if (
                     blossomparent[b] is None
-                    and label[b] == 1
-                    and bestedge[b] is not None
+                    and label_[b] == 1
+                    and bestedge_[b] is not None
                 ):
-                    kslack = slack(bestedge[b])
+                    kslack = slack(bestedge_[b])
                     assert (kslack % 2) == 0
                     d = kslack // 2
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 3
-                        deltaedge = bestedge[b]
+                        deltaedge = bestedge_[b]
 
             # Compute delta4: minimum z variable of any T-blossom.
             for b in blossomdual:
                 if (
                     blossomparent[b] is None
-                    and label[b] == 2
+                    and label_[b] == 2
                     and (deltatype == -1 or blossomdual[b] < delta)
                 ):
                     delta = blossomdual[b]
@@ -679,22 +691,22 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
                 # reached. Do a final delta update to make the optimum
                 # verifiable.
                 deltatype = 1
-                delta = max(0, min(dualvar))
+                delta = max(0, min(dualvar_))
 
             # Update dual variables according to delta.
             for v in vertices:
-                if label[inblossom[v]] == 1:
+                if label_[inblossom_[v]] == 1:
                     # S-vertex: 2*u = 2*u - 2*delta
-                    dualvar[v] -= delta
-                elif label[inblossom[v]] == 2:
+                    dualvar_[v] -= delta
+                elif label_[inblossom_[v]] == 2:
                     # T-vertex: 2*u = 2*u + 2*delta
-                    dualvar[v] += delta
+                    dualvar_[v] += delta
             for b in blossomdual:
                 if blossomparent[b] is None:
-                    if label[b] == 1:
+                    if label_[b] == 1:
                         # top-level S-blossom: z = z + 2*delta
                         blossomdual[b] += delta
-                    elif label[b] == 2:
+                    elif label_[b] == 2:
                         # top-level T-blossom: z = z - 2*delta
                         blossomdual[b] -= delta
 
@@ -702,19 +714,11 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
             if deltatype == 1:
                 # No further improvement possible; optimum reached.
                 break
-            elif deltatype == 2:
-                # Use the least-slack edge to continue the search.
-                v, w, _ = deltaedge
-                assert label[inblossom[v]] == 1
-                allowedge.add(v * n + w)
-                allowedge.add(w * n + v)
-                queue.append(v)
-            elif deltatype == 3:
-                # Use the least-slack edge to continue the search.
-                v, w, _ = deltaedge
-                allowedge.add(v * n + w)
-                allowedge.add(w * n + v)
-                assert label[inblossom[v]] == 1
+            elif deltatype == 2 or deltatype == 3:
+                # Use the least-slack edge, which now has zero slack, to
+                # continue the search.
+                v = deltaedge[0]
+                assert label_[inblossom_[v]] == 1
                 queue.append(v)
             elif deltatype == 4:
                 # Expand the least-z blossom.
@@ -734,7 +738,7 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
         for b in list(blossomdual):
             if b not in blossomdual:
                 continue  # already expanded
-            if blossomparent[b] is None and label[b] == 1 and blossomdual[b] == 0:
+            if blossomparent[b] is None and label_[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
     verify_optimum(edges, mate, dualvar, blossomdual, blossomparent, bedges)
@@ -769,19 +773,20 @@ def verify_optimum(
         fail("negative vertex dual")
     if blossomdual and min(blossomdual.values()) < 0:
         fail("negative blossom dual")
+    # chains[v] lists the blossoms that contain vertex v, top-level first,
+    # ending with v itself; it is built once per vertex, not per edge end.
+    chains = []
+    for v in range(len(mate)):
+        up = [v]
+        while blossomparent[up[-1]] is not None:
+            up.append(blossomparent[up[-1]])
+        up.reverse()
+        chains.append(up)
     # 0. all edges have non-negative slack and
     # 1. all matched edges have zero slack;
     for i, j, wt in edges:
         s = dualvar[i] + dualvar[j] - 2 * wt
-        iblossoms = [i]
-        jblossoms = [j]
-        while blossomparent[iblossoms[-1]] is not None:
-            iblossoms.append(blossomparent[iblossoms[-1]])
-        while blossomparent[jblossoms[-1]] is not None:
-            jblossoms.append(blossomparent[jblossoms[-1]])
-        iblossoms.reverse()
-        jblossoms.reverse()
-        for bi, bj in zip(iblossoms, jblossoms):
+        for bi, bj in zip(chains[i], chains[j]):
             if bi != bj:
                 break
             s += 2 * blossomdual[bi]

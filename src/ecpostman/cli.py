@@ -127,55 +127,60 @@ def parse_tour_text(text: str, g: ColoredMultigraph, path: str = "<tour>") -> PC
     Accepts either a bare token stream or a result document (the line
     starting with 'tour' is used). Edge tokens may be '7', 'e7' or
     'e7:2', where the suffix must be the edge's color; vertices and
-    edge ids are 1-based.
+    edge ids are 1-based. An error names the line of the offending
+    token: the tour line of a document, or the token's own line.
     """
-    tokens: list[str] | None = None
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    tokens: list[tuple[str, int]] | None = None  # (token, line number)
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("tour "):
-            tokens = line.split()[1:]
+            tokens = [(tok, line_no) for tok in line.split()[1:]]
             break
     if tokens is None:
         if text.startswith("status "):
             raise ParseError(path, 1, "result document contains no tour line")
         tokens = [
-            tok
-            for raw in text.splitlines()
+            (tok, line_no)
+            for line_no, raw in enumerate(lines, start=1)
             if not raw.strip().startswith("#")
             for tok in raw.split()
         ]
     if len(tokens) < 3 or len(tokens) % 2 == 0:
-        raise ParseError(path, 1, "tour must alternate v e v ... v")
+        last_line = tokens[-1][1] if tokens else 1
+        raise ParseError(path, last_line, "tour must alternate v e v ... v")
 
-    def vertex(tok: str) -> int:
+    def vertex(tok: str, line_no: int) -> int:
         try:
             val = int(tok)
         except ValueError:
-            raise ParseError(path, 1, f"bad vertex token {tok!r}") from None
+            raise ParseError(path, line_no, f"bad vertex token {tok!r}") from None
         if not (1 <= val <= g.n):
-            raise ParseError(path, 1, f"vertex {val} out of range")
+            raise ParseError(path, line_no, f"vertex {val} out of range")
         return val - 1
 
-    def edge(tok: str) -> int:
+    def edge(tok: str, line_no: int) -> int:
         body, colon, suffix = tok.removeprefix("e").partition(":")
         try:
             val = int(body)
             color = int(suffix) if colon else None
         except ValueError:
-            raise ParseError(path, 1, f"bad edge token {tok!r}") from None
+            raise ParseError(path, line_no, f"bad edge token {tok!r}") from None
         if not (1 <= val <= len(g.edges)):
-            raise ParseError(path, 1, f"edge {val} out of range")
+            raise ParseError(path, line_no, f"edge {val} out of range")
         if color is not None and color != g.edges[val - 1].color:
             raise ParseError(
-                path, 1, f"edge token {tok!r}: edge {val} has color {g.edges[val - 1].color}"
+                path,
+                line_no,
+                f"edge token {tok!r}: edge {val} has color {g.edges[val - 1].color}",
             )
         return val - 1
 
-    verts = [vertex(tokens[0])]
+    verts = [vertex(*tokens[0])]
     eids = []
     for i in range(1, len(tokens), 2):
-        eids.append(edge(tokens[i]))
-        verts.append(vertex(tokens[i + 1]))
+        eids.append(edge(*tokens[i]))
+        verts.append(vertex(*tokens[i + 1]))
     weight = sum(g.edges[eid].weight for eid in eids)
     return PCWalk(
         vertices=tuple(verts),

@@ -9,7 +9,7 @@ construction; every operation is a pure query or returns a new graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -189,28 +189,6 @@ class PCWalk:
     @property
     def closed(self) -> bool:
         return self.vertices[0] == self.vertices[-1]
-
-
-def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PCWalk:
-    """Assemble a PCWalk from a start vertex and a chained edge-id sequence."""
-    if not eids:
-        raise GraphError("a walk needs at least one edge")
-    g._check_vertex(start)
-    verts = [start]
-    total = 0
-    cur = start
-    for eid in eids:
-        e = g.edges[eid]
-        cur = e.other(cur)
-        verts.append(cur)
-        total += e.weight
-    return PCWalk(
-        vertices=tuple(verts),
-        edges=tuple(eids),
-        first_color=g.edges[eids[0]].color,
-        last_color=g.edges[eids[-1]].color,
-        weight=total,
-    )
 
 
 @dataclass(frozen=True)

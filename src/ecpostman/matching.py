@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blossom import SINGLE, max_weight_matching
-from .graph import GraphError
+from .graph import GraphError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,8 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
         return None
     pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)
     lookup = {(u, v): w for u, v, w in inst.edges}
-    weight = sum(lookup[p] for p in pairs)
-    seen: set[int] = set()
-    for u, v in pairs:
-        seen.update((u, v))
-    if len(seen) != inst.n:
-        raise GraphError("matching backend returned a non-perfect matching")
-    return PerfectMatching(pairs, weight)
+    if 2 * len(pairs) != inst.n or any(
+        mate[v] != u or (u, v) not in lookup for u, v in pairs
+    ):
+        raise InvariantError("matching backend returned a non-perfect matching")
+    return PerfectMatching(pairs, sum(lookup[p] for p in pairs))

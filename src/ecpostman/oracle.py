@@ -3,17 +3,19 @@
 Everything here exists to cross-check the main solver, the walk
 finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
-witness checker, an exhaustive perfect-matching search, the classic
-digraph encoding into two colors, a brute-force directed postman
-solver, and deterministic random instance generators.
+witness checker, a builder that turns a witness into a ``PCWalk``, an
+exhaustive perfect-matching search, the classic digraph encoding into
+two colors, a brute-force directed postman solver, and deterministic
+random instance generators.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 
-from .graph import ColoredMultigraph, GraphError, is_connected
+from .graph import ColoredMultigraph, GraphError, PCWalk, is_connected
 from .matching import MatchingInstance, PerfectMatching
 
 DEFAULT_BOUND = 3
@@ -177,6 +179,28 @@ def check_walk_witness(
     if len(eids) > g.k * g.n:
         return "witness longer than the state-space bound"
     return None
+
+
+def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PCWalk:
+    """Assemble a PCWalk from a start vertex and a chained edge-id sequence."""
+    if not eids:
+        raise GraphError("a walk needs at least one edge")
+    g._check_vertex(start)
+    verts = [start]
+    total = 0
+    cur = start
+    for eid in eids:
+        e = g.edges[eid]
+        cur = e.other(cur)
+        verts.append(cur)
+        total += e.weight
+    return PCWalk(
+        vertices=tuple(verts),
+        edges=tuple(eids),
+        first_color=g.edges[eids[0]].color,
+        last_color=g.edges[eids[-1]].color,
+        weight=total,
+    )
 
 
 def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatching | None:

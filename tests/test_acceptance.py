@@ -19,7 +19,7 @@ from conftest import mg, walk_addition_violation
 
 from ecpostman import GraphError, check_pc_euler, pc_euler_trail, solve, verify_pc_closed_walk
 from ecpostman.auxgraph import build_matching_graph, validate_matching_structure
-from ecpostman.graph import normalize, walk_from_edges
+from ecpostman.graph import normalize
 from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
@@ -30,6 +30,7 @@ from ecpostman.oracle import (
     gen_random_trail_instance,
     oracle_solve,
     pc_walk_minima,
+    walk_from_edges,
 )
 from ecpostman.pcwalks import ShortestWalkFinder
 from ecpostman.solver import apply_matching

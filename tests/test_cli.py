@@ -126,6 +126,16 @@ def test_solve_blossom_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("internal error: no perfect matching although")
 
 
+def test_solve_non_perfect_backend_matching_exit_code(tmp_path, capsys, monkeypatch):
+    # an asymmetric mate with no single vertex in it
+    rotated = lambda n, edges: [(v + 1) % n for v in range(n)]
+    monkeypatch.setattr("ecpostman.matching.max_weight_matching", rotated)
+    assert run_cli("solve", write(tmp_path, "house.ecg", HOUSE)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: matching backend returned a non-perfect matching\n"
+
+
 def test_solve_quiet(tmp_path, capsys):
     path = write(tmp_path, "tri.ecg", TRIANGLE)
     assert run_cli("solve", path, "--quiet") == EXIT_OK
@@ -235,6 +245,26 @@ def test_verify_rejects_wrong_edge_color(tmp_path, capsys, token):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert repr(token) in captured.err
+
+
+def test_verify_error_names_the_tour_line(tmp_path, capsys):
+    inst = write(tmp_path, "house.ecg", HOUSE)
+    assert run_cli("solve", inst) == EXIT_OK
+    doc = capsys.readouterr().out
+    assert doc.splitlines()[9].startswith("tour ")
+    tour = write(tmp_path, "bad.tour", doc.replace("e1:1 ", "e1:3 ", 1))
+    assert run_cli("verify", inst, tour) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(tour + ":10: edge token 'e1:3'")
+
+
+def test_verify_error_names_the_token_line(tmp_path, capsys):
+    inst = write(tmp_path, "tri.ecg", TRIANGLE)
+    tour = write(tmp_path, "tri.tour", "# comment\n1 1\n2 2\n3 e9\n1\n")
+    assert run_cli("verify", inst, tour) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(tour + ":4: edge 9 out of range")
+    short = write(tmp_path, "short.tour", "1 1\n\n2 2\n")
+    assert run_cli("verify", inst, short) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(short + ":3: tour must alternate")
 
 
 def test_verify_bare_token_tour(tmp_path, capsys):

@@ -10,9 +10,9 @@ from conftest import mg, multigraphs
 from ecpostman import GraphError, PCWalk, check_pc_euler, pc_euler_trail, verify_pc_closed_walk
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import build_transition_system, uncoverable_edge
-from ecpostman.graph import has_single_color_vertex, normalize, walk_from_edges
+from ecpostman.graph import has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
-from ecpostman.oracle import encode_digraph, gen_random_trail_instance
+from ecpostman.oracle import encode_digraph, gen_random_trail_instance, walk_from_edges
 
 
 def brute_force_has_pc_euler_trail(g) -> bool:

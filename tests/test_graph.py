@@ -12,8 +12,8 @@ from ecpostman.graph import (
     has_single_color_vertex,
     is_connected,
     normalize,
-    walk_from_edges,
 )
+from ecpostman.oracle import walk_from_edges
 
 
 def test_rejects_loops_and_bad_colors():

@@ -108,6 +108,14 @@ def test_matching_validity(n, data):
     assert sorted(covered) == list(range(n))
 
 
+def test_non_perfect_backend_mate_is_an_invariant_error(monkeypatch):
+    """A backend fault is an internal error, not a user-input GraphError."""
+    rotated = lambda n, edges: [(v + 1) % n for v in range(n)]
+    monkeypatch.setattr("ecpostman.matching.max_weight_matching", rotated)
+    with pytest.raises(InvariantError, match="non-perfect matching"):
+        min_weight_perfect_matching(inst(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)]))
+
+
 def networkx_mate(n, edges):
     """networkx's matching of the graph built from vertices 0..n-1 and edges, in order."""
     graph = nx.Graph()
@@ -159,6 +167,74 @@ def test_mate_equals_networkx(n, data):
     chosen = data.draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
     edges = [(u, v, data.draw(st.integers(0, 2))) for u, v in chosen]
     assert ported_mate(n, edges) == networkx_mate(n, edges)
+
+
+# Graphs on which the matcher expands a T-blossom in the middle of a stage
+# (a delta4 step) and relabels its sub-blossoms along the edges between
+# them. Each was picked by counting such expansions in an instrumented
+# copy of the matcher: every graph has at least one, and from the third
+# on the expanded T-blossom holds a nested blossom.
+MID_STAGE_EXPANSIONS = [
+    (7, [
+        (0, 3, 0), (1, 5, 6), (2, 4, 11), (2, 5, 15), (3, 5, 18), (3, 6, 8), (4, 6, 6),
+    ]),
+    (7, [
+        (0, 1, 0), (0, 5, 1), (1, 2, 1), (1, 3, 5), (2, 5, 4), (2, 6, 0), (3, 4, 5),
+        (4, 5, 4),
+    ]),
+    (7, [
+        (0, 2, 1), (1, 4, 0), (2, 4, 9), (2, 5, 6), (3, 5, 9), (3, 6, 5), (4, 5, 5),
+        (5, 6, 1),
+    ]),
+    (7, [
+        (0, 6, 3), (1, 4, 5), (1, 5, 4), (1, 6, 9), (2, 4, 5), (2, 5, 7), (2, 6, 1),
+        (3, 5, 1), (4, 6, 9),
+    ]),
+    (8, [
+        (0, 2, 7), (0, 3, 15), (0, 5, 14), (0, 6, 20), (1, 3, 5), (2, 3, 9), (3, 5, 13),
+        (3, 6, 9), (5, 6, 18), (6, 7, 9),
+    ]),
+    (9, [
+        (0, 2, 2), (0, 6, 2), (0, 8, 2), (1, 5, 0), (1, 6, 0), (2, 4, 2), (2, 5, 2),
+        (2, 8, 1), (3, 4, 0), (4, 5, 1), (5, 6, 2), (5, 7, 2), (6, 7, 2), (7, 8, 2),
+    ]),
+    (13, [
+        (0, 2, 5), (0, 6, 6), (0, 8, 8), (0, 12, 5), (1, 6, 9), (1, 7, 7), (1, 9, 3),
+        (2, 4, 4), (2, 8, 2), (2, 9, 9), (2, 10, 9), (3, 5, 8), (3, 6, 5), (3, 11, 8),
+        (3, 12, 0), (4, 11, 0), (5, 6, 9), (5, 8, 4), (6, 11, 5), (7, 12, 0), (8, 11, 9),
+        (8, 12, 6),
+    ]),
+    (13, [
+        (0, 2, 2), (0, 3, 16), (0, 7, 14), (1, 7, 15), (1, 8, 0), (1, 9, 2), (1, 11, 18),
+        (2, 3, 15), (2, 5, 10), (2, 8, 4), (2, 10, 4), (2, 11, 11), (3, 6, 1), (4, 5, 8),
+        (4, 11, 2), (5, 10, 15), (6, 8, 1), (6, 12, 1), (7, 11, 6), (8, 11, 20),
+        (9, 11, 20), (9, 12, 20), (10, 12, 10),
+    ]),
+    (14, [
+        (0, 6, 2), (0, 8, 2), (0, 9, 0), (0, 10, 4), (1, 12, 3), (2, 4, 4), (2, 5, 4),
+        (2, 9, 2), (2, 11, 3), (3, 5, 2), (3, 12, 3), (4, 8, 0), (5, 6, 5), (5, 7, 1),
+        (5, 9, 1), (5, 10, 0), (5, 11, 4), (6, 10, 5), (8, 9, 1), (9, 10, 2), (9, 13, 0),
+        (10, 11, 4), (11, 12, 5), (12, 13, 5),
+    ]),
+    (13, [
+        (0, 7, 16), (0, 10, 18), (0, 12, 12), (1, 2, 4), (1, 3, 17), (1, 7, 17),
+        (1, 8, 18), (2, 6, 9), (3, 4, 2), (3, 5, 5), (3, 6, 16), (3, 7, 11), (3, 9, 2),
+        (4, 6, 16), (4, 8, 15), (4, 10, 10), (4, 11, 7), (4, 12, 9), (6, 12, 6),
+        (7, 9, 19), (7, 11, 9), (8, 9, 17), (8, 10, 11), (8, 11, 11), (9, 10, 12),
+        (9, 12, 11), (10, 11, 16),
+    ]),
+    (11, [
+        (0, 2, 1), (0, 3, 3), (0, 4, 1), (0, 5, 0), (0, 7, 3), (1, 4, 2), (1, 5, 0),
+        (1, 6, 2), (1, 7, 1), (1, 9, 0), (2, 4, 0), (2, 5, 1), (2, 7, 2), (2, 9, 0),
+        (2, 10, 2), (3, 6, 3), (3, 7, 0), (3, 10, 3), (4, 5, 1), (4, 9, 2), (5, 7, 3),
+        (5, 9, 2), (5, 10, 3), (6, 7, 3), (6, 10, 3), (7, 8, 0), (7, 9, 3), (8, 10, 2),
+    ]),
+]
+
+
+def test_mid_stage_t_blossom_expansions_match_networkx():
+    for case, (n, edges) in enumerate(MID_STAGE_EXPANSIONS):
+        assert ported_mate(n, edges) == networkx_mate(n, edges), case
 
 
 def networkx_perfect_pairs(inst):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from conftest import mg, multigraphs
 
 from ecpostman import ColoredMultigraph
-from ecpostman.graph import normalize, walk_from_edges
-from ecpostman.oracle import check_walk_witness, pc_walk_minima
+from ecpostman.graph import normalize
+from ecpostman.oracle import check_walk_witness, pc_walk_minima, walk_from_edges
 from ecpostman.pcwalks import ShortestWalkFinder
 
 

@@ -18,7 +18,7 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
-from ecpostman.graph import contract_walk, has_single_color_vertex, normalize, walk_from_edges
+from ecpostman.graph import contract_walk, has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
@@ -26,6 +26,7 @@ from ecpostman.oracle import (
     gen_random_instance,
     gen_random_trail_instance,
     oracle_solve,
+    walk_from_edges,
 )
 from ecpostman.solver import apply_matching
 
