@@ -9,6 +9,12 @@ drops out exactly; with integer weights every comparison is exact, and
 the dual certificate is checked on every call. The brute-force
 enumerator in ``oracle`` is the independent reference it is checked
 against, and the tests compare it pair for pair with networkx.
+
+A canonical instance makes the optimum independent of that order (the
+isolation lemma of Mulmuley, Vazirani and Vazirani, 1987): an edge of
+weight w and key s weighs w*B + tie_break(s), B = (n/2)*2**20 + 1. The
+n/2 tie terms of a perfect matching sum to less than B, so a perturbed
+optimum is a true one, and ties between true optima fall to the keys.
 """
 
 from __future__ import annotations
@@ -18,21 +24,34 @@ from dataclasses import dataclass
 from .blossom import SINGLE, max_weight_matching
 from .graph import GraphError, InvariantError
 
+TIE_BITS = 20
+
+
+def tie_break(key: tuple[int, ...]) -> int:
+    """A fixed mix of non-negative ints into [1, 2**TIE_BITS], equal in every process."""
+    x = len(key)
+    for part in key:
+        x = (x ^ part) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 29
+    return ((x * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF) >> (64 - TIE_BITS)) + 1
+
 
 @dataclass(frozen=True)
 class MatchingInstance:
-    """Canonical matching input: loops rejected, parallel edges collapsed.
+    """Normalized matching input: loops rejected, parallel edges collapsed.
 
     ``edges`` holds (u, v, weight) with u < v, sorted by endpoints, each
-    pair carrying the minimum weight seen for it.
+    pair carrying the minimum weight seen for it: a true weight times
+    ``scale`` plus a tie term (1 and 0 unless the instance is canonical).
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
+    scale: int = 1
 
     @classmethod
     def from_edges(
-        cls, n: int, edges: list[tuple[int, int, int]] | tuple
+        cls, n: int, edges: list[tuple[int, int, int]] | tuple, scale: int = 1
     ) -> "MatchingInstance":
         best: dict[tuple[int, int], int] = {}
         for u, v, w in edges:
@@ -45,13 +64,13 @@ class MatchingInstance:
             key = (u, v) if u < v else (v, u)
             if key not in best or w < best[key]:
                 best[key] = w
-        return cls(n, tuple((u, v, best[(u, v)]) for (u, v) in sorted(best)))
+        return cls(n, tuple((u, v, best[(u, v)]) for (u, v) in sorted(best)), scale)
 
 
 @dataclass(frozen=True)
 class PerfectMatching:
     pairs: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted
-    weight: int
+    weight: int  # true weight: the instance weights summed, divided by its scale
 
 
 def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | None:
@@ -76,4 +95,4 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
         mate[v] != u or (u, v) not in lookup for u, v in pairs
     ):
         raise InvariantError("matching backend returned a non-perfect matching")
-    return PerfectMatching(pairs, sum(lookup[p] for p in pairs))
+    return PerfectMatching(pairs, sum(lookup[p] for p in pairs) // inst.scale)

@@ -4,9 +4,10 @@ Everything here exists to cross-check the main solver, the walk
 finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
 witness checker, a builder that turns a witness into a ``PCWalk``, an
-exhaustive perfect-matching search, the classic digraph encoding into
-two colors, a brute-force directed postman solver, and deterministic
-random instance generators.
+exhaustive perfect-matching search, the full slot/filler auxiliary
+model that the solver's live-slot model reduces, the classic digraph
+encoding into two colors, a brute-force directed postman solver, and
+deterministic random instance generators.
 """
 
 from __future__ import annotations
@@ -15,8 +16,17 @@ import itertools
 import random
 from collections.abc import Sequence
 
-from .graph import ColoredMultigraph, GraphError, PCWalk, is_connected
+from .auxgraph import AuxEdge, MatchingGraph, SlotVertex
+from .graph import (
+    ColoredMultigraph,
+    DegreeProfile,
+    GraphError,
+    PCWalk,
+    color_degrees,
+    is_connected,
+)
 from .matching import MatchingInstance, PerfectMatching
+from .pcwalks import ShortestWalkFinder
 
 DEFAULT_BOUND = 3
 MAX_CANDIDATES = 5_000_000
@@ -250,7 +260,93 @@ def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatc
     search(0)
     if best_weight[0] is None:
         return None
-    return PerfectMatching(best_pairs[0], best_weight[0])
+    return PerfectMatching(best_pairs[0], best_weight[0] // inst.scale)
+
+
+def color_deficiency(profile: DegreeProfile, color: int) -> int:
+    """How far color falls short of half the degree: max(0, d - 2*d_color)."""
+    if not (1 <= color <= len(profile.per_color)):
+        raise GraphError(f"color {color} out of range")
+    return max(0, profile.degree - 2 * profile.per_color[color - 1])
+
+
+def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
+    """The paper's full auxiliary model: the exact reference of the live one.
+
+    For each vertex u and color c the graph carries color_deficiency(u, c)
+    slot vertices, absent colors included; a vertex with a dominant color
+    additionally gets (k-2)*d(u) filler vertices. Zero-weight artificial
+    edges connect fillers among themselves and to all slots of the same
+    owner, and, at balanced owners, all slot pairs of the same owner.
+    Walk edges are those of ``auxgraph.build_matching_graph``, and so are
+    the preconditions.
+    """
+    if g.k % 2 == 0 or g.k < 3:
+        raise GraphError("auxiliary graph needs an odd color count >= 3")
+    if not g.is_simple():
+        raise GraphError("auxiliary graph needs a simple (normalized) graph")
+    finder = ShortestWalkFinder(g)
+
+    vertices: list[SlotVertex] = []
+    slot_indices: dict[tuple[int, int], list[int]] = {}
+    filler_indices: dict[int, list[int]] = {}
+    profiles: list[DegreeProfile] = []
+    for u in range(g.n):
+        prof = color_degrees(g, u)
+        profiles.append(prof)
+        if prof.degree >= 1 and max(prof.per_color) == prof.degree:
+            raise GraphError(f"vertex {u} is incident to a single color only")
+        for c in range(1, g.k + 1):
+            need = color_deficiency(prof, c)
+            if need:
+                idxs = []
+                for copy in range(need):
+                    idxs.append(len(vertices))
+                    vertices.append(SlotVertex(u, c, copy))
+                slot_indices[(u, c)] = idxs
+        if prof.dominant is not None:
+            idxs = []
+            for copy in range((g.k - 2) * prof.degree):
+                idxs.append(len(vertices))
+                vertices.append(SlotVertex(u, None, copy))
+            filler_indices[u] = idxs
+
+    edges: list[AuxEdge] = []
+    for u in range(g.n):
+        slots = []
+        for c in range(1, g.k + 1):
+            slots.extend(slot_indices.get((u, c), ()))
+        if profiles[u].dominant is None:
+            for i in range(len(slots)):
+                for j in range(i + 1, len(slots)):
+                    edges.append(AuxEdge(slots[i], slots[j], 0, None))
+        else:
+            fill = filler_indices[u]
+            for i in range(len(fill)):
+                for j in range(i + 1, len(fill)):
+                    edges.append(AuxEdge(fill[i], fill[j], 0, None))
+            for s in slots:
+                for f in fill:
+                    edges.append(AuxEdge(s, f, 0, None))
+
+    walk_edges: list[AuxEdge] = []
+    witnesses: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+    classes = list(slot_indices.items())
+    for i, ((u, cu), a_slots) in enumerate(classes):
+        table = finder.table(u, cu)
+        for (v, cv), b_slots in classes[i:]:
+            hit = table.get((v, cv))
+            if hit is None or (u == v and profiles[u].dominant is None):
+                continue
+            weight, eids = hit
+            sig = (u, cu, v, cv)
+            pairs = [(a, b) for a in a_slots for b in b_slots if a < b]
+            if pairs:
+                witnesses[sig] = eids
+                walk_edges.extend(AuxEdge(a, b, weight, sig) for a, b in pairs)
+    walk_edges.sort(key=lambda e: (e.a, e.b))
+    edges.extend(walk_edges)
+    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, profiles)
 
 
 def encode_digraph(

@@ -17,6 +17,12 @@ input that passes it still goes through the blossom, whose failure to
 find a perfect matching would contradict the screen and is an internal
 error, so each criterion checks the other on every feasible solve.
 
+Where tours tie, the answer is canonical: a walk edge of weight w weighs
+w*B + t(signature) in the matching, t in [1, 2**20], B = (|V|/2)*2**20 + 1,
+which keeps the true optimum (``matching``) and breaks ties by signature.
+Witnesses are duplicated in signature order, so the tour depends on the
+matched signatures only; the matching weight sums the true weights.
+
 An input that is already connected with every vertex even and balanced
 has a properly colored Euler trail (Kotzig), which is optimal: it
 traverses every edge once. Such an input skips the walk tables, the
@@ -80,18 +86,21 @@ def apply_matching(
 ) -> tuple[ColoredMultigraph, tuple[int, ...]]:
     """Duplicate witness-walk edges for every matched non-artificial edge.
 
-    Returns the duplicated graph plus, per new-graph edge id, the
-    normalized edge id it copies (identity on the original range).
+    Witnesses are appended in signature order, so the duplicated graph
+    depends only on the multiset of matched signatures. Returns it plus,
+    per new-graph edge id, the normalized edge id it copies (identity on
+    the original range).
     """
     rows = [(e.u, e.v, e.color, e.weight) for e in g_norm.edges]
     origin = list(range(len(g_norm.edges)))
-    for pair in sorted(pairs):
+    signatures = []
+    for pair in pairs:
         edge = mg.edge_by_pair.get(pair)
         if edge is None:
             raise InvariantError(f"matched pair {pair} is not an auxiliary edge")
-        if edge.artificial:
-            continue
-        for eid in mg.witnesses[edge.signature]:
+        signatures.append(edge.signature)
+    for sig in sorted(sig for sig in signatures if sig is not None):
+        for eid in mg.witnesses[sig]:
             e = g_norm.edges[eid]
             rows.append((e.u, e.v, e.color, e.weight))
             origin.append(eid)

@@ -1,20 +1,31 @@
-"""Auxiliary matching graph: sizes, edge kinds, structure validation."""
+"""Auxiliary matching graph: sizes, edge kinds, structure validation, and
+the live-slot model against the full slot/filler reference."""
+
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import mg, multigraphs, owner_slots
 
-from ecpostman import GraphError
+from ecpostman import GraphError, check_pc_euler, solve
 from ecpostman.auxgraph import (
+    AuxEdge,
     build_matching_graph,
-    color_deficiency,
     dump_matching_graph,
     validate_matching_structure,
 )
+from ecpostman.cli import format_result
 from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex, normalize
 from ecpostman.matching import min_weight_perfect_matching
-from ecpostman.oracle import check_walk_witness, gen_random_instance
+from ecpostman.oracle import (
+    build_full_matching_graph,
+    check_walk_witness,
+    color_deficiency,
+    encode_digraph,
+    gen_random_digraph,
+    gen_random_instance,
+)
 from ecpostman.pcwalks import ShortestWalkFinder
 
 
@@ -44,12 +55,46 @@ def test_balanced_vertex_sizes():
 
 
 def test_unbalanced_vertex_sizes():
-    # hub with d = 3, colors {1, 1, 2}: dominant 1, 4 slots, 3 fillers
+    # full model; hub with d = 3, colors {1, 1, 2}: dominant 1, 4 slots, 3 fillers
     g = mg(4, 3, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (1, 2, 2, 1), (1, 3, 3, 1), (2, 3, 3, 1)])
-    aux = build_matching_graph(g)
+    aux = build_full_matching_graph(g)
     assert len(owner_slots(aux, 0)) == 4
     assert len(aux.filler_indices[0]) == 3
     assert not aux.slot_indices.get((0, 1))  # dominant color has no slots
+
+
+def test_live_unbalanced_vertex_sizes():
+    # the same hub in the live model: color 3 is absent, so its 3 slots and
+    # the 3 fillers they would take are gone; (p - 2) * d = 0 fillers remain
+    g = mg(4, 3, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (1, 2, 2, 1), (1, 3, 3, 1), (2, 3, 3, 1)])
+    aux = build_matching_graph(g)
+    assert owner_slots(aux, 0) == list(aux.slot_indices[(0, 2)]) and len(owner_slots(aux, 0)) == 1
+    assert (0, 3) not in aux.slot_indices
+    assert len(aux.filler_indices[0]) == 0
+    assert sum(1 for sv in aux.vertices if sv.owner == 0) == 1
+
+
+def parity_hub():
+    # k = 5; hub 0 sees colors {1, 1, 2, 3, 4}: balanced, d = 5, p = 4, so
+    # (k - p) * d = 5 is odd and one parity vertex joins its slot clique
+    return mg(6, 5, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (0, 4, 3, 1), (0, 5, 4, 1),
+                     (1, 2, 5, 1), (3, 4, 5, 1), (4, 5, 1, 1), (5, 3, 2, 1), (1, 3, 4, 1),
+                     (2, 4, 2, 1)])
+
+
+def test_live_parity_vertex():
+    aux = build_matching_graph(parity_hub())
+    owned = [i for i, sv in enumerate(aux.vertices) if sv.owner == 0]
+    parity = [i for i in owned if aux.vertices[i].color is None]
+    assert len(parity) == 1 and 0 not in aux.filler_indices
+    assert len(owned) == 1 + 1 + 3 + 3 + 3  # slots of colors 1..4, then parity
+    assert (0, 5) not in aux.slot_indices
+    for a in owned:
+        for b in owned:
+            if a < b:
+                assert aux.edge_by_pair[(a, b)].artificial
+    assert all(e.artificial for e in aux.edges if parity[0] in (e.a, e.b))
+    assert "parity copy 0" in dump_matching_graph(aux)
 
 
 def test_rejects_unnormalized_inputs():
@@ -130,7 +175,7 @@ def test_class_size_parities(g):
     if has_single_color_vertex(g) is not None:
         return
     gn, _ = normalize(g)
-    aux = build_matching_graph(gn)
+    aux = build_full_matching_graph(gn)
     total = 0
     for u in range(gn.n):
         z = len(owner_slots(aux, u)) + len(aux.filler_indices.get(u, ()))
@@ -145,6 +190,35 @@ def test_class_size_parities(g):
             assert x == (gn.k - 2) * prof.degree
         else:
             assert x == (gn.k - 2) * prof.degree + (2 * prof.count(prof.dominant) - prof.degree)
+
+
+@given(multigraphs(connected=True))
+@settings(max_examples=100, deadline=None)
+def test_live_class_sizes(g):
+    if has_single_color_vertex(g) is not None:
+        return
+    gn, _ = normalize(g)
+    aux = build_matching_graph(gn)
+    total = 0
+    for u in range(gn.n):
+        prof = color_degrees(gn, u)
+        d, p = prof.degree, sum(1 for cnt in prof.per_color if cnt)
+        for c in range(1, gn.k + 1):
+            slots = aux.slot_indices.get((u, c), ())
+            if prof.count(c) == 0:
+                assert not slots  # no class for a color absent at u
+            else:
+                assert len(slots) == color_deficiency(prof, c)
+        colorless = [sv for sv in aux.vertices if sv.owner == u and sv.color is None]
+        if prof.dominant is None:
+            assert u not in aux.filler_indices
+            assert len(colorless) == (gn.k - p) * d % 2  # the parity vertex
+        else:
+            assert len(aux.filler_indices[u]) == len(colorless) == (p - 2) * d
+        z = len(owner_slots(aux, u)) + len(colorless)
+        assert z % 2 == d % 2
+        total += z
+    assert total == len(aux.vertices) and total % 2 == 0
 
 
 def test_all_artificial_matching_passes_validator(triangle):
@@ -169,6 +243,17 @@ def test_validator_flags_broken_matchings(house):
     assert not validate_matching_structure(aux, broken).ok
     # a single walk edge alone: one affected slot at some vertex, wrong parity
     assert not validate_matching_structure(aux, (walk_pairs[0],)).ok
+
+
+def test_validator_flags_walk_edge_on_parity_vertex():
+    # a walk edge forced onto the parity vertex must be reported
+    aux = build_matching_graph(parity_hub())
+    parity = next(i for i, sv in enumerate(aux.vertices) if sv.color is None)
+    other = next(i for i, sv in enumerate(aux.vertices) if sv.owner != 0 and sv.color is not None)
+    a, b = sorted((parity, other))
+    aux.edge_by_pair[(a, b)] = AuxEdge(a, b, 1, (0, 1, aux.vertices[other].owner, 1))
+    report = validate_matching_structure(aux, ((a, b),))
+    assert f"walk edge touches parity vertex {parity}" in report.failures
 
 
 def complete_with_artificial(aux, walk_pairs):
@@ -224,3 +309,41 @@ def test_dump_format(triangle):
     assert lines[0] == f"aux-graph vertices {len(aux.vertices)} edges {len(aux.edges)}"
     assert sum(1 for ln in lines if ln.startswith("vertex ")) == len(aux.vertices)
     assert sum(1 for ln in lines if ln.startswith("edge ")) == len(aux.edges)
+
+
+def assert_live_and_full_agree(g):
+    """The live and the full model give the same verdict, weights and document."""
+    gn, _ = normalize(g)
+    models = (build_matching_graph(gn), build_full_matching_graph(gn))
+    found = [min_weight_perfect_matching(aux.as_matching_instance()) for aux in models]
+    assert (found[0] is None) == (found[1] is None)
+    if found[0] is not None:
+        assert found[0].weight == found[1].weight
+        assert all(validate_matching_structure(a, m.pairs).ok for a, m in zip(models, found))
+    live = solve(g)
+    with mock.patch("ecpostman.solver.build_matching_graph", build_full_matching_graph):
+        full = solve(g)
+    assert (live.status, live.reason) == (full.status, full.reason)
+    assert (live.total_weight, live.matching_weight) == (full.total_weight, full.matching_weight)
+    assert format_result(g, live) == format_result(g, full)
+    return found[0] is not None
+
+
+@given(multigraphs(connected=True, max_m=9))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_live_and_full_models_agree(g):
+    assume(has_single_color_vertex(g) is None)
+    assert_live_and_full_agree(g)
+
+
+def test_live_and_full_models_agree_beyond_brute_force():
+    # m = 16 and 60: past the multiplicity oracle; the draws kept reach the
+    # model (no single-color vertex, not already Eulerian): 8 + 17 of them
+    corpus = [gen_random_instance(10, 3, 16, 9, s) for s in (41, 48, 120, 131, 265, 323, 430, 466)]
+    corpus += [encode_digraph(*gen_random_digraph(12, 30, 9, s)) for s in range(120)]
+    corpus = [
+        g for g in corpus
+        if has_single_color_vertex(g) is None and not check_pc_euler(g).feasible
+    ]
+    assert len(corpus) == 25
+    assert sum(assert_live_and_full_agree(g) for g in corpus) >= 20

@@ -5,19 +5,22 @@ Each case names a deterministic instance and the sha256 of the document
 cases all reach the matching stage (they build the auxiliary model and
 run the blossom); the ``trail-*`` cases take the already-Eulerian route.
 Where several optimal tours exist, the document records which one the
-solver picks, so any change to the model, the walk tables, the matching
-or the trail extraction that alters a tie-break shows up here, even when
-every optimum is still right.
-
-A deliberate document change (a canonical optimum, ROADMAP item 1)
-must re-record these digests and say so in CHANGES.md.
+solver picks. The matching's tie-break makes that choice canonical: it
+depends on the matched witness signatures only, so the order of the
+auxiliary vertices must not change a document, and neither may a model
+that matches the same signatures. A change to the walk tables, the
+tie-break or the trail extraction still shows up here, even when every
+optimum is still right; a deliberate one must re-record these digests
+and say so in CHANGES.md.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from ecpostman.cli import format_result
+from ecpostman.matching import MatchingInstance, PerfectMatching, min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
     gen_random_digraph,
@@ -31,21 +34,21 @@ from ecpostman.solver import solve
 # "trail-<s>":   gen_random_trail_instance(6, 3, 12, 9, s)
 DIGESTS = {
     "random-41": "8c52fdc8ff3081b141446ca1263a77f0ce65ad829fc67b641e502091f3603abc",
-    "random-48": "e900db9758e239cd354570a6d44b5b7fe64734d12800cd9098ba9d48b48d6f4a",
+    "random-48": "380a14414bc38ce0d5a79eb61c29c9c27d4ffbe0e31d62a0d1fea0e49d873e1e",
     "random-120": "839b0bb3135ac77bbc37c092c769f5631f76fcc170b8efe1504af51f4e90141d",
     "random-131": "a641fed6e5e6cd7a01ebe472fa00d60428b095d9daf7d827616e10403f118464",
     "random-265": "880c6b6750717c87bc6c02d92e73768e39917c5a4dd7a7e9ebf7e8e618530fce",
-    "random-323": "bd126c907bce5c8b7c7e62ed7b949e61832b9bfa857727d011b6deb5b747989f",
-    "random-430": "57c8050ab84414a00e7d9238961b6ddb5f4a8701620d9f0e453065b4e8c8df24",
+    "random-323": "53b941c8905687c4d55d30abe982cb4aab8d11070847109104fbc4e7cc78d255",
+    "random-430": "736ce84d758f311ba200c25b85c4193a5b566cb24bc65fff5e95fc5cbf8b2a0d",
     "random-466": "1865ecfe3cf279e30e93ee82f6f1b8ffafc4d3f5597a3e92ce8d1c38ac8a560f",
-    "random-579": "af057e4371e8754de608d8de22965d577b77798ba22bd6f06ca8cd7d8702eda2",
-    "random-582": "d31447d7ebe754c7551e29fc240222fb8565114944a235412a62d589ed34496f",
+    "random-579": "0cfed0eca7a21b689ae0d32c219bde565ad69a59102ecca795371e477eb8a4f3",
+    "random-582": "0e8609199d1e23bcf9de36ab9206c0dc4070688c07514e2c3745b8f7f227fc64",
     "random-586": "c56a2f0b05e5513e254209de15921ca545eac773c4cdbd4d87e6ccd449a75437",
-    "random-642": "019d63af54994915c2610b499d14a0197174d7ff5a5f41aeb31e1f5f271edd19",
+    "random-642": "fcdedb08fc30bf1223b6bf59e78a607c6de27f4e6c15d3680ac5e129e2593383",
     "random-709": "9896ed7d9a9626d822676311ac1aaf28200c27ddb406b1a08314fc65189e26fe",
     "random-736": "4d15415f72aefd44175bb01e820d0b673e72e9a3fd7367ba28223c35e6dd4bb4",
     "random-774": "1fde2f9acdee83997d28de6aae0c15043a8665a147fa349e30ede8ee2b4649c0",
-    "random-777": "ca817da5abf0e58dfde96baa138548933295f3961f566251900d061df11e5fcf",
+    "random-777": "f560545b992035409f62d4f713dc47facfa93e212a33aa6372259e3275b095c0",
     "random-818": "8cc31d8d3d2031c884087b98bf903bb6e0bc3e64450f0799006fafae17217572",
     "random-940": "f9990d1a09c1e843498609a0476342afb0104d0386dc189b2b073c41f88cdd57",
     "random-957": "7718a9182443a221536728ca3b90a9afce419297736d64ab31797fb6593b5f28",
@@ -56,7 +59,7 @@ DIGESTS = {
     "digraph-18": "a5477c6cc07644c1603f77458966b0c2b554e958d9e21afaa1f60acff6eb142d",
     "digraph-21": "53ebcc27934beea7d79863ab580fe7e823f208e0b6a747b1a7a67dca9571d9a0",
     "digraph-23": "10e849c37f9b6d9100daab40ade7125f01c8b48eda933313ca2282a0e7468698",
-    "digraph-26": "79bd505421c1c4169d300b3122c4917d416bd172d540d8ca185279eef8860873",
+    "digraph-26": "492b2204fc1bd33b3ae3ba1e409ea10f00721ab7bde9cdeb99f5a5dfa2036776",
     "digraph-40": "11c604fcd19b450a1494bfaa5c3b56878e5988e42e1f4d0528302edc55ced22a",
     "digraph-41": "45d238730908e7b015b93a605d4e64903245e01e66493b1bd8dbd31f3fe17215",
     "digraph-46": "80183841f6d249a99055afc476b23ac636c48c3bf664fa1e59cee613d7c2158f",
@@ -98,3 +101,31 @@ def test_document_is_byte_identical(name):
     g = instance(name)
     doc = format_result(g, solve(g))
     assert hashlib.sha256(doc.encode()).hexdigest() == DIGESTS[name], doc
+
+
+def permuted_matcher(seed: int):
+    """min_weight_perfect_matching on a seeded relabeling of the aux vertices."""
+
+    def run(inst: MatchingInstance) -> PerfectMatching | None:
+        order = list(range(inst.n))
+        random.Random(seed).shuffle(order)
+        back = {new: old for old, new in enumerate(order)}
+        moved = MatchingInstance.from_edges(
+            inst.n, [(order[u], order[v], w) for u, v, w in inst.edges], inst.scale
+        )
+        found = min_weight_perfect_matching(moved)
+        if found is None:
+            return None
+        pairs = tuple(sorted(tuple(sorted((back[a], back[b]))) for a, b in found.pairs))
+        return PerfectMatching(pairs, found.weight)
+
+    return run
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_documents_do_not_depend_on_the_aux_vertex_order(seed, monkeypatch):
+    monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", permuted_matcher(seed))
+    for name in sorted(n for n in DIGESTS if not n.startswith("trail-")):
+        g = instance(name)
+        doc = format_result(g, solve(g))
+        assert hashlib.sha256(doc.encode()).hexdigest() == DIGESTS[name], name
