@@ -15,7 +15,14 @@ Every other slot pair (a at (u, i), b at (v, j)) receives an edge
 weighted by the minimum properly colored fixed-end walk from u to v with
 end colors (i, j), when one exists. The walk is looked up once per pair
 of slot classes, and its witness, the edge-id sequence, is stored once
-per signature (u, i, v, j); an absent color costs no walk table.
+per signature (u, i, v, j); an absent color costs no walk table, and
+neither does a class with no slot pair left to weigh.
+
+The builder emits the canonical matching instance (``matching``) itself,
+as flat (a, b, weight) int triples: all vertices exist before the first
+walk edge, so the scale B is known, and each walk edge weighs
+w*B + tie_break(signature) straight away. No object is made per edge;
+the ``AuxEdge`` list is a view built on demand for dumps and tests.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -26,11 +33,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .graph import ColoredMultigraph, DegreeProfile, GraphError, color_degrees
 from .matching import TIE_BITS, MatchingInstance, tie_break
 from .pcwalks import ShortestWalkFinder
+
+NOT_AN_EDGE = "not an edge"  # what MatchingGraph.signature returns for a non-edge
 
 
 @dataclass(frozen=True)
@@ -60,27 +70,85 @@ class MatchingGraph:
 
     ``profiles[u]`` is the degree profile of u; a color-less vertex is a
     filler at a dominant owner and a parity vertex at a balanced one.
+    ``canonical`` lists the edges as canonical (a, b, weight) triples,
+    a < b, in build order, and ``instance`` holds them sorted: since the
+    builders emit every pair once, that is the instance that
+    ``MatchingInstance.from_edges`` would make of them.
     """
 
     g: ColoredMultigraph
     vertices: list[SlotVertex]
-    edges: list[AuxEdge]
+    canonical: list[tuple[int, int, int]]
     witnesses: dict[tuple[int, int, int, int], tuple[int, ...]]
     slot_indices: dict[tuple[int, int], Sequence[int]]
     filler_indices: dict[int, Sequence[int]]
     profiles: list[DegreeProfile]
-
-    def __post_init__(self) -> None:
-        self.edge_by_pair = {(e.a, e.b): e for e in self.edges}
+    instance: MatchingInstance
 
     def as_matching_instance(self) -> MatchingInstance:
         """The canonical instance (``matching``): walk edges keyed by signature."""
-        scale = (len(self.vertices) // 2 << TIE_BITS) + 1
-        ties = {sig: tie_break(sig) for sig in self.witnesses}
-        return MatchingInstance.from_edges(len(self.vertices), [
-            (e.a, e.b, e.weight * scale + ties[e.signature] if e.signature else 0)
-            for e in self.edges
-        ], scale)
+        return self.instance
+
+    def signature(self, a: int, b: int) -> tuple[int, int, int, int] | None | str:
+        """Classify the vertex pair {a, b} from its two vertices.
+
+        None for an artificial edge (both vertices of one owner, which is
+        balanced or one of them color-less), the walk signature for a
+        walk edge, and ``NOT_AN_EDGE`` otherwise. A walk signature has a
+        color at both ends, so no walk edge touches a color-less vertex.
+        """
+        if a == b:
+            return NOT_AN_EDGE
+        x, y = self.vertices[min(a, b)], self.vertices[max(a, b)]
+        if x.owner == y.owner and None in (x.color, y.color, self.profiles[x.owner].dominant):
+            return None  # one owner: balanced, or one end color-less
+        sig = (x.owner, x.color, y.owner, y.color)
+        return sig if sig in self.witnesses else NOT_AN_EDGE
+
+    @cached_property
+    def edges(self) -> list[AuxEdge]:
+        """The edges in build order with their true weights (for dumps and tests)."""
+        scale = self.instance.scale
+        return [AuxEdge(a, b, w // scale, self.signature(a, b)) for a, b, w in self.canonical]
+
+    @cached_property
+    def edge_by_pair(self) -> dict[tuple[int, int], AuxEdge]:
+        return {(e.a, e.b): e for e in self.edges}
+
+
+def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) -> MatchingGraph:
+    """Append the canonical walk edges to the artificial ``edges``; wrap the model.
+
+    Shared by both builders; the arguments are the ``MatchingGraph``
+    fields of the same names. ``slot_indices`` lists the slot classes in
+    ascending index order, so pairing each class with itself and every
+    later class visits each slot pair a < b once.
+    """
+    finder = ShortestWalkFinder(g)
+    scale = (len(vertices) // 2 << TIE_BITS) + 1
+    witnesses = {}
+    classes = list(slot_indices.items())
+    ends = {u: j + 1 for j, (u, _) in enumerate(slot_indices)}  # past u's last class
+    for i, ((u, cu), a_slots) in enumerate(classes):
+        # a balanced owner's classes pair among themselves only artificially,
+        # and a class pairs with itself only if it has two slots
+        later = classes[i + (len(a_slots) < 2) if profiles[u].dominant else ends[u]:]
+        if not later:
+            continue  # no partner class: nobody would read the walk table
+        table = finder.table(u, cu)
+        for (v, cv), b_slots in later:
+            hit = table.get((v, cv))
+            if hit is None:
+                continue
+            sig = (u, cu, v, cv)
+            w = hit[0] * scale + tie_break(sig)
+            pairs = [(a, b, w) for a in a_slots for b in b_slots if a < b]
+            if pairs:
+                witnesses[sig] = hit[1]
+                edges.extend(pairs)
+    instance = MatchingInstance(len(vertices), tuple(sorted(edges)), scale)
+    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, profiles,
+                         instance)
 
 
 def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
@@ -96,11 +164,10 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
         raise GraphError("auxiliary graph needs an odd color count >= 3")
     if not g.is_simple():
         raise GraphError("auxiliary graph needs a simple (normalized) graph")
-    finder = ShortestWalkFinder(g)
 
     profiles = [color_degrees(g, u) for u in range(g.n)]
     vertices: list[SlotVertex] = []
-    edges: list[AuxEdge] = []
+    edges: list[tuple[int, int, int]] = []
     slot_indices: dict[tuple[int, int], range] = {}
     filler_indices: dict[int, range] = {}
     # indices ascend within an owner (slots by color, then its filler or
@@ -119,33 +186,15 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             if absent * d % 2:
                 vertices.append(SlotVertex(u, None, 0))  # the parity vertex
             owned = range(first, len(vertices))
-            edges.extend(AuxEdge(a, b, 0, None) for a, b in combinations(owned, 2))
+            edges.extend((a, b, 0) for a, b in combinations(owned, 2))
         else:
             slots = range(first, len(vertices))
             fill = range(len(vertices), len(vertices) + (g.k - absent - 2) * d)
             vertices.extend(SlotVertex(u, None, copy) for copy in range(len(fill)))
             filler_indices[u] = fill
-            edges.extend(AuxEdge(a, b, 0, None) for a, b in combinations(fill, 2))
-            edges.extend(AuxEdge(s, f, 0, None) for s in slots for f in fill)
-
-    # slot classes come in ascending index order, so pairing each class
-    # with itself and every later class visits each slot pair a < b once
-    witnesses: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-    classes = list(slot_indices.items())
-    for i, ((u, cu), a_slots) in enumerate(classes):
-        table = finder.table(u, cu)
-        balanced = profiles[u].dominant is None
-        for (v, cv), b_slots in classes[i:]:
-            hit = table.get((v, cv))
-            if hit is None or (u == v and balanced):
-                continue  # no walk, or an artificial pair of a balanced owner
-            weight, eids = hit
-            sig = (u, cu, v, cv)
-            pairs = [(a, b) for a in a_slots for b in b_slots if a < b]
-            if pairs:
-                witnesses[sig] = eids
-                edges.extend(AuxEdge(a, b, weight, sig) for a, b in pairs)
-    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, profiles)
+            edges.extend((a, b, 0) for a, b in combinations(fill, 2))
+            edges.extend((s, f, 0) for s in slots for f in fill)
+    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
 
 
 @dataclass(frozen=True)
@@ -162,27 +211,23 @@ def validate_matching_structure(
     With affected(u) = number of u's slot vertices matched through
     non-artificial edges: a vertex with dominant color i must have at
     least 2*d_i(u) - d(u) affected slots and no (u, i) slots at all, and
-    affected(u) must match the parity of d(u). No walk edge may touch a
-    filler or parity vertex.
+    affected(u) must match the parity of d(u). Every pair must be an
+    auxiliary edge (``MatchingGraph.signature``).
     """
     failures: list[str] = []
     covered: set[int] = set()
     affected = [0] * mg.g.n
     for a, b in pairs:
-        edge = mg.edge_by_pair.get((a, b) if a < b else (b, a))
-        if edge is None:
+        sig = mg.signature(a, b)
+        if sig == NOT_AN_EDGE:
             failures.append(f"matched pair ({a}, {b}) is not an edge")
             continue
         if a in covered or b in covered:
             failures.append(f"vertex repeated in matching at pair ({a}, {b})")
         covered.update((a, b))
-        for end in () if edge.artificial else (a, b):
-            sv = mg.vertices[end]
-            if sv.color is None:
-                kind = "parity" if mg.profiles[sv.owner].dominant is None else "filler"
-                failures.append(f"walk edge touches {kind} vertex {end}")
-            else:
-                affected[sv.owner] += 1
+        if sig is not None:
+            affected[sig[0]] += 1
+            affected[sig[2]] += 1
     if len(covered) != len(mg.vertices):
         failures.append("matching is not perfect")
 

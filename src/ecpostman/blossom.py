@@ -35,9 +35,12 @@ is the representation and some bookkeeping:
 * the single vertices are kept in an ascending list that drops the two
   each augmentation matches, so a stage does not look at all n mates;
 * the main loop reads its hottest state through plain locals rather
-  than the closure cells the nested helpers share.
+  than the closure cells the nested helpers share;
+* networkx's end-of-stage ``assert`` that ``mate`` is symmetric, a loop
+  over all n vertices at every stage, is gone: :func:`verify_optimum`
+  checks the same condition once per call, also under ``python -O``.
 
-networkx's inline ``assert`` statements are kept.
+networkx's other inline ``assert`` statements are kept.
 
 The networkx code is distributed under the 3-clause BSD license:
 
@@ -726,10 +729,6 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
 
             # End of a this substage.
 
-        # Paranoia check that the matching is symmetric.
-        for v in vertices:
-            assert mate[v] == SINGLE or mate[mate[v]] == v
-
         # Stop when no more augmenting path can be found.
         if not augmented:
             break
@@ -741,6 +740,9 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
             if blossomparent[b] is None and label_[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
+    # assign_label reaches itself through its closure cell; emptying the
+    # cell breaks that cycle, so the call's state is freed on return
+    del assign_label
     verify_optimum(edges, mate, dualvar, blossomdual, blossomparent, bedges)
     return mate
 
@@ -797,10 +799,14 @@ def verify_optimum(
                 fail(f"edge ({i}, {j}) is matched on one side only")
             if s != 0:
                 fail(f"matched edge ({i}, {j}) has slack")
-    # 2. all single vertices have zero dual value;
+    # 2. all single vertices have zero dual value, and the matching is
+    # symmetric (networkx checks that after every stage);
     for v, m in enumerate(mate):
-        if m == SINGLE and dualvar[v] + vdualoffset != 0:
-            fail(f"single vertex {v} has non-zero dual")
+        if m == SINGLE:
+            if dualvar[v] + vdualoffset != 0:
+                fail(f"single vertex {v} has non-zero dual")
+        elif mate[m] != v:
+            fail(f"vertex {v} is matched to {m}, which is matched to {mate[m]}")
     # 3. all blossoms with positive dual value are full.
     for b, z in blossomdual.items():
         if z > 0:

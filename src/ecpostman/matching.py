@@ -43,6 +43,10 @@ class MatchingInstance:
     ``edges`` holds (u, v, weight) with u < v, sorted by endpoints, each
     pair carrying the minimum weight seen for it: a true weight times
     ``scale`` plus a tie term (1 and 0 unless the instance is canonical).
+    ``from_edges`` normalizes any edge list. The auxiliary-graph builders
+    make their instances directly, as the sorted tuple of their edges:
+    they emit every pair once, with u < v, in range and at a non-negative
+    weight, so that tuple is the one ``from_edges`` would return.
     """
 
     n: int

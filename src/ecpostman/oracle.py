@@ -16,7 +16,7 @@ import itertools
 import random
 from collections.abc import Sequence
 
-from .auxgraph import AuxEdge, MatchingGraph, SlotVertex
+from .auxgraph import MatchingGraph, SlotVertex, with_walk_edges
 from .graph import (
     ColoredMultigraph,
     DegreeProfile,
@@ -26,7 +26,6 @@ from .graph import (
     is_connected,
 )
 from .matching import MatchingInstance, PerfectMatching
-from .pcwalks import ShortestWalkFinder
 
 DEFAULT_BOUND = 3
 MAX_CANDIDATES = 5_000_000
@@ -278,14 +277,13 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
     additionally gets (k-2)*d(u) filler vertices. Zero-weight artificial
     edges connect fillers among themselves and to all slots of the same
     owner, and, at balanced owners, all slot pairs of the same owner.
-    Walk edges are those of ``auxgraph.build_matching_graph``, and so are
-    the preconditions.
+    Walk edges and the canonical instance come from the live builder's
+    own ``auxgraph.with_walk_edges``, and the preconditions are the same.
     """
     if g.k % 2 == 0 or g.k < 3:
         raise GraphError("auxiliary graph needs an odd color count >= 3")
     if not g.is_simple():
         raise GraphError("auxiliary graph needs a simple (normalized) graph")
-    finder = ShortestWalkFinder(g)
 
     vertices: list[SlotVertex] = []
     slot_indices: dict[tuple[int, int], list[int]] = {}
@@ -311,7 +309,7 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
                 vertices.append(SlotVertex(u, None, copy))
             filler_indices[u] = idxs
 
-    edges: list[AuxEdge] = []
+    edges: list[tuple[int, int, int]] = []
     for u in range(g.n):
         slots = []
         for c in range(1, g.k + 1):
@@ -319,34 +317,16 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
         if profiles[u].dominant is None:
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
-                    edges.append(AuxEdge(slots[i], slots[j], 0, None))
+                    edges.append((slots[i], slots[j], 0))
         else:
             fill = filler_indices[u]
             for i in range(len(fill)):
                 for j in range(i + 1, len(fill)):
-                    edges.append(AuxEdge(fill[i], fill[j], 0, None))
+                    edges.append((fill[i], fill[j], 0))
             for s in slots:
                 for f in fill:
-                    edges.append(AuxEdge(s, f, 0, None))
-
-    walk_edges: list[AuxEdge] = []
-    witnesses: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-    classes = list(slot_indices.items())
-    for i, ((u, cu), a_slots) in enumerate(classes):
-        table = finder.table(u, cu)
-        for (v, cv), b_slots in classes[i:]:
-            hit = table.get((v, cv))
-            if hit is None or (u == v and profiles[u].dominant is None):
-                continue
-            weight, eids = hit
-            sig = (u, cu, v, cv)
-            pairs = [(a, b) for a in a_slots for b in b_slots if a < b]
-            if pairs:
-                witnesses[sig] = eids
-                walk_edges.extend(AuxEdge(a, b, weight, sig) for a, b in pairs)
-    walk_edges.sort(key=lambda e: (e.a, e.b))
-    edges.extend(walk_edges)
-    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, profiles)
+                    edges.append((s, f, 0))
+    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
 
 
 def encode_digraph(

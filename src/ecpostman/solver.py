@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .auxgraph import MatchingGraph, build_matching_graph, validate_matching_structure
+from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph, validate_matching_structure
 from .euler import check_pc_euler, pc_euler_trail, uncoverable_edge, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
@@ -95,11 +95,12 @@ def apply_matching(
     origin = list(range(len(g_norm.edges)))
     signatures = []
     for pair in pairs:
-        edge = mg.edge_by_pair.get(pair)
-        if edge is None:
+        sig = mg.signature(*pair)
+        if sig == NOT_AN_EDGE:
             raise InvariantError(f"matched pair {pair} is not an auxiliary edge")
-        signatures.append(edge.signature)
-    for sig in sorted(sig for sig in signatures if sig is not None):
+        if sig is not None:
+            signatures.append(sig)
+    for sig in sorted(signatures):
         for eid in mg.witnesses[sig]:
             e = g_norm.edges[eid]
             rows.append((e.u, e.v, e.color, e.weight))

@@ -10,14 +10,14 @@ from conftest import mg, multigraphs, owner_slots
 
 from ecpostman import GraphError, check_pc_euler, solve
 from ecpostman.auxgraph import (
-    AuxEdge,
+    NOT_AN_EDGE,
     build_matching_graph,
     dump_matching_graph,
     validate_matching_structure,
 )
 from ecpostman.cli import format_result
 from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex, normalize
-from ecpostman.matching import min_weight_perfect_matching
+from ecpostman.matching import TIE_BITS, MatchingInstance, min_weight_perfect_matching, tie_break
 from ecpostman.oracle import (
     build_full_matching_graph,
     check_walk_witness,
@@ -246,14 +246,17 @@ def test_validator_flags_broken_matchings(house):
 
 
 def test_validator_flags_walk_edge_on_parity_vertex():
-    # a walk edge forced onto the parity vertex must be reported
+    # a pair joining the parity vertex to another owner's slot is no
+    # auxiliary edge, so a matching that uses it must be reported
     aux = build_matching_graph(parity_hub())
     parity = next(i for i, sv in enumerate(aux.vertices) if sv.color is None)
-    other = next(i for i, sv in enumerate(aux.vertices) if sv.owner != 0 and sv.color is not None)
-    a, b = sorted((parity, other))
-    aux.edge_by_pair[(a, b)] = AuxEdge(a, b, 1, (0, 1, aux.vertices[other].owner, 1))
-    report = validate_matching_structure(aux, ((a, b),))
-    assert f"walk edge touches parity vertex {parity}" in report.failures
+    others = [i for i, sv in enumerate(aux.vertices) if sv.owner != 0 and sv.color is not None]
+    assert others
+    for other in others:
+        a, b = sorted((parity, other))
+        assert aux.signature(a, b) == NOT_AN_EDGE
+        report = validate_matching_structure(aux, ((a, b),))
+        assert f"matched pair ({a}, {b}) is not an edge" in report.failures
 
 
 def complete_with_artificial(aux, walk_pairs):
@@ -336,9 +339,9 @@ def test_live_and_full_models_agree(g):
     assert_live_and_full_agree(g)
 
 
-def test_live_and_full_models_agree_beyond_brute_force():
-    # m = 16 and 60: past the multiplicity oracle; the draws kept reach the
-    # model (no single-color vertex, not already Eulerian): 8 + 17 of them
+def beyond_brute_force():
+    """m = 16 and 60: past the multiplicity oracle; the draws kept reach the
+    model (no single-color vertex, not already Eulerian): 8 + 17 of them."""
     corpus = [gen_random_instance(10, 3, 16, 9, s) for s in (41, 48, 120, 131, 265, 323, 430, 466)]
     corpus += [encode_digraph(*gen_random_digraph(12, 30, 9, s)) for s in range(120)]
     corpus = [
@@ -346,4 +349,43 @@ def test_live_and_full_models_agree_beyond_brute_force():
         if has_single_color_vertex(g) is None and not check_pc_euler(g).feasible
     ]
     assert len(corpus) == 25
-    assert sum(assert_live_and_full_agree(g) for g in corpus) >= 20
+    return corpus
+
+
+def test_live_and_full_models_agree_beyond_brute_force():
+    assert sum(assert_live_and_full_agree(g) for g in beyond_brute_force()) >= 20
+
+
+def assert_instance_matches_edges_view(aux):
+    """The builder's flat instance is what ``from_edges`` makes of the edge view,
+    weighted as w*B + tie_break(signature), and ``signature`` classifies every
+    vertex pair as the view does."""
+    n = len(aux.vertices)
+    scale = (n // 2 << TIE_BITS) + 1
+    weighted = [
+        (e.a, e.b, e.weight * scale + tie_break(e.signature) if e.signature else 0)
+        for e in aux.edges
+    ]
+    assert aux.as_matching_instance() == MatchingInstance.from_edges(n, weighted, scale)
+    kinds = {(e.a, e.b): e.signature for e in aux.edges}
+    for a in range(n):
+        assert aux.signature(a, a) == NOT_AN_EDGE
+        for b in range(a + 1, n):
+            kind = kinds.get((a, b), NOT_AN_EDGE)
+            assert aux.signature(a, b) == aux.signature(b, a) == kind, (a, b)
+
+
+@given(multigraphs(connected=True, max_m=9))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_flat_instance_matches_edges_view(g):
+    assume(has_single_color_vertex(g) is None)
+    gn, _ = normalize(g)
+    for aux in (build_matching_graph(gn), build_full_matching_graph(gn)):
+        assert_instance_matches_edges_view(aux)
+
+
+def test_flat_instance_matches_edges_view_beyond_brute_force():
+    for g in beyond_brute_force():
+        gn, _ = normalize(g)
+        for aux in (build_matching_graph(gn), build_full_matching_graph(gn)):
+            assert_instance_matches_edges_view(aux)

@@ -4,6 +4,7 @@ The blossom port must return networkx's matching itself, not merely one
 of the same weight: documents depend on which optimum is chosen.
 """
 
+import gc
 import random
 
 import networkx as nx
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from ecpostman import GraphError, InvariantError
 from ecpostman import blossom, solver
+from ecpostman.auxgraph import build_matching_graph
 from ecpostman.blossom import SINGLE, max_weight_matching
-from ecpostman.graph import has_single_color_vertex
+from ecpostman.graph import has_single_color_vertex, normalize
 from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
@@ -310,3 +312,22 @@ def test_tampered_certificate_is_an_invariant_error(monkeypatch):
     one_sided[i] = j
     with pytest.raises(InvariantError, match="certificate"):
         blossom.verify_optimum(edges_, one_sided, dualvar, blossomdual, blossomparent, bedges)
+
+
+def test_asymmetric_mate_is_an_invariant_error():
+    # vertex 2 claims 0, which is matched to 1; the pair (0, 2) is no edge,
+    # so only the symmetry condition can notice
+    edges, nothing = [(0, 1, 2)], [None] * 3
+    blossom.verify_optimum(edges, [1, 0, SINGLE], [2, 2, 0], {}, nothing, nothing)
+    with pytest.raises(InvariantError, match="vertex 2 is matched to 0"):
+        blossom.verify_optimum(edges, [1, 0, 0], [2, 2, 0], {}, nothing, nothing)
+
+
+def test_matcher_leaves_no_garbage_cycles():
+    """Each call frees its state on return; none waits for the cyclic collector."""
+    for seed in (48, 323, 430):
+        aux = build_matching_graph(normalize(gen_random_instance(10, 3, 16, 9, seed))[0])
+        inst = aux.as_matching_instance()
+        gc.collect()
+        assert min_weight_perfect_matching(inst) is not None
+        assert gc.collect() == 0
