@@ -5,11 +5,27 @@ vertices for each color c present at u on less than half of its edges.
 This is the exact reduction of the full model (``oracle``) to its live
 slots: the full model also gives d(u) slots to each of the k - p colors
 absent at u (p colors present), but no walk leaves u in such a color.
-At a balanced owner those slots sat only in the zero-weight clique on
-u's slots, so one "parity" vertex joins that clique when (k - p)*d(u) is
-odd. At a dominant owner (a color on more than half of its edges) each
-took one of (k - 2)*d(u) fillers, so (p - 2)*d(u) "filler" vertices
-remain, a zero-weight clique joined to every slot of u.
+
+The model is built on the input graph itself, parallel edges and any
+color count included. Every owner u ends up with a vertex count
+≡ d(u) (mod 2), which is all a perfect matching needs: u's vertices
+pair up among themselves or end one walk edge each, so the duplicated
+walks end at u a number of times ≡ d(u), and every degree ends even.
+- A balanced owner (no color on more than half of its edges) has
+  sum_c (d(u) - 2*d_c(u)) = (p - 2)*d(u) slots in one zero-weight
+  clique. One "parity" vertex joins that clique iff (p - 1)*d(u) is
+  odd, so the count is ≡ (p - 2)*d(u) + (p - 1)*d(u) ≡ d(u). For an
+  odd k, p - 1 ≡ k - p: the parity of the full model's k - p classes of
+  d(u) absent-color slots, which is why the paper asks for an odd k.
+- A dominant owner (color i on more than half of its edges) has
+  (p - 1)*d(u) - 2*(d(u) - d_i(u)) slots and (p - 2)*d(u) "filler"
+  vertices, a zero-weight clique joined to every slot of u. Slots minus
+  fillers is 2*d_i(u) - d(u) ≡ d(u), the least number of walk ends at
+  u, since each filler absorbs at most one slot.
+Dijkstra runs on (vertex, entering color) states and keeps witnesses as
+edge-id sequences, and the Euler trail comes from a transition system
+on edge ends: neither names an edge by its endpoints, so parallel
+edges need no subdivision.
 
 Every other slot pair (a at (u, i), b at (v, j)) receives an edge
 weighted by the minimum properly colored fixed-end walk from u to v with
@@ -66,7 +82,7 @@ class AuxEdge:
 
 @dataclass(eq=False)
 class MatchingGraph:
-    """Materialized auxiliary graph over an immutable normalized instance.
+    """Materialized auxiliary graph over an immutable input graph.
 
     ``profiles[u]`` is the degree profile of u; a color-less vertex is a
     filler at a dominant owner and a parity vertex at a balanced one.
@@ -152,19 +168,13 @@ def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) 
 
 
 def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
-    """Construct the live-slot auxiliary matching graph of a normalized instance.
+    """Construct the live-slot auxiliary matching graph of g.
 
-    Requires a simple graph with an odd number of colors >= 3 and no
-    vertex incident to a single color only. Walk edges are built per
-    pair of slot classes (u, c) and (v, c'): one lookup in the walk
-    table for (u, c) gives the weight and witness edge ids shared by
-    every slot pair between the two classes.
+    Requires no vertex incident to a single color only. Walk edges are
+    built per pair of slot classes (u, c) and (v, c'): one lookup in the
+    walk table for (u, c) gives the weight and witness edge ids shared
+    by every slot pair between the two classes.
     """
-    if g.k % 2 == 0 or g.k < 3:
-        raise GraphError("auxiliary graph needs an odd color count >= 3")
-    if not g.is_simple():
-        raise GraphError("auxiliary graph needs a simple (normalized) graph")
-
     profiles = [color_degrees(g, u) for u in range(g.n)]
     vertices: list[SlotVertex] = []
     edges: list[tuple[int, int, int]] = []
@@ -181,15 +191,15 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             if count and d > 2 * count:
                 slot_indices[(u, c)] = range(len(vertices), len(vertices) + d - 2 * count)
                 vertices.extend(SlotVertex(u, c, copy) for copy in range(d - 2 * count))
-        absent = prof.per_color.count(0)
+        present = g.k - prof.per_color.count(0)
         if prof.dominant is None:
-            if absent * d % 2:
+            if (present - 1) * d % 2:
                 vertices.append(SlotVertex(u, None, 0))  # the parity vertex
             owned = range(first, len(vertices))
             edges.extend((a, b, 0) for a, b in combinations(owned, 2))
         else:
             slots = range(first, len(vertices))
-            fill = range(len(vertices), len(vertices) + (g.k - absent - 2) * d)
+            fill = range(len(vertices), len(vertices) + (present - 2) * d)
             vertices.extend(SlotVertex(u, None, copy) for copy in range(len(fill)))
             filler_indices[u] = fill
             edges.extend((a, b, 0) for a, b in combinations(fill, 2))

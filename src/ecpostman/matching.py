@@ -19,6 +19,7 @@ optimum is a true one, and ties between true optima fall to the keys.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .blossom import SINGLE, max_weight_matching
@@ -94,9 +95,13 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     if SINGLE in mate:
         return None
     pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)
-    lookup = {(u, v): w for u, v, w in inst.edges}
-    if 2 * len(pairs) != inst.n or any(
-        mate[v] != u or (u, v) not in lookup for u, v in pairs
-    ):
+    if 2 * len(pairs) != inst.n:
         raise InvariantError("matching backend returned a non-perfect matching")
-    return PerfectMatching(pairs, sum(lookup[p] for p in pairs) // inst.scale)
+    edges, total = inst.edges, 0
+    for u, v in pairs:
+        # (u, v) sorts just before its instance edge (u, v, w), if there is one
+        i = bisect_left(edges, (u, v))
+        if mate[v] != u or i == len(edges) or edges[i][:2] != (u, v):
+            raise InvariantError("matching backend returned a non-perfect matching")
+        total += edges[i][2]
+    return PerfectMatching(pairs, total // inst.scale)

@@ -5,9 +5,11 @@ finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
 witness checker, a builder that turns a witness into a ``PCWalk``, an
 exhaustive perfect-matching search, the full slot/filler auxiliary
-model that the solver's live-slot model reduces, the classic digraph
-encoding into two colors, a brute-force directed postman solver, and
-deterministic random instance generators.
+model that the solver's live-slot model reduces, the normalization
+(simple graph, odd color count) that the full model needs and the
+reference pipeline built on it, the classic digraph encoding into two
+colors, a brute-force directed postman solver, and deterministic random
+instance generators.
 """
 
 from __future__ import annotations
@@ -15,17 +17,21 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 from .auxgraph import MatchingGraph, SlotVertex, with_walk_edges
+from .euler import verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
     DegreeProfile,
     GraphError,
+    InvariantError,
     PCWalk,
     color_degrees,
     is_connected,
 )
 from .matching import MatchingInstance, PerfectMatching
+from .solver import Solution, solve
 
 DEFAULT_BOUND = 3
 MAX_CANDIDATES = 5_000_000
@@ -269,6 +275,12 @@ def color_deficiency(profile: DegreeProfile, color: int) -> int:
     return max(0, profile.degree - 2 * profile.per_color[color - 1])
 
 
+def is_simple(g: ColoredMultigraph) -> bool:
+    """True iff no two edges of g join the same pair of vertices."""
+    pairs = {e.pair() for e in g.edges}
+    return len(pairs) == len(g.edges)
+
+
 def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
     """The paper's full auxiliary model: the exact reference of the live one.
 
@@ -282,7 +294,7 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
     """
     if g.k % 2 == 0 or g.k < 3:
         raise GraphError("auxiliary graph needs an odd color count >= 3")
-    if not g.is_simple():
+    if not is_simple(g):
         raise GraphError("auxiliary graph needs a simple (normalized) graph")
 
     vertices: list[SlotVertex] = []
@@ -327,6 +339,200 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
                 for f in fill:
                     edges.append((s, f, 0))
     return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
+
+
+@dataclass(frozen=True)
+class SubdividedEdge:
+    """Record of one double subdivision: original edge -> 3-edge path."""
+
+    original_eid: int
+    path_eids: tuple[int, int, int]
+    interior: tuple[int, int]
+    middle_color: int
+
+
+@dataclass(frozen=True)
+class NormalizationMap:
+    """Bookkeeping to contract solutions on a normalized graph back.
+
+    ``origin_of[eid]`` gives, for every edge of the normalized graph, the
+    original edge it descends from. ``paths`` maps each subdivided
+    original edge id to its replacement path.
+    """
+
+    original: ColoredMultigraph
+    normalized: ColoredMultigraph
+    origin_of: tuple[int, ...]
+    paths: dict[int, SubdividedEdge]
+    fresh_colors: tuple[int, ...]
+
+    @property
+    def identity(self) -> bool:
+        return not self.paths
+
+
+def normalize(g: ColoredMultigraph) -> tuple[ColoredMultigraph, NormalizationMap]:
+    """Eliminate parallel edges and force an odd color count >= 3.
+
+    All parallel edges but the first of each parallel class are double
+    subdivided: edge e = xy becomes a path x-a-b-y whose outer edges keep
+    e's color and whose middle edge gets a fresh color shared by all
+    parallel-class subdivisions. If the resulting color count is even (or
+    below 3), further edges are subdivided, each with its own fresh color,
+    until it is odd and >= 3. The full original weight sits on the first
+    path edge, so weight totals are preserved exactly.
+
+    Already-normalized graphs are returned unchanged with an empty map.
+    """
+    if not g.edges:
+        raise GraphError("normalization requires at least one edge")
+
+    seen_pairs: set[tuple[int, int]] = set()
+    parallel: list[int] = []
+    for e in g.edges:
+        p = e.pair()
+        if p in seen_pairs:
+            parallel.append(e.eid)
+        else:
+            seen_pairs.add(p)
+
+    fresh_colors: list[int] = []
+    shared_fresh = 0
+    if parallel:
+        shared_fresh = g.k + 1
+        fresh_colors.append(shared_fresh)
+
+    k_cur = g.k + len(fresh_colors)
+    parity_targets: list[int] = []
+    parallel_set = set(parallel)
+    candidates = (e.eid for e in g.edges if e.eid not in parallel_set)
+    while k_cur % 2 == 0 or k_cur < 3:
+        target = next(candidates, None)
+        if target is None:
+            raise GraphError(
+                "cannot normalize: too few distinct edges to reach an odd "
+                "color count of at least 3"
+            )
+        parity_targets.append(target)
+        k_cur += 1
+        fresh_colors.append(g.k + len(fresh_colors) + 1)
+
+    if not parallel and not parity_targets:
+        empty_map = NormalizationMap(g, g, tuple(range(len(g.edges))), {}, ())
+        return g, empty_map
+
+    middle_color_of: dict[int, int] = {eid: shared_fresh for eid in parallel}
+    # parity fixes come after the shared parallel color in the fresh sequence
+    offset = 1 if parallel else 0
+    for i, eid in enumerate(parity_targets):
+        middle_color_of[eid] = fresh_colors[offset + i]
+
+    new_edges: list[tuple[int, int, int, int]] = []
+    origin_of: list[int] = []
+    paths: dict[int, SubdividedEdge] = {}
+    next_vertex = g.n
+    for e in g.edges:
+        if e.eid in middle_color_of:
+            a, b = next_vertex, next_vertex + 1
+            next_vertex += 2
+            first = len(new_edges)
+            new_edges.append((e.u, a, e.color, e.weight))
+            new_edges.append((a, b, middle_color_of[e.eid], 0))
+            new_edges.append((b, e.v, e.color, 0))
+            origin_of.extend([e.eid, e.eid, e.eid])
+            paths[e.eid] = SubdividedEdge(
+                original_eid=e.eid,
+                path_eids=(first, first + 1, first + 2),
+                interior=(a, b),
+                middle_color=middle_color_of[e.eid],
+            )
+        else:
+            origin_of.append(e.eid)
+            new_edges.append((e.u, e.v, e.color, e.weight))
+
+    normalized = ColoredMultigraph(next_vertex, k_cur, new_edges)
+    if not is_simple(normalized) or normalized.k % 2 == 0 or normalized.k < 3:
+        raise InvariantError("normalization produced a non-normalized graph")
+    return normalized, NormalizationMap(g, normalized, tuple(origin_of), paths, tuple(fresh_colors))
+
+
+def contract_walk(nmap: NormalizationMap, walk: PCWalk) -> PCWalk:
+    """Map a walk on the normalized graph back to the original multigraph.
+
+    Every maximal run of consecutive walk edges descending from the same
+    subdivided original edge must be one complete traversal of its
+    replacement path; properly colored walks cannot enter a subdivision
+    path without crossing it (interior vertices have degree 2 with two
+    distinct colors), so any violation indicates a solver bug.
+    """
+    if nmap.identity:
+        return walk
+    orig = nmap.original
+    origin_of = nmap.origin_of
+    if walk.vertices[0] >= orig.n:
+        raise InvariantError("contracted walk must start at an original vertex")
+
+    out_eids: list[int] = []
+    out_verts: list[int] = [walk.vertices[0]]
+    total = 0
+    i = 0
+    m = len(walk.edges)
+    while i < m:
+        oid = origin_of[walk.edges[i]]
+        j = i
+        while j < m and origin_of[walk.edges[j]] == oid:
+            j += 1
+        run_len = j - i
+        endpoint = walk.vertices[j]
+        sub = nmap.paths.get(oid)
+        if sub is None:
+            if run_len != 1:
+                raise InvariantError(
+                    f"edge {oid} repeated {run_len} times consecutively in walk"
+                )
+        else:
+            if run_len != 3 or sorted(walk.edges[i:j]) != sorted(sub.path_eids):
+                raise InvariantError(
+                    f"walk crosses subdivision path of edge {oid} incompletely"
+                )
+        if endpoint >= orig.n or out_verts[-1] >= orig.n:
+            raise InvariantError("subdivision vertex at a traversal boundary")
+        e = orig.edges[oid]
+        if {out_verts[-1], endpoint} != {e.u, e.v}:
+            raise InvariantError(f"contracted traversal of edge {oid} has wrong endpoints")
+        out_eids.append(oid)
+        out_verts.append(endpoint)
+        total += e.weight
+        i = j
+
+    return PCWalk(
+        vertices=tuple(out_verts),
+        edges=tuple(out_eids),
+        first_color=orig.edges[out_eids[0]].color,
+        last_color=orig.edges[out_eids[-1]].color,
+        weight=total,
+    )
+
+
+def reference_solve(g: ColoredMultigraph) -> Solution:
+    """The solver as the paper's reduction states it: on a normalized graph.
+
+    ``normalize`` g, run the production ``solve`` on the simple,
+    odd-colored result, ``contract_walk`` its tour back and verify it on
+    g. Every answer must equal ``solve(g)``'s; the tour is the one the
+    solver chose before it learned to solve on the input graph itself.
+    """
+    if g.k < 2:
+        return solve(g)  # one color is infeasible, and normalize cannot always reach three
+    gn, nmap = normalize(g)
+    sol = solve(gn)
+    if not sol.optimal:
+        return sol
+    walk = contract_walk(nmap, sol.walk)
+    report = verify_pc_closed_walk(g, walk)
+    if not report.ok or report.weight != sol.total_weight:
+        raise InvariantError(f"contracted walk failed verification: {report.failure}")
+    return replace(sol, multiplicities=report.traversals, walk=walk)
 
 
 def encode_digraph(

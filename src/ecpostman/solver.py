@@ -2,11 +2,11 @@
 
 Pipeline: reject disconnected inputs and vertices seeing a single
 color, reject inputs with an edge on no properly colored closed walk,
-normalize (simple graph, odd color count), build the auxiliary matching
-graph, find a minimum-weight perfect matching, duplicate the witness
-walk of every matched non-artificial edge, extract a properly colored
-Euler trail of the duplicated graph, contract it back to the original
-multigraph and re-verify everything before returning.
+build the auxiliary matching graph of the input itself (parallel edges
+and any color count are fine), find a minimum-weight perfect matching,
+duplicate the witness walk of every matched non-artificial edge, extract
+a properly colored Euler trail of the duplicated graph and re-verify
+everything before returning.
 
 The edge screen (``uncoverable_edge``) is the infeasibility criterion:
 a connected input has a covering properly colored closed walk iff every
@@ -26,8 +26,8 @@ matched signatures only; the matching weight sums the true weights.
 An input that is already connected with every vertex even and balanced
 has a properly colored Euler trail (Kotzig), which is optimal: it
 traverses every edge once. Such an input skips the walk tables, the
-auxiliary model and the matching; its normalized graph goes straight to
-the trail with matching weight 0 and through the same verification.
+auxiliary model and the matching; it goes straight to the trail with
+matching weight 0 and through the same verification.
 """
 
 from __future__ import annotations
@@ -36,16 +36,7 @@ from dataclasses import dataclass, replace
 
 from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph, validate_matching_structure
 from .euler import check_pc_euler, pc_euler_trail, uncoverable_edge, verify_pc_closed_walk
-from .graph import (
-    ColoredMultigraph,
-    GraphError,
-    InvariantError,
-    NormalizationMap,
-    PCWalk,
-    contract_walk,
-    has_single_color_vertex,
-    normalize,
-)
+from .graph import ColoredMultigraph, GraphError, InvariantError, PCWalk, has_single_color_vertex
 from .matching import min_weight_perfect_matching
 
 INFEASIBLE_DISCONNECTED = "disconnected"
@@ -80,7 +71,7 @@ def _infeasible(reason: str) -> Solution:
 
 
 def apply_matching(
-    g_norm: ColoredMultigraph,
+    g: ColoredMultigraph,
     mg: MatchingGraph,
     pairs: tuple[tuple[int, int], ...],
 ) -> tuple[ColoredMultigraph, tuple[int, ...]]:
@@ -88,11 +79,11 @@ def apply_matching(
 
     Witnesses are appended in signature order, so the duplicated graph
     depends only on the multiset of matched signatures. Returns it plus,
-    per new-graph edge id, the normalized edge id it copies (identity on
-    the original range).
+    per new-graph edge id, the edge id of g it copies (identity on g's
+    own range).
     """
-    rows = [(e.u, e.v, e.color, e.weight) for e in g_norm.edges]
-    origin = list(range(len(g_norm.edges)))
+    rows = [(e.u, e.v, e.color, e.weight) for e in g.edges]
+    origin = list(range(len(g.edges)))
     signatures = []
     for pair in pairs:
         sig = mg.signature(*pair)
@@ -102,10 +93,10 @@ def apply_matching(
             signatures.append(sig)
     for sig in sorted(signatures):
         for eid in mg.witnesses[sig]:
-            e = g_norm.edges[eid]
+            e = g.edges[eid]
             rows.append((e.u, e.v, e.color, e.weight))
             origin.append(eid)
-    return ColoredMultigraph(g_norm.n, g_norm.k, rows), tuple(origin)
+    return ColoredMultigraph(g.n, g.k, rows), tuple(origin)
 
 
 def solve(g: ColoredMultigraph) -> Solution:
@@ -137,13 +128,12 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
     if not chk.feasible and uncoverable_edge(g) is not None:
         return _infeasible(INFEASIBLE_NO_MATCHING), None
 
-    g_norm, nmap = normalize(g)
     if chk.feasible:
         # every vertex is already even and balanced: nothing to duplicate
-        duplicated, origin, matching_weight = g_norm, tuple(range(len(g_norm.edges))), 0
+        duplicated, origin, matching_weight = g, tuple(range(len(g.edges))), 0
         mg = None
     else:
-        mg = build_matching_graph(g_norm)
+        mg = build_matching_graph(g)
         matching = min_weight_perfect_matching(mg.as_matching_instance())
         if matching is None:
             raise InvariantError(
@@ -156,15 +146,14 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
                 "matching structure validation failed: " + "; ".join(structure.failures)
             )
 
-        duplicated, origin = apply_matching(g_norm, mg, matching.pairs)
+        duplicated, origin = apply_matching(g, mg, matching.pairs)
         matching_weight = matching.weight
     try:
         trail = pc_euler_trail(duplicated)
     except GraphError as exc:
         raise InvariantError(f"duplicated graph lost trail feasibility: {exc}") from None
 
-    norm_walk = replace(trail, edges=tuple(origin[eid] for eid in trail.edges))
-    walk = contract_walk(nmap, norm_walk)
+    walk = replace(trail, edges=tuple(origin[eid] for eid in trail.edges))
 
     report = verify_pc_closed_walk(g, walk)
     if not report.ok:

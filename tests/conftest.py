@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from ecpostman import ColoredMultigraph, PCWalk
+from ecpostman import ColoredMultigraph, PCWalk, check_pc_euler
 from ecpostman.auxgraph import MatchingGraph
-from ecpostman.graph import color_degrees, is_connected
+from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
+from ecpostman.oracle import encode_digraph, gen_random_digraph, gen_random_instance
 
 
 def mg(n: int, k: int, edges) -> ColoredMultigraph:
@@ -75,6 +76,19 @@ def owner_slots(aux: MatchingGraph, u: int) -> list[int]:
     for c in range(1, aux.g.k + 1):
         out.extend(aux.slot_indices.get((u, c), ()))
     return out
+
+
+def beyond_brute_force():
+    """m = 16 and 60: past the multiplicity oracle; the draws kept reach the
+    model (no single-color vertex, not already Eulerian): 8 + 17 of them."""
+    corpus = [gen_random_instance(10, 3, 16, 9, s) for s in (41, 48, 120, 131, 265, 323, 430, 466)]
+    corpus += [encode_digraph(*gen_random_digraph(12, 30, 9, s)) for s in range(120)]
+    corpus = [
+        g for g in corpus
+        if has_single_color_vertex(g) is None and not check_pc_euler(g).feasible
+    ]
+    assert len(corpus) == 25
+    return corpus
 
 
 @st.composite

@@ -19,7 +19,6 @@ from conftest import mg, walk_addition_violation
 
 from ecpostman import GraphError, check_pc_euler, pc_euler_trail, solve, verify_pc_closed_walk
 from ecpostman.auxgraph import build_matching_graph, validate_matching_structure
-from ecpostman.graph import normalize
 from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
@@ -155,21 +154,20 @@ def end_to_end_records():
             rec["multiplicity_bound_ok"] = max(sol.multiplicities) <= bound
             rec["walk_ok"] = verify_pc_closed_walk(g, sol.walk).ok
 
-            g_norm, _ = normalize(g)
-            aux = build_matching_graph(g_norm)
+            aux = build_matching_graph(g)  # the model solve builds
             matching = min_weight_perfect_matching(aux.as_matching_instance())
             rec["structure_ok"] = (
                 matching is not None
                 and validate_matching_structure(aux, matching.pairs).ok
             )
             effects_ok = matching is not None
-            current = g_norm
+            current = g
             for pair in sorted(matching.pairs if matching else ()):
                 edge = aux.edge_by_pair[pair]
                 if edge.artificial:
                     continue
                 after, _ = apply_matching(current, aux, (pair,))
-                witness = walk_from_edges(g_norm, edge.signature[0], aux.witnesses[edge.signature])
+                witness = walk_from_edges(g, edge.signature[0], aux.witnesses[edge.signature])
                 if walk_addition_violation(current, after, witness) is not None:
                     effects_ok = False
                 current = after

@@ -6,9 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import mg, multigraphs, owner_slots
+from conftest import beyond_brute_force, mg, multigraphs, owner_slots
 
-from ecpostman import GraphError, check_pc_euler, solve
+from ecpostman import GraphError
 from ecpostman.auxgraph import (
     NOT_AN_EDGE,
     build_matching_graph,
@@ -16,15 +16,15 @@ from ecpostman.auxgraph import (
     validate_matching_structure,
 )
 from ecpostman.cli import format_result
-from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex, normalize
+from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex
 from ecpostman.matching import TIE_BITS, MatchingInstance, min_weight_perfect_matching, tie_break
 from ecpostman.oracle import (
     build_full_matching_graph,
     check_walk_witness,
     color_deficiency,
-    encode_digraph,
-    gen_random_digraph,
     gen_random_instance,
+    normalize,
+    reference_solve,
 )
 from ecpostman.pcwalks import ShortestWalkFinder
 
@@ -76,7 +76,7 @@ def test_live_unbalanced_vertex_sizes():
 
 def parity_hub():
     # k = 5; hub 0 sees colors {1, 1, 2, 3, 4}: balanced, d = 5, p = 4, so
-    # (k - p) * d = 5 is odd and one parity vertex joins its slot clique
+    # (p - 1) * d = 15 is odd and one parity vertex joins its slot clique
     return mg(6, 5, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (0, 4, 3, 1), (0, 5, 4, 1),
                      (1, 2, 5, 1), (3, 4, 5, 1), (4, 5, 1, 1), (5, 3, 2, 1), (1, 3, 4, 1),
                      (2, 4, 2, 1)])
@@ -98,10 +98,11 @@ def test_live_parity_vertex():
 
 
 def test_rejects_unnormalized_inputs():
+    # the full model needs a normalized graph; the live one takes the input as is
     with pytest.raises(GraphError):
-        build_matching_graph(mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1)]))  # k even
+        build_full_matching_graph(mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1)]))  # k even
     with pytest.raises(GraphError):
-        build_matching_graph(mg(2, 3, [(0, 1, 1, 1), (0, 1, 2, 1)]))  # parallel
+        build_full_matching_graph(mg(2, 3, [(0, 1, 1, 1), (0, 1, 2, 1)]))  # parallel
     with pytest.raises(GraphError):
         build_matching_graph(mg(3, 3, [(0, 1, 1, 1), (1, 2, 1, 1)]))  # single color
 
@@ -153,14 +154,14 @@ def check_walk_edges(gn):
 
 
 def test_walk_edge_weights_match_walk_finder(house):
-    gn, _ = normalize(house)
-    assert check_walk_edges(gn) > 0
+    assert check_walk_edges(house) > 0
     checked = 0
     for seed in range(40):
         g = gen_random_instance(5, 3, 8, 4, seed=seed)
         if has_single_color_vertex(g) is not None:
             continue
-        check_walk_edges(normalize(g)[0])
+        check_walk_edges(g)  # the solver's model
+        check_walk_edges(normalize(g)[0])  # the reference's
         checked += 1
         if checked == 4:
             break
@@ -170,8 +171,6 @@ def test_walk_edge_weights_match_walk_finder(house):
 @given(multigraphs(connected=True))
 @settings(max_examples=100, deadline=None)
 def test_class_size_parities(g):
-    from ecpostman.graph import has_single_color_vertex
-
     if has_single_color_vertex(g) is not None:
         return
     gn, _ = normalize(g)
@@ -219,6 +218,53 @@ def test_live_class_sizes(g):
         assert z % 2 == d % 2
         total += z
     assert total == len(aux.vertices) and total % 2 == 0
+
+
+@given(multigraphs(connected=True, max_k=5, max_m=9))
+@settings(max_examples=150, deadline=None)
+def test_live_class_sizes_on_the_input_graph(g):
+    """Even k and parallel edges: a parity vertex iff (p - 1)*d(u) is odd,
+    (p - 2)*d(u) fillers, and every owner's count of the parity of d(u)."""
+    if has_single_color_vertex(g) is not None:
+        return
+    aux = build_matching_graph(g)
+    for u in range(g.n):
+        prof = color_degrees(g, u)
+        d, p = prof.degree, sum(1 for cnt in prof.per_color if cnt)
+        for c in range(1, g.k + 1):
+            assert len(aux.slot_indices.get((u, c), ())) == (
+                color_deficiency(prof, c) if prof.count(c) else 0
+            )
+        colorless = [sv for sv in aux.vertices if sv.owner == u and sv.color is None]
+        owned = sum(1 for sv in aux.vertices if sv.owner == u)
+        if prof.dominant is None:
+            assert u not in aux.filler_indices
+            assert len(owner_slots(aux, u)) == (p - 2) * d
+            assert len(colorless) == (p - 1) * d % 2  # the parity vertex
+        else:
+            assert len(aux.filler_indices[u]) == len(colorless) == (p - 2) * d
+            needed = 2 * prof.count(prof.dominant) - d
+            assert len(owner_slots(aux, u)) - len(colorless) == needed
+        assert owned % 2 == d % 2
+
+
+def test_live_class_sizes_with_even_k_and_parallel_edges():
+    # k = 4; hub 0 sees colors {1, 1, 2, 3} (the 0-1 pair is parallel) and
+    # hub 3 sees {2, 2, 2, 3, 4} (so does the 3-4 pair)
+    g = mg(5, 4, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 2, 1, 1), (0, 3, 3, 1), (1, 2, 3, 1),
+                  (2, 3, 2, 1), (3, 4, 2, 1), (3, 1, 2, 1), (3, 4, 4, 1), (4, 2, 1, 1)])
+    aux = build_matching_graph(g)
+    hub = [sv for sv in aux.vertices if sv.owner == 0]
+    # balanced, d = 4, p = 3: (p - 2)*d = 4 slots, (p - 1)*d even: no parity vertex
+    assert len(hub) == 4 and all(sv.color is not None for sv in hub)
+    # dominant 2 (3 of 5), p = 3: (p - 2)*d = 5 fillers, 3 + 3 slots of colors
+    # 3 and 4, and slots - fillers = 2*3 - 5 walk ends at least
+    assert color_degrees(g, 3).dominant == 2
+    assert len(aux.filler_indices[3]) == 5
+    assert len(owner_slots(aux, 3)) == (3 - 1) * 5 - 2 * (5 - 3) == 6
+    assert validate_matching_structure(
+        aux, min_weight_perfect_matching(aux.as_matching_instance()).pairs
+    ).ok
 
 
 def test_all_artificial_matching_passes_validator(triangle):
@@ -289,20 +335,18 @@ def complete_with_artificial(aux, walk_pairs):
 def test_completion_by_artificial_edges():
     for seed in (1, 5, 11, 23, 42, 77):
         g = gen_random_instance(4, 3, 6, 3, seed=seed)
-        from ecpostman.graph import has_single_color_vertex, is_connected
-
         if has_single_color_vertex(g) is not None:
             continue
-        gn, _ = normalize(g)
-        aux = build_matching_graph(gn)
-        matching = min_weight_perfect_matching(aux.as_matching_instance())
-        if matching is None:
-            continue
-        walk_pairs = tuple(p for p in matching.pairs if not aux.edge_by_pair[p].artificial)
-        completed = complete_with_artificial(aux, walk_pairs)
-        covered = {v for p in completed for v in p}
-        assert len(covered) == 2 * len(completed) == len(aux.vertices)
-        assert validate_matching_structure(aux, completed).ok
+        for h in (g, normalize(g)[0]):  # the solver's model, and the reference's
+            aux = build_matching_graph(h)
+            matching = min_weight_perfect_matching(aux.as_matching_instance())
+            if matching is None:
+                continue
+            walk_pairs = tuple(p for p in matching.pairs if not aux.edge_by_pair[p].artificial)
+            completed = complete_with_artificial(aux, walk_pairs)
+            covered = {v for p in completed for v in p}
+            assert len(covered) == 2 * len(completed) == len(aux.vertices)
+            assert validate_matching_structure(aux, completed).ok
 
 
 def test_dump_format(triangle):
@@ -315,7 +359,11 @@ def test_dump_format(triangle):
 
 
 def assert_live_and_full_agree(g):
-    """The live and the full model give the same verdict, weights and document."""
+    """The live and the full model give the same verdict, weights and document.
+
+    The full model needs a normalized graph, so both run inside the
+    reference pipeline (``oracle.reference_solve``).
+    """
     gn, _ = normalize(g)
     models = (build_matching_graph(gn), build_full_matching_graph(gn))
     found = [min_weight_perfect_matching(aux.as_matching_instance()) for aux in models]
@@ -323,9 +371,9 @@ def assert_live_and_full_agree(g):
     if found[0] is not None:
         assert found[0].weight == found[1].weight
         assert all(validate_matching_structure(a, m.pairs).ok for a, m in zip(models, found))
-    live = solve(g)
+    live = reference_solve(g)
     with mock.patch("ecpostman.solver.build_matching_graph", build_full_matching_graph):
-        full = solve(g)
+        full = reference_solve(g)
     assert (live.status, live.reason) == (full.status, full.reason)
     assert (live.total_weight, live.matching_weight) == (full.total_weight, full.matching_weight)
     assert format_result(g, live) == format_result(g, full)
@@ -337,19 +385,6 @@ def assert_live_and_full_agree(g):
 def test_live_and_full_models_agree(g):
     assume(has_single_color_vertex(g) is None)
     assert_live_and_full_agree(g)
-
-
-def beyond_brute_force():
-    """m = 16 and 60: past the multiplicity oracle; the draws kept reach the
-    model (no single-color vertex, not already Eulerian): 8 + 17 of them."""
-    corpus = [gen_random_instance(10, 3, 16, 9, s) for s in (41, 48, 120, 131, 265, 323, 430, 466)]
-    corpus += [encode_digraph(*gen_random_digraph(12, 30, 9, s)) for s in range(120)]
-    corpus = [
-        g for g in corpus
-        if has_single_color_vertex(g) is None and not check_pc_euler(g).feasible
-    ]
-    assert len(corpus) == 25
-    return corpus
 
 
 def test_live_and_full_models_agree_beyond_brute_force():
@@ -380,12 +415,14 @@ def assert_instance_matches_edges_view(aux):
 def test_flat_instance_matches_edges_view(g):
     assume(has_single_color_vertex(g) is None)
     gn, _ = normalize(g)
-    for aux in (build_matching_graph(gn), build_full_matching_graph(gn)):
+    for aux in (build_matching_graph(g), build_matching_graph(gn), build_full_matching_graph(gn)):
         assert_instance_matches_edges_view(aux)
 
 
 def test_flat_instance_matches_edges_view_beyond_brute_force():
     for g in beyond_brute_force():
         gn, _ = normalize(g)
-        for aux in (build_matching_graph(gn), build_full_matching_graph(gn)):
+        for aux in (
+            build_matching_graph(g), build_matching_graph(gn), build_full_matching_graph(gn)
+        ):
             assert_instance_matches_edges_view(aux)

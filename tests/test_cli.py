@@ -20,15 +20,16 @@ from ecpostman.cli import (
     parse_instance_text,
     parse_tour_text,
 )
-from ecpostman.graph import normalize
 from ecpostman.pcwalks import ShortestWalkFinder
-from ecpostman.solver import solve
+from ecpostman.solver import solve, solve_with_model
 
 TRIANGLE = "ecg 3 3 3\n1 2 1 1\n2 3 2 1\n3 1 3 1\n"
 HOUSE = "ecg 4 3 5\n1 2 1 1\n2 3 2 5\n3 1 3 1\n2 4 3 1\n4 3 1 1\n"
 SINGLE_COLOR = "ecg 3 1 2\n1 2 1 1\n2 3 1 1\n"
 # the triangle plus a pendant trap; edge 1-4 lies on no properly colored closed walk
 TRAPPED = TRIANGLE.replace("ecg 3 3 3", "ecg 6 3 7") + "1 4 1 1\n4 5 1 1\n5 6 2 1\n6 4 3 1\n"
+# four colors, a parallel pair 1-2 and odd vertices 2 and 3: the model is built
+PARALLEL_EVEN_K = "ecg 4 4 6\n1 2 1 1\n1 2 2 3\n2 3 3 1\n3 1 4 2\n3 4 1 1\n4 1 2 1\n"
 
 
 def write(tmp_path, name, text):
@@ -176,8 +177,21 @@ def test_solve_dump_aux_builds_no_second_model(tmp_path, monkeypatch):
     assert plain > 0
     assert run_cli("solve", path, "--quiet", "--dump-aux") == EXIT_OK
     assert len(calls) == 2 * plain
-    g_norm, _ = normalize(parse_instance_text(HOUSE))
-    assert open(path + ".aux").read() == dump_matching_graph(build_matching_graph(g_norm))
+    assert open(path + ".aux").read() == dump_matching_graph(
+        build_matching_graph(parse_instance_text(HOUSE))
+    )
+
+
+def test_solve_dump_aux_speaks_the_input_vertex_ids(tmp_path):
+    path = write(tmp_path, "par.ecg", PARALLEL_EVEN_K)
+    assert run_cli("solve", path, "--quiet", "--dump-aux") == EXIT_OK
+    dump = open(path + ".aux").read()
+    g = parse_instance_text(PARALLEL_EVEN_K)
+    sol, model = solve_with_model(g)
+    assert sol.optimal and model is not None
+    assert dump == dump_matching_graph(model)
+    owners = [int(line.split()[3]) for line in dump.splitlines() if line.startswith("vertex ")]
+    assert owners and all(0 <= owner < g.n for owner in owners)
 
 
 def test_solve_dump_aux_on_unbuildable_instance(tmp_path, capsys):

@@ -16,7 +16,7 @@ from ecpostman import GraphError, InvariantError
 from ecpostman import blossom, solver
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.blossom import SINGLE, max_weight_matching
-from ecpostman.graph import has_single_color_vertex, normalize
+from ecpostman.graph import has_single_color_vertex
 from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
@@ -116,6 +116,23 @@ def test_non_perfect_backend_mate_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr("ecpostman.matching.max_weight_matching", rotated)
     with pytest.raises(InvariantError, match="non-perfect matching"):
         min_weight_perfect_matching(inst(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)]))
+
+
+def test_backend_pairing_non_adjacent_vertices_is_an_invariant_error(monkeypatch):
+    """A symmetric, perfect mate that pairs non-adjacent vertices is still caught.
+
+    The mate pairs (0, 3) and (1, 2). In each instance at least one of
+    the two is no edge: it sorts between two edges, or past the last one.
+    """
+    crossed = lambda n, edges: [3, 2, 1, 0]
+    monkeypatch.setattr("ecpostman.matching.max_weight_matching", crossed)
+    for edges in (
+        [(0, 1, 1), (0, 2, 5), (1, 2, 2), (2, 3, 1)],  # (0, 3) missing, (1, 2) present
+        [(0, 1, 1), (0, 2, 5), (0, 3, 2)],  # (1, 2) missing, past the last edge
+        [(0, 1, 1), (2, 3, 1)],  # neither present
+    ):
+        with pytest.raises(InvariantError, match="non-perfect matching"):
+            min_weight_perfect_matching(inst(4, edges))
 
 
 def networkx_mate(n, edges):
@@ -326,7 +343,7 @@ def test_asymmetric_mate_is_an_invariant_error():
 def test_matcher_leaves_no_garbage_cycles():
     """Each call frees its state on return; none waits for the cyclic collector."""
     for seed in (48, 323, 430):
-        aux = build_matching_graph(normalize(gen_random_instance(10, 3, 16, 9, seed))[0])
+        aux = build_matching_graph(gen_random_instance(10, 3, 16, 9, seed))
         inst = aux.as_matching_instance()
         gc.collect()
         assert min_weight_perfect_matching(inst) is not None

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from conftest import mg, multigraphs, walk_addition_violation
+from conftest import beyond_brute_force, mg, multigraphs, walk_addition_violation
 
 from ecpostman import (
     ColoredMultigraph,
@@ -18,17 +18,20 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
-from ecpostman.graph import contract_walk, has_single_color_vertex, normalize
+from ecpostman.graph import has_single_color_vertex
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
+    is_simple,
+    normalize,
     oracle_solve,
+    reference_solve,
     walk_from_edges,
 )
-from ecpostman.solver import apply_matching
+from ecpostman.solver import Solution, apply_matching
 
 
 def test_triangle_is_already_optimal(triangle):
@@ -84,7 +87,7 @@ def test_feasible_instance_total_equals_graph_weight(bowtie):
 
 def test_eulerian_input_needs_no_model(triangle, bowtie, house, monkeypatch):
     parallel = gen_random_trail_instance(5, 3, 12, 9, 0)
-    assert not parallel.is_simple()
+    assert not is_simple(parallel)
     assert not normalize(parallel)[1].identity
 
     def unreachable(*args, **kwargs):
@@ -106,7 +109,8 @@ def test_screened_infeasibility_builds_no_model(trapped_triangle, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the model path ran on a screened-out input")
 
-    for name in ("normalize", "build_matching_graph", "min_weight_perfect_matching"):
+    for name in ("build_matching_graph", "min_weight_perfect_matching", "apply_matching",
+                 "pc_euler_trail"):
         monkeypatch.setattr(f"ecpostman.solver.{name}", unreachable)
     sol = solve(trapped_triangle)
     assert (sol.status, sol.reason) == ("infeasible", "no-perfect-matching")
@@ -153,12 +157,11 @@ def test_blossom_verdict_equals_the_screen_verdict(monkeypatch):
 def test_eulerian_route_matches_the_model_route():
     for seed in range(20):
         g = gen_random_trail_instance(12, 3, 24, 9, seed)
-        gn, nmap = normalize(g)
-        aux = build_matching_graph(gn)
+        aux = build_matching_graph(g)
         matching = min_weight_perfect_matching(aux.as_matching_instance())
         assert matching.weight == 0
         assert all(aux.edge_by_pair[p].artificial for p in matching.pairs)
-        assert solve(g).walk == contract_walk(nmap, pc_euler_trail(gn))
+        assert solve(g).walk == pc_euler_trail(g)
 
 
 def test_eulerian_input_with_free_edges_is_traversed_once():
@@ -176,53 +179,76 @@ def test_eulerian_input_with_free_edges_is_traversed_once():
 
 
 def test_all_artificial_matching_keeps_graph(triangle):
-    gn, _ = normalize(triangle)
-    aux = build_matching_graph(gn)
+    aux = build_matching_graph(triangle)
     matching = min_weight_perfect_matching(aux.as_matching_instance())
-    g2, origin = apply_matching(gn, aux, matching.pairs)
-    assert len(g2.edges) == len(gn.edges)
-    assert origin == tuple(range(len(gn.edges)))
+    g2, origin = apply_matching(triangle, aux, matching.pairs)
+    assert len(g2.edges) == len(triangle.edges)
+    assert origin == tuple(range(len(triangle.edges)))
 
 
 def test_apply_matching_duplicates_witness_edges(house):
-    gn, _ = normalize(house)
-    aux = build_matching_graph(gn)
+    aux = build_matching_graph(house)
     matching = min_weight_perfect_matching(aux.as_matching_instance())
-    g2, origin = apply_matching(gn, aux, matching.pairs)
-    added = len(g2.edges) - len(gn.edges)
+    g2, origin = apply_matching(house, aux, matching.pairs)
+    added = len(g2.edges) - len(house.edges)
     expected = sum(
         len(aux.witnesses[aux.edge_by_pair[p].signature])
         for p in matching.pairs
         if not aux.edge_by_pair[p].artificial
     )
     assert added == expected
-    added_weight = sum(g2.edges[i].weight for i in range(len(gn.edges), len(g2.edges)))
+    added_weight = sum(g2.edges[i].weight for i in range(len(house.edges), len(g2.edges)))
     assert added_weight == matching.weight
     assert check_pc_euler(g2).feasible
 
 
 def test_duplication_degree_effects(house):
-    gn, _ = normalize(house)
-    aux = build_matching_graph(gn)
+    aux = build_matching_graph(house)
     matching = min_weight_perfect_matching(aux.as_matching_instance())
-    current = gn
+    current = house
     for pair in sorted(matching.pairs):
         edge = aux.edge_by_pair[pair]
         if edge.artificial:
             continue
         after, _ = apply_matching(current, aux, (pair,))
-        witness = walk_from_edges(gn, edge.signature[0], aux.witnesses[edge.signature])
+        witness = walk_from_edges(house, edge.signature[0], aux.witnesses[edge.signature])
         assert walk_addition_violation(current, after, witness) is None
         current = after
 
 
 def test_lost_trail_feasibility_is_an_invariant_error(house, monkeypatch):
-    def no_duplication(g_norm, mg, pairs):
-        return g_norm, tuple(range(len(g_norm.edges)))
+    def no_duplication(g, mg, pairs):
+        return g, tuple(range(len(g.edges)))
 
     monkeypatch.setattr("ecpostman.solver.apply_matching", no_duplication)
     with pytest.raises(InvariantError, match="odd-degree at vertex 1"):
         solve(house)
+
+
+def assert_reference_agrees(g) -> Solution:
+    """``solve`` and the normalize/contract reference give the same answer.
+
+    Status, reason, both weights and every edge's multiplicity must be
+    equal; the tours may differ where optimal tours tie.
+    """
+    sol, ref = solve(g), reference_solve(g)
+    assert (sol.status, sol.reason) == (ref.status, ref.reason)
+    assert (sol.total_weight, sol.matching_weight) == (ref.total_weight, ref.matching_weight)
+    assert sol.multiplicities == ref.multiplicities
+    if sol.optimal:
+        assert verify_pc_closed_walk(g, sol.walk).ok and verify_pc_closed_walk(g, ref.walk).ok
+    return sol
+
+
+@given(multigraphs(max_k=5, max_m=9))
+@settings(max_examples=300, deadline=None)
+def test_solve_agrees_with_the_reference_pipeline(g):
+    assert_reference_agrees(g)
+
+
+def test_solve_agrees_with_the_reference_pipeline_beyond_brute_force():
+    solved = [assert_reference_agrees(g) for g in beyond_brute_force()]
+    assert sum(sol.optimal for sol in solved) >= 20
 
 
 def test_multiplicities_demand_coverage(triangle):
