@@ -203,8 +203,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             why = sol.reason or "already Eulerian"
             print(f"note: no auxiliary graph to dump: {why}", file=sys.stderr)
         else:
-            with open(args.dump_aux or (args.instance + ".aux"), "w", encoding="utf-8") as fh:
-                fh.write(dump_matching_graph(model))
+            path = args.dump_aux or (args.instance + ".aux")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dump_matching_graph(model))
+            except OSError as exc:
+                print(ParseError(path, 0, f"cannot write file: {exc.strerror}"), file=sys.stderr)
+                return EXIT_ERROR
     if not args.quiet:
         sys.stdout.write(format_result(g, sol))
     return EXIT_OK if sol.optimal else EXIT_INFEASIBLE

@@ -3,26 +3,21 @@
 A connected edge-colored multigraph has a properly colored Euler trail
 exactly when every vertex has even degree and no color occupies more
 than half of any vertex's incident edge ends. Extraction works through
-a transition system: a pairing of the edge ends at each vertex into
-distinctly colored pairs, which decomposes the edge set into closed
-properly colored trails that are then merged by cross re-pairing at
-shared vertices. The edge screen (``uncoverable_edge``) decides the
-weaker question the postman problem asks: whether some properly colored
-closed walk covers every edge, with edges traversed any number of times.
+a transition system: per vertex, a list of pairs of its edge ends with
+distinct colors. The pairing decomposes the edge set into closed
+properly colored trails; cross re-pairing at shared vertices merges
+them into one, and that one trail is walked once. The edge screen
+(``uncoverable_edge``) decides the weaker question the postman problem
+asks: whether some properly colored closed walk covers every edge, with
+edges traversed any number of times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .graph import (
-    ColoredMultigraph,
-    GraphError,
-    InvariantError,
-    PCWalk,
-    color_degrees,
-    is_connected,
-)
+from .graph import ColoredMultigraph, GraphError, InvariantError, PCWalk, is_connected
 
 
 @dataclass(frozen=True)
@@ -141,92 +136,41 @@ def _on_cycle(succ: list[list[int]]) -> list[bool]:
     return cyclic
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
-    """A perfect pairing of each vertex's edge ends into bicolored pairs."""
-
-    pairs: tuple[tuple[tuple[int, int], ...], ...]  # per vertex, pairs of edge ids
-
-    def partner_maps(self) -> list[dict[int, int]]:
-        maps: list[dict[int, int]] = []
-        for vertex_pairs in self.pairs:
-            m: dict[int, int] = {}
-            for a, b in vertex_pairs:
-                m[a] = b
-                m[b] = a
-            maps.append(m)
-        return maps
-
-
-def build_transition_system(g: ColoredMultigraph) -> TransitionSystem:
+def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]:
     """Pair the edge ends at every vertex so paired ends differ in color.
 
-    Requires every vertex even and balanced. Greedy per vertex: always
-    pair one end of the currently most frequent remaining color with one
-    end of the second most frequent; balancedness is preserved at each
-    step, so the greedy never gets stuck.
+    Returns, per vertex, its pairs of edge ids, each pair and each list
+    sorted. Every vertex must be even and balanced; that is the caller's
+    precondition (``check_pc_euler``), not checked here. Greedy per
+    vertex: pair the smallest edge id of the most frequent remaining
+    color with the smallest edge id of the second most frequent, ties
+    to the smaller color. Each step keeps the vertex balanced, so the
+    greedy never gets stuck.
     """
-    all_pairs: list[tuple[tuple[int, int], ...]] = []
+    pairs_at: list[list[tuple[int, int]]] = []
     for u in range(g.n):
-        d = g.degree(u)
-        counts = g.color_counts(u)
-        if d % 2 != 0 or any(2 * cnt > d for cnt in counts):
-            raise GraphError(f"vertex {u} is not even and balanced")
         buckets: dict[int, list[int]] = {}
         for eid, _, color, _ in g.incidence[u]:
             buckets.setdefault(color, []).append(eid)
-        for lst in buckets.values():
-            lst.sort(reverse=True)  # pop() yields the smallest id
+        heap: list[tuple[int, int]] = []
+        for color, ids in buckets.items():
+            ids.sort(reverse=True)  # pop() yields the smallest id
+            heap.append((-len(ids), color))
+        heapify(heap)
         pairs: list[tuple[int, int]] = []
-        for _ in range(d // 2):
-            first = max(buckets, key=lambda c: (len(buckets[c]), -c))
-            rest = [c for c in buckets if c != first and buckets[c]]
-            second = max(rest, key=lambda c: (len(buckets[c]), -c))
-            a = buckets[first].pop()
-            b = buckets[second].pop()
-            if not buckets[first]:
-                del buckets[first]
-            if not buckets[second]:
-                del buckets[second]
+        while heap:
+            first, c1 = heappop(heap)
+            second, c2 = heappop(heap)
+            a = buckets[c1].pop()
+            b = buckets[c2].pop()
             pairs.append((a, b) if a < b else (b, a))
-        all_pairs.append(tuple(sorted(pairs)))
-    return TransitionSystem(tuple(all_pairs))
-
-
-def _extract_trails(
-    g: ColoredMultigraph, partner: list[dict[int, int]]
-) -> list[tuple[list[int], list[int]]]:
-    """Decompose the edge set into the closed trails induced by the pairing.
-
-    Returns (vertex sequence, edge sequence) per trail; each trail is
-    properly colored including the wraparound pair because every adjacent
-    edge pair, wraparound included, is a transition of the pairing.
-    """
-    used = [False] * len(g.edges)
-    trails: list[tuple[list[int], list[int]]] = []
-    for start_eid in range(len(g.edges)):
-        if used[start_eid]:
-            continue
-        e0 = g.edges[start_eid]
-        sv = min(e0.u, e0.v)
-        verts = [sv, e0.other(sv)]
-        eids = [start_eid]
-        used[start_eid] = True
-        cur_v = verts[-1]
-        cur_e = start_eid
-        while True:
-            nxt = partner[cur_v][cur_e]
-            if nxt == start_eid:
-                if cur_v != sv:
-                    raise InvariantError("trail closed at the wrong vertex")
-                break
-            used[nxt] = True
-            eids.append(nxt)
-            cur_v = g.edges[nxt].other(cur_v)
-            verts.append(cur_v)
-            cur_e = nxt
-        trails.append((verts, eids))
-    return trails
+            if first < -1:
+                heappush(heap, (first + 1, c1))
+            if second < -1:
+                heappush(heap, (second + 1, c2))
+        pairs.sort()
+        pairs_at.append(pairs)
+    return pairs_at
 
 
 def _cross_repair(
@@ -247,10 +191,11 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
 
     The transition system decomposes the edges into closed properly
     colored trails; trails sharing a vertex are merged by cross
-    re-pairing until one remains. The result traverses each edge exactly
-    once and is proper including the wraparound pair. The trail is
-    rotated to start at its smallest vertex id with, among those
-    positions, the smallest departing edge id.
+    re-pairing until one remains, which is then walked once from edge 0.
+    The result traverses each edge exactly once and is proper including
+    the wraparound pair. The trail is rotated to start at its smallest
+    vertex id with, among those positions, the smallest departing edge
+    id.
     """
     if not g.edges:
         raise GraphError("trail extraction requires at least one edge")
@@ -259,12 +204,12 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
         where = "" if chk.vertex is None else f" at vertex {chk.vertex}"
         raise GraphError(f"graph has no properly colored Euler trail: {chk.reason}{where}")
 
-    ts = build_transition_system(g)
-    partner = ts.partner_maps()
+    m = len(g.edges)
+    pairs_at = build_transition_system(g)
 
     # union-find over edge ids: each set is the edge set of one closed
     # trail of the current pairing, starting from the transition pairs
-    parent = list(range(len(g.edges)))
+    parent = list(range(m))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -272,40 +217,38 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
             x = parent[x]
         return x
 
-    for vertex_pairs in ts.pairs:
-        for a, b in vertex_pairs:
+    for pairs in pairs_at:
+        for a, b in pairs:
             parent[find(b)] = find(a)
 
-    pairs_at: list[list[tuple[int, int]]] = [sorted(vp) for vp in ts.pairs]
-    for v in range(g.n):
-        local = pairs_at[v]
-        if len(local) < 2:
-            continue
-        base = local[0]
-        for idx in range(1, len(local)):
-            p = local[idx]
-            rb, rp = find(base[0]), find(p[0])
-            if rb == rp:
-                continue
-            new_base, new_p = _cross_repair(g, base, p)
-            for a, b in (new_base, new_p):
-                partner[v][a] = b
-                partner[v][b] = a
-            local[0] = new_base
-            local[idx] = new_p
-            parent[rp] = rb
-            base = new_base
+    # merge every trail through v into the one through v's first pair
+    partner: list[dict[int, int]] = []
+    for pairs in pairs_at:
+        for idx in range(1, len(pairs)):
+            rb, rp = find(pairs[0][0]), find(pairs[idx][0])
+            if rb != rp:
+                pairs[0], pairs[idx] = _cross_repair(g, pairs[0], pairs[idx])
+                parent[rp] = rb
+        at: dict[int, int] = {}
+        for a, b in pairs:
+            at[a] = b
+            at[b] = a
+        partner.append(at)
 
-    merged = _extract_trails(g, partner)
-    if len(merged) != 1:
+    cur_v = min(g.edges[0].u, g.edges[0].v)
+    verts, eids = [cur_v], []
+    cur_e = 0
+    for _ in range(m):
+        eids.append(cur_e)
+        cur_v = g.edges[cur_e].other(cur_v)
+        verts.append(cur_v)
+        cur_e = partner[cur_v][cur_e]
+        if cur_e == 0:
+            break
+    if cur_e != 0 or cur_v != verts[0] or len(eids) != m:
         raise InvariantError("pairing does not induce a single closed trail")
-    verts, eids = merged[0]
 
-    vmin = min(verts[:-1])
-    best = min(i for i, v in enumerate(verts[:-1]) if v == vmin)
-    for i, v in enumerate(verts[:-1]):
-        if v == vmin and eids[i] < eids[best]:
-            best = i
+    best = min(range(m), key=lambda i: (verts[i], eids[i]))
     verts = verts[best:-1] + verts[: best + 1]
     eids = eids[best:] + eids[:best]
 

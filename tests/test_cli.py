@@ -194,6 +194,23 @@ def test_solve_dump_aux_speaks_the_input_vertex_ids(tmp_path):
     assert owners and all(0 <= owner < g.n for owner in owners)
 
 
+def test_solve_dump_aux_into_a_missing_directory(tmp_path, capsys):
+    path = write(tmp_path, "house.ecg", HOUSE)
+    target = str(tmp_path / "no" / "such" / "dir.aux")
+    assert run_cli("solve", path, "--dump-aux", target) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"{target}:0: cannot write file: No such file or directory\n"
+    assert captured.out == ""
+
+
+def test_solve_dump_aux_onto_a_directory(tmp_path, capsys):
+    path = write(tmp_path, "house.ecg", HOUSE)
+    assert run_cli("solve", path, "--dump-aux", str(tmp_path)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"{tmp_path}:0: cannot write file: Is a directory\n"
+    assert captured.out == ""
+
+
 def test_solve_dump_aux_on_unbuildable_instance(tmp_path, capsys):
     # the document and exit code must survive even when there is no
     # auxiliary graph to dump

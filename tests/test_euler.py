@@ -1,4 +1,4 @@
-"""Trail feasibility, transition systems, extraction and verification."""
+"""Trail feasibility, transition pairings, extraction and verification."""
 
 import itertools
 
@@ -7,7 +7,14 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import mg, multigraphs
 
-from ecpostman import GraphError, PCWalk, check_pc_euler, pc_euler_trail, verify_pc_closed_walk
+from ecpostman import (
+    GraphError,
+    InvariantError,
+    PCWalk,
+    check_pc_euler,
+    pc_euler_trail,
+    verify_pc_closed_walk,
+)
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import build_transition_system, uncoverable_edge
 from ecpostman.graph import has_single_color_vertex
@@ -58,8 +65,8 @@ def test_balanced_even_vertex_contributes_no_violation():
 
 def test_transition_system_degree_two():
     g = mg(3, 3, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 3, 1)])
-    ts = build_transition_system(g)
-    assert ts.pairs[1] == ((0, 1),)
+    pairs_at = build_transition_system(g)
+    assert pairs_at[1] == [(0, 1)]
 
 
 def test_transition_system_1123():
@@ -69,9 +76,9 @@ def test_transition_system_1123():
         3,
         [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (0, 4, 3, 1), (1, 2, 2, 1), (3, 4, 1, 1)],
     )
-    ts = build_transition_system(g)
+    pairs_at = build_transition_system(g)
     colors = sorted(
-        tuple(sorted((g.edges[a].color, g.edges[b].color))) for a, b in ts.pairs[0]
+        tuple(sorted((g.edges[a].color, g.edges[b].color))) for a, b in pairs_at[0]
     )
     assert colors == [(1, 2), (1, 3)]
 
@@ -82,14 +89,58 @@ def test_transition_system_1212_never_pairs_same_color():
         3,
         [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 1, 1), (0, 4, 2, 1), (1, 2, 3, 1), (3, 4, 3, 1)],
     )
-    ts = build_transition_system(g)
-    for a, b in ts.pairs[0]:
+    pairs_at = build_transition_system(g)
+    for a, b in pairs_at[0]:
         assert g.edges[a].color != g.edges[b].color
 
 
-def test_transition_system_requires_balanced_even(single_color_path):
-    with pytest.raises(GraphError):
-        build_transition_system(single_color_path)
+def test_transition_system_requires_balanced_even():
+    # even everywhere, connected; vertex 2 carries colors {1, 1, 1, 3}.
+    # build_transition_system leaves this precondition to its caller, so
+    # the trail's own input check must name the vertex.
+    g = mg(
+        5,
+        3,
+        [(2, 0, 1, 1), (0, 1, 2, 1), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 2, 1), (4, 2, 3, 1)],
+    )
+    assert all(g.degree(u) % 2 == 0 for u in range(g.n))
+    with pytest.raises(GraphError, match="unbalanced at vertex 2$"):
+        pc_euler_trail(g)
+
+
+def greedy_pairs(g, u):
+    """The pairing rule at u written out: one end of the most frequent
+    remaining color (ties to the smaller color) with one end of the
+    second most frequent, the smallest remaining edge id of each."""
+    left = {}
+    for eid, _, color, _ in g.incidence[u]:
+        left.setdefault(color, []).append(eid)
+    pairs = []
+    while left:
+        first, second = sorted(left, key=lambda c: (-len(left[c]), c))[:2]
+        a, b = min(left[first]), min(left[second])
+        left[first].remove(a)
+        left[second].remove(b)
+        pairs.append((min(a, b), max(a, b)))
+        left = {c: ids for c, ids in left.items() if ids}
+    return sorted(pairs)
+
+
+def test_transition_pairs_follow_the_greedy_tie_rule():
+    tied = 0  # vertices where the second pick ties between two colors
+    for seed in range(150):
+        k = 2 + seed % 3
+        m = 6 + seed % 11
+        if k == 2 and m % 2:
+            m += 1
+        g = gen_random_trail_instance(3 + seed % 3, k, m, 3, seed)
+        pairs_at = build_transition_system(g)
+        assert len(pairs_at) == g.n
+        for u in range(g.n):
+            assert pairs_at[u] == greedy_pairs(g, u), (seed, u)
+            counts = sorted(g.color_counts(u), reverse=True) + [0]
+            tied += counts[1] > 0 and counts[1] == counts[2]
+    assert tied >= 100
 
 
 def test_trail_triangle(triangle):
@@ -117,6 +168,14 @@ def test_trail_alternating_four_cycle():
 def test_trail_requires_feasibility(single_color_path):
     with pytest.raises(GraphError, match="odd-degree at vertex 0"):
         pc_euler_trail(single_color_path)
+
+
+def test_trail_rejects_a_pairing_of_several_trails(bowtie, monkeypatch):
+    # with the cross re-pairing disabled, the bowtie's pairing at its hub
+    # leaves two closed trails; the walk from edge 0 must not pass
+    monkeypatch.setattr("ecpostman.euler._cross_repair", lambda g, p, q: (p, q))
+    with pytest.raises(InvariantError, match="single closed trail"):
+        pc_euler_trail(bowtie)
 
 
 def test_trail_starts_at_smallest_vertex_smallest_edge(bowtie):
