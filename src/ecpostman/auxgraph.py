@@ -42,7 +42,11 @@ the ``AuxEdge`` list is a view built on demand for dumps and tests.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
-tour.
+tour. The structure of every perfect matching follows from the vertex
+counts above; the solver checks only their consequence, that the
+duplicated graph is even and balanced (``pc_euler_trail``).
+``oracle.validate_matching_structure`` checks the counts themselves,
+for the tests.
 """
 
 from __future__ import annotations
@@ -87,9 +91,9 @@ class MatchingGraph:
     ``profiles[u]`` is the degree profile of u; a color-less vertex is a
     filler at a dominant owner and a parity vertex at a balanced one.
     ``canonical`` lists the edges as canonical (a, b, weight) triples,
-    a < b, in build order, and ``instance`` holds them sorted: since the
-    builders emit every pair once, that is the instance that
-    ``MatchingInstance.from_edges`` would make of them.
+    a < b, in build order, and ``instance`` holds them sorted, the
+    matcher's input: since the builders emit every pair once, that is
+    the instance that ``oracle.instance_from_edges`` would make of them.
     """
 
     g: ColoredMultigraph
@@ -100,10 +104,6 @@ class MatchingGraph:
     filler_indices: dict[int, Sequence[int]]
     profiles: list[DegreeProfile]
     instance: MatchingInstance
-
-    def as_matching_instance(self) -> MatchingInstance:
-        """The canonical instance (``matching``): walk edges keyed by signature."""
-        return self.instance
 
     def signature(self, a: int, b: int) -> tuple[int, int, int, int] | None | str:
         """Classify the vertex pair {a, b} from its two vertices.
@@ -205,55 +205,6 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             edges.extend((a, b, 0) for a, b in combinations(fill, 2))
             edges.extend((s, f, 0) for s in slots for f in fill)
     return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def validate_matching_structure(
-    mg: MatchingGraph, pairs: tuple[tuple[int, int], ...]
-) -> StructureReport:
-    """Check the structural properties every perfect matching must obey.
-
-    With affected(u) = number of u's slot vertices matched through
-    non-artificial edges: a vertex with dominant color i must have at
-    least 2*d_i(u) - d(u) affected slots and no (u, i) slots at all, and
-    affected(u) must match the parity of d(u). Every pair must be an
-    auxiliary edge (``MatchingGraph.signature``).
-    """
-    failures: list[str] = []
-    covered: set[int] = set()
-    affected = [0] * mg.g.n
-    for a, b in pairs:
-        sig = mg.signature(a, b)
-        if sig == NOT_AN_EDGE:
-            failures.append(f"matched pair ({a}, {b}) is not an edge")
-            continue
-        if a in covered or b in covered:
-            failures.append(f"vertex repeated in matching at pair ({a}, {b})")
-        covered.update((a, b))
-        if sig is not None:
-            affected[sig[0]] += 1
-            affected[sig[2]] += 1
-    if len(covered) != len(mg.vertices):
-        failures.append("matching is not perfect")
-
-    for u, prof in enumerate(mg.profiles):
-        if prof.dominant is not None:
-            needed = 2 * prof.count(prof.dominant) - prof.degree
-            if affected[u] < needed:
-                failures.append(f"vertex {u}: {affected[u]} affected slots, needs >= {needed}")
-            if mg.slot_indices.get((u, prof.dominant)):
-                failures.append(f"vertex {u}: dominant color has slot vertices")
-        if affected[u] % 2 != prof.degree % 2:
-            failures.append(
-                f"vertex {u}: affected count {affected[u]} has wrong parity "
-                f"for degree {prof.degree}"
-            )
-    return StructureReport(not failures, tuple(failures))
 
 
 def dump_matching_graph(mg: MatchingGraph) -> str:

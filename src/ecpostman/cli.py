@@ -25,7 +25,6 @@ from .graph import (
     PCWalk,
     color_degrees,
 )
-from .oracle import gen_random_instance, oracle_solve
 from .solver import Solution, solve_with_model
 
 EXIT_OK = 0
@@ -91,13 +90,19 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
     return ColoredMultigraph(header[0], header[1], edges)
 
 
-def load_instance(path: str) -> ColoredMultigraph:
+def read_text(path: str) -> str:
+    """The file's UTF-8 text; a ParseError at line 0 says why it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
-    return parse_instance_text(text, path)
+    except UnicodeDecodeError:
+        raise ParseError(path, 0, "cannot read file: not UTF-8 text") from None
+
+
+def load_instance(path: str) -> ColoredMultigraph:
+    return parse_instance_text(read_text(path), path)
 
 
 def format_result(g: ColoredMultigraph, sol: Solution) -> str:
@@ -237,9 +242,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = load_instance(args.instance)
-        with open(args.tour, "r", encoding="utf-8") as fh:
-            walk = parse_tour_text(fh.read(), g, args.tour)
-    except (ParseError, OSError) as exc:
+        walk = parse_tour_text(read_text(args.tour), g, args.tour)
+    except ParseError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
     report = verify_pc_closed_walk(g, walk)
@@ -253,6 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import oracle_solve  # reference code: loaded only for this command
+
     try:
         g = load_instance(args.instance)
     except ParseError as exc:
@@ -274,6 +280,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .oracle import gen_random_instance
+
     try:
         g = gen_random_instance(args.n, args.k, args.m, args.max_w, args.seed)
     except GraphError as exc:

@@ -6,9 +6,12 @@ algorithm) that keeps networkx's iteration orders and tie-breaks, so it
 returns the very matching networkx would. It runs in maximum-cardinality
 mode on reflected weights, so that the minimum-weight perfect matching
 drops out exactly; with integer weights every comparison is exact, and
-the dual certificate is checked on every call. The brute-force
-enumerator in ``oracle`` is the independent reference it is checked
-against, and the tests compare it pair for pair with networkx.
+the dual certificate is checked on every call.
+``min_weight_perfect_matching`` owns the check of the mate it gets
+back: symmetric, no vertex single, every pair an instance edge. The
+brute-force enumerator in ``oracle`` is the independent reference it
+is checked against, and the tests compare it pair for pair with
+networkx.
 
 A canonical instance makes the optimum independent of that order (the
 isolation lemma of Mulmuley, Vazirani and Vazirani, 1987): an edge of
@@ -23,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .blossom import SINGLE, max_weight_matching
-from .graph import GraphError, InvariantError
+from .graph import InvariantError
 
 TIE_BITS = 20
 
@@ -39,37 +42,20 @@ def tie_break(key: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class MatchingInstance:
-    """Normalized matching input: loops rejected, parallel edges collapsed.
+    """Normalized matching input: no loops, no parallel edges.
 
-    ``edges`` holds (u, v, weight) with u < v, sorted by endpoints, each
-    pair carrying the minimum weight seen for it: a true weight times
-    ``scale`` plus a tie term (1 and 0 unless the instance is canonical).
-    ``from_edges`` normalizes any edge list. The auxiliary-graph builders
-    make their instances directly, as the sorted tuple of their edges:
-    they emit every pair once, with u < v, in range and at a non-negative
-    weight, so that tuple is the one ``from_edges`` would return.
+    ``edges`` holds (u, v, weight) with u < v, sorted by endpoints, one
+    edge per vertex pair: a true weight times ``scale`` plus a tie term
+    (1 and 0 unless the instance is canonical). The auxiliary-graph
+    builders make their instances directly, as the sorted tuple of their
+    edges: they emit every pair once, with u < v, in range and at a
+    non-negative weight. ``oracle.instance_from_edges`` normalizes any
+    edge list, for the tests.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
     scale: int = 1
-
-    @classmethod
-    def from_edges(
-        cls, n: int, edges: list[tuple[int, int, int]] | tuple, scale: int = 1
-    ) -> "MatchingInstance":
-        best: dict[tuple[int, int], int] = {}
-        for u, v, w in edges:
-            if u == v:
-                raise GraphError("matching instances may not contain loops")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError("matching edge endpoint out of range")
-            if w < 0:
-                raise GraphError("matching weights must be non-negative")
-            key = (u, v) if u < v else (v, u)
-            if key not in best or w < best[key]:
-                best[key] = w
-        return cls(n, tuple((u, v, best[(u, v)]) for (u, v) in sorted(best)), scale)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Everything here exists to cross-check the main solver, the walk
 finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
 witness checker, a builder that turns a witness into a ``PCWalk``, an
-exhaustive perfect-matching search, the full slot/filler auxiliary
-model that the solver's live-slot model reduces, the normalization
+exhaustive perfect-matching search and the edge-list normalizer of
+matching instances, the full slot/filler auxiliary model that the
+solver's live-slot model reduces, the structural-lemma checker of a
+matching on either model, the normalization
 (simple graph, odd color count) that the full model needs and the
 reference pipeline built on it, the classic digraph encoding into two
 colors, a brute-force directed postman solver, and deterministic random
@@ -19,7 +21,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .auxgraph import MatchingGraph, SlotVertex, with_walk_edges
+from .auxgraph import NOT_AN_EDGE, MatchingGraph, SlotVertex, with_walk_edges
 from .euler import verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
@@ -218,6 +220,30 @@ def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PC
     )
 
 
+def instance_from_edges(
+    n: int, edges: list[tuple[int, int, int]] | tuple, scale: int = 1
+) -> MatchingInstance:
+    """Normalize any edge list into a ``MatchingInstance``.
+
+    Rejects loops, endpoints out of range and negative weights, and
+    keeps the minimum weight of each vertex pair (u, v), u < v, sorted
+    by endpoints. The auxiliary-graph builders make their instances
+    directly; this is the reference their sorted edge tuples must equal.
+    """
+    best: dict[tuple[int, int], int] = {}
+    for u, v, w in edges:
+        if u == v:
+            raise GraphError("matching instances may not contain loops")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError("matching edge endpoint out of range")
+        if w < 0:
+            raise GraphError("matching weights must be non-negative")
+        key = (u, v) if u < v else (v, u)
+        if key not in best or w < best[key]:
+            best[key] = w
+    return MatchingInstance(n, tuple((u, v, best[(u, v)]) for (u, v) in sorted(best)), scale)
+
+
 def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatching | None:
     """Exhaustive minimum over all perfect matchings; the test oracle.
 
@@ -339,6 +365,55 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
                 for f in fill:
                     edges.append((s, f, 0))
     return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    ok: bool
+    failures: tuple[str, ...]
+
+
+def validate_matching_structure(
+    mg: MatchingGraph, pairs: tuple[tuple[int, int], ...]
+) -> StructureReport:
+    """Check the structural properties every perfect matching must obey.
+
+    With affected(u) = number of u's slot vertices matched through
+    non-artificial edges: a vertex with dominant color i must have at
+    least 2*d_i(u) - d(u) affected slots and no (u, i) slots at all, and
+    affected(u) must match the parity of d(u). Every pair must be an
+    auxiliary edge (``MatchingGraph.signature``).
+    """
+    failures: list[str] = []
+    covered: set[int] = set()
+    affected = [0] * mg.g.n
+    for a, b in pairs:
+        sig = mg.signature(a, b)
+        if sig == NOT_AN_EDGE:
+            failures.append(f"matched pair ({a}, {b}) is not an edge")
+            continue
+        if a in covered or b in covered:
+            failures.append(f"vertex repeated in matching at pair ({a}, {b})")
+        covered.update((a, b))
+        if sig is not None:
+            affected[sig[0]] += 1
+            affected[sig[2]] += 1
+    if len(covered) != len(mg.vertices):
+        failures.append("matching is not perfect")
+
+    for u, prof in enumerate(mg.profiles):
+        if prof.dominant is not None:
+            needed = 2 * prof.count(prof.dominant) - prof.degree
+            if affected[u] < needed:
+                failures.append(f"vertex {u}: {affected[u]} affected slots, needs >= {needed}")
+            if mg.slot_indices.get((u, prof.dominant)):
+                failures.append(f"vertex {u}: dominant color has slot vertices")
+        if affected[u] % 2 != prof.degree % 2:
+            failures.append(
+                f"vertex {u}: affected count {affected[u]} has wrong parity "
+                f"for degree {prof.degree}"
+            )
+    return StructureReport(not failures, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,14 @@ input that passes it still goes through the blossom, whose failure to
 find a perfect matching would contradict the screen and is an internal
 error, so each criterion checks the other on every feasible solve.
 
+Each fact after the blossom is checked once, by its owner:
+``min_weight_perfect_matching`` that the mate is symmetric, perfect and
+made of instance edges; ``apply_matching`` that every pair is a model
+edge; ``pc_euler_trail`` (through ``check_pc_euler``) that the
+duplicated graph is even and balanced, naming the first vertex that is
+not; and ``verify_pc_closed_walk`` plus the weight identity that the
+answer is a covering properly colored closed walk of the stated weight.
+
 Where tours tie, the answer is canonical: a walk edge of weight w weighs
 w*B + t(signature) in the matching, t in [1, 2**20], B = (|V|/2)*2**20 + 1,
 which keeps the true optimum (``matching``) and breaks ties by signature.
@@ -25,16 +33,17 @@ matched signatures only; the matching weight sums the true weights.
 
 An input that is already connected with every vertex even and balanced
 has a properly colored Euler trail (Kotzig), which is optimal: it
-traverses every edge once. Such an input skips the walk tables, the
-auxiliary model and the matching; it goes straight to the trail with
-matching weight 0 and through the same verification.
+traverses every edge once, and no vertex of it sees a single color.
+Such an input skips the single-color and edge screens, the walk
+tables, the auxiliary model and the matching; it goes straight to the
+trail with matching weight 0 and through the same verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph, validate_matching_structure
+from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph
 from .euler import check_pc_euler, pc_euler_trail, uncoverable_edge, verify_pc_closed_walk
 from .graph import ColoredMultigraph, GraphError, InvariantError, PCWalk, has_single_color_vertex
 from .matching import min_weight_perfect_matching
@@ -122,30 +131,22 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
     chk = check_pc_euler(g)
     if chk.reason == "disconnected":
         return _infeasible(INFEASIBLE_DISCONNECTED), None
-    if has_single_color_vertex(g) is not None:
-        return _infeasible(INFEASIBLE_SINGLE_COLOR), None
-
-    if not chk.feasible and uncoverable_edge(g) is not None:
-        return _infeasible(INFEASIBLE_NO_MATCHING), None
-
     if chk.feasible:
-        # every vertex is already even and balanced: nothing to duplicate
+        # every vertex is already even and balanced (so none sees a single
+        # color): nothing to duplicate
         duplicated, origin, matching_weight = g, tuple(range(len(g.edges))), 0
         mg = None
     else:
+        if has_single_color_vertex(g) is not None:
+            return _infeasible(INFEASIBLE_SINGLE_COLOR), None
+        if uncoverable_edge(g) is not None:
+            return _infeasible(INFEASIBLE_NO_MATCHING), None
         mg = build_matching_graph(g)
-        matching = min_weight_perfect_matching(mg.as_matching_instance())
+        matching = min_weight_perfect_matching(mg.instance)
         if matching is None:
             raise InvariantError(
                 "no perfect matching although every edge lies on a PC closed walk"
             )
-
-        structure = validate_matching_structure(mg, matching.pairs)
-        if not structure.ok:
-            raise InvariantError(
-                "matching structure validation failed: " + "; ".join(structure.failures)
-            )
-
         duplicated, origin = apply_matching(g, mg, matching.pairs)
         matching_weight = matching.weight
     try:

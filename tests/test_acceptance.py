@@ -18,8 +18,8 @@ import pytest
 from conftest import mg, walk_addition_violation
 
 from ecpostman import GraphError, check_pc_euler, pc_euler_trail, solve, verify_pc_closed_walk
-from ecpostman.auxgraph import build_matching_graph, validate_matching_structure
-from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
+from ecpostman.auxgraph import build_matching_graph
+from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
     directed_cpp_brute_force,
@@ -27,8 +27,10 @@ from ecpostman.oracle import (
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
+    instance_from_edges,
     oracle_solve,
     pc_walk_minima,
+    validate_matching_structure,
     walk_from_edges,
 )
 from ecpostman.pcwalks import ShortestWalkFinder
@@ -155,7 +157,7 @@ def end_to_end_records():
             rec["walk_ok"] = verify_pc_closed_walk(g, sol.walk).ok
 
             aux = build_matching_graph(g)  # the model solve builds
-            matching = min_weight_perfect_matching(aux.as_matching_instance())
+            matching = min_weight_perfect_matching(aux.instance)
             rec["structure_ok"] = (
                 matching is not None
                 and validate_matching_structure(aux, matching.pairs).ok
@@ -218,7 +220,7 @@ def test_criterion_5_matching_exactness():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rng.shuffle(pairs)
         edges = [(u, v, rng.randint(0, 9)) for u, v in pairs[: rng.randint(0, len(pairs))]]
-        instance = MatchingInstance.from_edges(n, edges)
+        instance = instance_from_edges(n, edges)
         fast = min_weight_perfect_matching(instance)
         slow = brute_force_matching(instance)
         if (fast is None) != (slow is None) or (fast and fast.weight != slow.weight):

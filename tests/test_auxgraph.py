@@ -13,18 +13,19 @@ from ecpostman.auxgraph import (
     NOT_AN_EDGE,
     build_matching_graph,
     dump_matching_graph,
-    validate_matching_structure,
 )
 from ecpostman.cli import format_result
 from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex
-from ecpostman.matching import TIE_BITS, MatchingInstance, min_weight_perfect_matching, tie_break
+from ecpostman.matching import TIE_BITS, min_weight_perfect_matching, tie_break
 from ecpostman.oracle import (
     build_full_matching_graph,
     check_walk_witness,
     color_deficiency,
     gen_random_instance,
+    instance_from_edges,
     normalize,
     reference_solve,
+    validate_matching_structure,
 )
 from ecpostman.pcwalks import ShortestWalkFinder
 
@@ -263,13 +264,13 @@ def test_live_class_sizes_with_even_k_and_parallel_edges():
     assert len(aux.filler_indices[3]) == 5
     assert len(owner_slots(aux, 3)) == (3 - 1) * 5 - 2 * (5 - 3) == 6
     assert validate_matching_structure(
-        aux, min_weight_perfect_matching(aux.as_matching_instance()).pairs
+        aux, min_weight_perfect_matching(aux.instance).pairs
     ).ok
 
 
 def test_all_artificial_matching_passes_validator(triangle):
     aux = build_matching_graph(triangle)
-    matching = min_weight_perfect_matching(aux.as_matching_instance())
+    matching = min_weight_perfect_matching(aux.instance)
     assert matching is not None and matching.weight == 0
     for pair in matching.pairs:
         assert aux.edge_by_pair[pair].artificial
@@ -279,7 +280,7 @@ def test_all_artificial_matching_passes_validator(triangle):
 def test_validator_flags_broken_matchings(house):
     gn, _ = normalize(house)
     aux = build_matching_graph(gn)
-    matching = min_weight_perfect_matching(aux.as_matching_instance())
+    matching = min_weight_perfect_matching(aux.instance)
     assert matching is not None
     assert validate_matching_structure(aux, matching.pairs).ok
     # dropping one pair leaves slots uncovered and breaks parity bookkeeping
@@ -339,7 +340,7 @@ def test_completion_by_artificial_edges():
             continue
         for h in (g, normalize(g)[0]):  # the solver's model, and the reference's
             aux = build_matching_graph(h)
-            matching = min_weight_perfect_matching(aux.as_matching_instance())
+            matching = min_weight_perfect_matching(aux.instance)
             if matching is None:
                 continue
             walk_pairs = tuple(p for p in matching.pairs if not aux.edge_by_pair[p].artificial)
@@ -366,7 +367,7 @@ def assert_live_and_full_agree(g):
     """
     gn, _ = normalize(g)
     models = (build_matching_graph(gn), build_full_matching_graph(gn))
-    found = [min_weight_perfect_matching(aux.as_matching_instance()) for aux in models]
+    found = [min_weight_perfect_matching(aux.instance) for aux in models]
     assert (found[0] is None) == (found[1] is None)
     if found[0] is not None:
         assert found[0].weight == found[1].weight
@@ -401,7 +402,7 @@ def assert_instance_matches_edges_view(aux):
         (e.a, e.b, e.weight * scale + tie_break(e.signature) if e.signature else 0)
         for e in aux.edges
     ]
-    assert aux.as_matching_instance() == MatchingInstance.from_edges(n, weighted, scale)
+    assert aux.instance == instance_from_edges(n, weighted, scale)
     kinds = {(e.a, e.b): e.signature for e in aux.edges}
     for a in range(n):
         assert aux.signature(a, a) == NOT_AN_EDGE

@@ -222,6 +222,37 @@ def test_solve_dump_aux_on_unbuildable_instance(tmp_path, capsys):
     assert not os.path.exists(path + ".aux")
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["check"], ["oracle"], ["verify", "-"]])
+def test_instance_that_is_not_utf8_is_a_read_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.ecg"
+    path.write_bytes(TRIANGLE.encode() + b"# \xff\n")
+    command, *rest = argv
+    assert run_cli(command, str(path), *rest) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:0: cannot read file: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "name,why",
+    [
+        ("missing.tour", "No such file or directory"),
+        (".", "Is a directory"),
+        ("bytes.tour", "not UTF-8 text"),
+    ],
+    ids=["missing", "directory", "bytes"],
+)
+def test_verify_unreadable_tour_is_a_read_error(tmp_path, capsys, name, why):
+    inst = write(tmp_path, "tri.ecg", TRIANGLE)
+    tour = tmp_path / name
+    if name == "bytes.tour":
+        tour.write_bytes(b"1 1 2 2 3 3 1 \xff\n")
+    assert run_cli("verify", inst, str(tour)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{tour}:0: cannot read file: {why}\n"
+
+
 def test_verify_rejects_tourless_document(tmp_path, capsys):
     inst = write(tmp_path, "bad.ecg", SINGLE_COLOR)
     assert run_cli("solve", inst) == EXIT_INFEASIBLE
@@ -382,11 +413,12 @@ def test_byte_identical_across_processes(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_solving_does_not_import_networkx(tmp_path):
+def test_solving_imports_neither_networkx_nor_the_oracle(tmp_path):
     inst = write(tmp_path, "house.ecg", HOUSE)
     code = (
         "import sys; from ecpostman.cli import main; rc = main(['solve', sys.argv[1]]); "
-        "print('networkx' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        "print('networkx' in sys.modules, 'ecpostman.oracle' in sys.modules, file=sys.stderr); "
+        "sys.exit(rc)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, inst],
@@ -396,4 +428,4 @@ def test_solving_does_not_import_networkx(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "total_weight 11" in proc.stdout
-    assert proc.stderr == "False\n"
+    assert proc.stderr == "False False\n"

@@ -30,6 +30,7 @@ from ecpostman.oracle import (
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
+    instance_from_edges,
     reference_solve,
 )
 from ecpostman.solver import solve
@@ -147,7 +148,7 @@ def permuted_matcher(seed: int):
         order = list(range(inst.n))
         random.Random(seed).shuffle(order)
         back = {new: old for old, new in enumerate(order)}
-        moved = MatchingInstance.from_edges(
+        moved = instance_from_edges(
             inst.n, [(order[u], order[v], w) for u, v, w in inst.edges], inst.scale
         )
         found = min_weight_perfect_matching(moved)

@@ -282,5 +282,5 @@ def test_edge_screen_agrees_with_the_blossom(g):
     assume(not check_pc_euler(g).feasible)
     for h in (g, normalize(g)[0]):  # the solver's model, and the reference's
         aux = build_matching_graph(h)
-        matching = min_weight_perfect_matching(aux.as_matching_instance())
+        matching = min_weight_perfect_matching(aux.instance)
         assert (uncoverable_edge(g) is None) == (matching is not None)

@@ -17,17 +17,18 @@ from ecpostman import blossom, solver
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.blossom import SINGLE, max_weight_matching
 from ecpostman.graph import has_single_color_vertex
-from ecpostman.matching import MatchingInstance, min_weight_perfect_matching
+from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,
+    instance_from_edges,
 )
 
 
 def inst(n, edges):
-    return MatchingInstance.from_edges(n, edges)
+    return instance_from_edges(n, edges)
 
 
 def test_four_cycle():
@@ -344,7 +345,7 @@ def test_matcher_leaves_no_garbage_cycles():
     """Each call frees its state on return; none waits for the cyclic collector."""
     for seed in (48, 323, 430):
         aux = build_matching_graph(gen_random_instance(10, 3, 16, 9, seed))
-        inst = aux.as_matching_instance()
+        inst = aux.instance
         gc.collect()
         assert min_weight_perfect_matching(inst) is not None
         assert gc.collect() == 0

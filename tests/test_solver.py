@@ -19,7 +19,7 @@ from ecpostman import (
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
 from ecpostman.graph import has_single_color_vertex
-from ecpostman.matching import min_weight_perfect_matching
+from ecpostman.matching import PerfectMatching, min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
     gen_random_digraph,
@@ -93,6 +93,7 @@ def test_eulerian_input_needs_no_model(triangle, bowtie, house, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the model path ran on an already-Eulerian input")
 
+    monkeypatch.setattr("ecpostman.solver.has_single_color_vertex", unreachable)
     monkeypatch.setattr("ecpostman.solver.build_matching_graph", unreachable)
     monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", unreachable)
     for g in (triangle, bowtie, parallel):
@@ -158,7 +159,7 @@ def test_eulerian_route_matches_the_model_route():
     for seed in range(20):
         g = gen_random_trail_instance(12, 3, 24, 9, seed)
         aux = build_matching_graph(g)
-        matching = min_weight_perfect_matching(aux.as_matching_instance())
+        matching = min_weight_perfect_matching(aux.instance)
         assert matching.weight == 0
         assert all(aux.edge_by_pair[p].artificial for p in matching.pairs)
         assert solve(g).walk == pc_euler_trail(g)
@@ -180,7 +181,7 @@ def test_eulerian_input_with_free_edges_is_traversed_once():
 
 def test_all_artificial_matching_keeps_graph(triangle):
     aux = build_matching_graph(triangle)
-    matching = min_weight_perfect_matching(aux.as_matching_instance())
+    matching = min_weight_perfect_matching(aux.instance)
     g2, origin = apply_matching(triangle, aux, matching.pairs)
     assert len(g2.edges) == len(triangle.edges)
     assert origin == tuple(range(len(triangle.edges)))
@@ -188,7 +189,7 @@ def test_all_artificial_matching_keeps_graph(triangle):
 
 def test_apply_matching_duplicates_witness_edges(house):
     aux = build_matching_graph(house)
-    matching = min_weight_perfect_matching(aux.as_matching_instance())
+    matching = min_weight_perfect_matching(aux.instance)
     g2, origin = apply_matching(house, aux, matching.pairs)
     added = len(g2.edges) - len(house.edges)
     expected = sum(
@@ -204,7 +205,7 @@ def test_apply_matching_duplicates_witness_edges(house):
 
 def test_duplication_degree_effects(house):
     aux = build_matching_graph(house)
-    matching = min_weight_perfect_matching(aux.as_matching_instance())
+    matching = min_weight_perfect_matching(aux.instance)
     current = house
     for pair in sorted(matching.pairs):
         edge = aux.edge_by_pair[pair]
@@ -217,11 +218,22 @@ def test_duplication_degree_effects(house):
 
 
 def test_lost_trail_feasibility_is_an_invariant_error(house, monkeypatch):
+    """The trail's even/balanced check owns the structure of the duplicated graph."""
+
     def no_duplication(g, mg, pairs):
         return g, tuple(range(len(g.edges)))
 
-    monkeypatch.setattr("ecpostman.solver.apply_matching", no_duplication)
-    with pytest.raises(InvariantError, match="odd-degree at vertex 1"):
+    with monkeypatch.context() as patch:
+        patch.setattr("ecpostman.solver.apply_matching", no_duplication)
+        with pytest.raises(InvariantError, match="odd-degree at vertex 1"):
+            solve(house)
+    # the optimum minus one walk pair: only the trail check sees the fault
+    aux = build_matching_graph(house)
+    best = min_weight_perfect_matching(aux.instance)
+    dropped = next(p for p in best.pairs if not aux.edge_by_pair[p].artificial)
+    short = PerfectMatching(tuple(p for p in best.pairs if p != dropped), best.weight)
+    monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", lambda inst: short)
+    with pytest.raises(InvariantError, match="lost trail feasibility: .*odd-degree at vertex 1"):
         solve(house)
 
 
