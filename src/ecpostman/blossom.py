@@ -4,11 +4,18 @@ This is a port of ``max_weight_matching(G, maxcardinality=True)`` from
 networkx 3.6.1 (``networkx/algorithms/matching.py``), which follows
 Galil's primal-dual formulation ("Efficient Algorithms for Finding
 Maximum Matching in Graphs", ACM Computing Surveys, 1986) of Edmonds'
-blossom method. It keeps networkx's control flow, every iteration order
-and every strict ``<`` tie-break, so on the graph that ``networkx.Graph``
-builds from the same vertices ``0..n-1`` and the same edge list it
-returns the same matching, not merely one of equal weight. What changed
-is the representation and some bookkeeping:
+blossom method. It keeps networkx's control flow and its strict ``<``
+tie-breaks, but it does not start from the empty matching: it starts
+from a greedy matching of the edges that have zero slack under the
+initial duals, so where optima tie it may return a different one of
+the same cardinality and weight. The start is a state that every stage
+of the method assumes: all vertex duals equal maxweight, so every edge
+has non-negative slack and an edge of weight maxweight has slack zero;
+every matched edge is such an edge, so it is tight; and no blossom
+exists yet. The dual certificate that :func:`verify_optimum` checks on
+every call then proves the result optimal, as it would from the empty
+matching. Otherwise, what changed is the representation and some
+bookkeeping:
 
 * vertices are ``0..n-1``; blossoms get the ids ``n, n+1, ...`` in
   creation order and an id is never reused, so per-blossom state lives in
@@ -99,16 +106,19 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
     """
     if not n:
         return []
+    maxweight = max(0, max((wt for _, _, wt in edges), default=0))
+
+    # mate[v] is v's partner, or SINGLE; updated during augmentation. It
+    # starts as a greedy matching of the edges of zero slack under the
+    # initial duals, which are those of weight maxweight.
+    mate = [SINGLE] * n
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    maxweight = 0
     for i, j, wt in edges:
-        if wt > maxweight:
-            maxweight = wt
         adj[i].append((i, j, 2 * wt))
         adj[j].append((j, i, 2 * wt))
-
-    # mate[v] is v's partner, or SINGLE; updated during augmentation.
-    mate = [SINGLE] * n
+        if wt == maxweight and mate[i] == SINGLE and mate[j] == SINGLE:
+            mate[i] = j
+            mate[j] = i
 
     # Per id (vertex or blossom), valid for vertices and live blossoms:
     # label[b] is 0 (free), 1 (S) or 2 (T) for a top-level blossom b; a
@@ -150,7 +160,7 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
 
     # The single vertices in ascending order. An augmentation matches the
     # two it connects, and a matched vertex never becomes single again.
-    singles = list(range(n))
+    singles = [v for v in range(n) if mate[v] == SINGLE]
 
     def leaves(b: int) -> list[int]:
         """The leaf vertices of blossom b, in networkx's stack order."""

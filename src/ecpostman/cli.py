@@ -37,6 +37,19 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+def ascii_ints(fields: list[str]) -> list[int]:
+    """``int`` of each field; ValueError unless each is a sign and ASCII digits.
+
+    ``int`` alone also reads digit separators ('1_0' is 10) and non-ASCII
+    digits. On ASCII text without '_', and without whitespace, as fields
+    split on whitespace are, it reads exactly an optional sign and digits.
+    """
+    joined = "".join(fields)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError(f"not all integers: {fields!r}")
+    return [int(f) for f in fields]
+
+
 def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
     """Parse an instance file; raises ParseError with line numbers."""
     header: tuple[int, int, int] | None = None
@@ -51,7 +64,7 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
             if fields[0] != "ecg" or len(fields) != 4:
                 raise ParseError(path, line_no, "expected header 'ecg <n> <k> <m>'")
             try:
-                n, k, m = (int(f) for f in fields[1:])
+                n, k, m = ascii_ints(fields[1:])
             except ValueError:
                 raise ParseError(path, line_no, "header fields must be integers") from None
             if n < 2:
@@ -69,7 +82,7 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
         if len(fields) != 4:
             raise ParseError(path, line_no, "expected '<u> <v> <color> <weight>'")
         try:
-            u, v, color, weight = (int(f) for f in fields)
+            u, v, color, weight = ascii_ints(fields)
         except ValueError:
             raise ParseError(path, line_no, "edge fields must be integers") from None
         if not (1 <= u <= n and 1 <= v <= n):
@@ -157,7 +170,7 @@ def parse_tour_text(text: str, g: ColoredMultigraph, path: str = "<tour>") -> PC
 
     def vertex(tok: str, line_no: int) -> int:
         try:
-            val = int(tok)
+            val = ascii_ints([tok])[0]
         except ValueError:
             raise ParseError(path, line_no, f"bad vertex token {tok!r}") from None
         if not (1 <= val <= g.n):
@@ -167,8 +180,8 @@ def parse_tour_text(text: str, g: ColoredMultigraph, path: str = "<tour>") -> PC
     def edge(tok: str, line_no: int) -> int:
         body, colon, suffix = tok.removeprefix("e").partition(":")
         try:
-            val = int(body)
-            color = int(suffix) if colon else None
+            val = ascii_ints([body])[0]
+            color = ascii_ints([suffix])[0] if colon else None
         except ValueError:
             raise ParseError(path, line_no, f"bad edge token {tok!r}") from None
         if not (1 <= val <= len(g.edges)):

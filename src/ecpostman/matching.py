@@ -2,17 +2,17 @@
 
 The matcher is ``blossom.max_weight_matching``, an in-repo port of
 networkx's blossom implementation (Galil's primal-dual form of Edmonds'
-algorithm) that keeps networkx's iteration orders and tie-breaks, so it
-returns the very matching networkx would. It runs in maximum-cardinality
-mode on reflected weights, so that the minimum-weight perfect matching
-drops out exactly; with integer weights every comparison is exact, and
-the dual certificate is checked on every call.
-``min_weight_perfect_matching`` owns the check of the mate it gets
-back: symmetric, no vertex single, every pair an instance edge. The
-brute-force enumerator in ``oracle`` is the independent reference it
-is checked against, and the tests compare it pair for pair with
-networkx.
+algorithm) warm-started from a greedy matching of its tight edges. It
+runs in maximum-cardinality mode on reflected weights, so that the
+minimum-weight perfect matching drops out exactly; with integer weights
+every comparison is exact, and the dual certificate is checked on every
+call. ``min_weight_perfect_matching`` owns the check of the mate it
+gets back: symmetric, no vertex single, every pair an instance edge.
+The brute-force enumerator in ``oracle`` is the independent reference
+it is checked against, and the tests compare its weight with
+networkx's, and its pairs wherever the optimum is unique.
 
+Which of several optima the matcher returns depends on its scan order.
 A canonical instance makes the optimum independent of that order (the
 isolation lemma of Mulmuley, Vazirani and Vazirani, 1987): an edge of
 weight w and key s weighs w*B + tie_break(s), B = (n/2)*2**20 + 1. The

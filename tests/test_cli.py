@@ -61,6 +61,13 @@ def test_parse_accepts_comments_and_blanks():
         ("ecg 3 3 1\n1 2 1 -2\n", "non-negative"),
         ("ecg 3 3 2\n1 2 1 1\n", "expected 2 edge lines"),
         ("ecg 3 3 1\n1 2 1 1\n2 3 1 1\n", "more than"),
+        # int() alone reads digit separators and non-ASCII digits
+        ("ecg 3 3 1\n1 2 1 1_0\n", ":2: edge fields must be integers"),
+        ("ecg 3 3 1\n1 2 1 \u0663\n", ":2: edge fields must be integers"),
+        ("ecg 3 3 1\n1 2 1 -1_0\n", ":2: edge fields must be integers"),
+        ("ecg \uff13 3 3\n", ":1: header fields must be integers"),
+        ("ecg 3 3 1_0\n", ":1: header fields must be integers"),
+        ("ecg 3 3 1\n1 2 1 --1\n", ":2: edge fields must be integers"),
     ],
 )
 def test_parse_errors_have_line_numbers(text, fragment):
@@ -68,6 +75,27 @@ def test_parse_errors_have_line_numbers(text, fragment):
         parse_instance_text(text, "inst.ecg")
     assert "inst.ecg:" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_parse_accepts_signed_ascii_integers():
+    g = parse_instance_text("ecg +2 1 +1\n+1 2 01 +0\n")
+    assert (g.n, g.k, len(g.edges), g.edges[0].weight) == (2, 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "tour,message",
+    [
+        ("1 e1_0 2 2 3 3 1", "bad edge token 'e1_0'"),
+        ("1 1_0 2 2 3 3 1", "bad edge token '1_0'"),
+        ("1 e1:1_0 2 2 3 3 1", "bad edge token 'e1:1_0'"),
+        ("1 e1:\u0661 2 2 3 3 1", "bad edge token 'e1:\u0661'"),
+        ("1 1 2 2 3 3 \u0661", "bad vertex token '\u0661'"),
+        ("1 1 2 2 3 3 0_1", "bad vertex token '0_1'"),
+    ],
+)
+def test_tour_tokens_are_ascii_integers(tour, message):
+    with pytest.raises(ParseError, match=message):
+        parse_tour_text(tour, parse_instance_text(TRIANGLE), "tri.tour")
 
 
 def test_solve_triangle(tmp_path, capsys):
