@@ -55,6 +55,9 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
     header: tuple[int, int, int] | None = None
     edges: list[tuple[int, int, int, int]] = []
     header_line = 0
+    # on ASCII text without '_', plain int reads every field as ascii_ints
+    # would, so the per-line test runs only when this one fails
+    plain = text.isascii() and "_" not in text
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -64,7 +67,7 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
             if fields[0] != "ecg" or len(fields) != 4:
                 raise ParseError(path, line_no, "expected header 'ecg <n> <k> <m>'")
             try:
-                n, k, m = ascii_ints(fields[1:])
+                n, k, m = map(int, fields[1:]) if plain else ascii_ints(fields[1:])
             except ValueError:
                 raise ParseError(path, line_no, "header fields must be integers") from None
             if n < 2:
@@ -82,7 +85,7 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
         if len(fields) != 4:
             raise ParseError(path, line_no, "expected '<u> <v> <color> <weight>'")
         try:
-            u, v, color, weight = ascii_ints(fields)
+            u, v, color, weight = map(int, fields) if plain else ascii_ints(fields)
         except ValueError:
             raise ParseError(path, line_no, "edge fields must be integers") from None
         if not (1 <= u <= n and 1 <= v <= n):

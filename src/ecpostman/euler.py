@@ -38,11 +38,11 @@ def check_pc_euler(g: ColoredMultigraph) -> EulerCheck:
         raise GraphError("feasibility is undefined on the empty graph")
     if not is_connected(g):
         return EulerCheck(False, "disconnected", None)
-    for u in range(g.n):
-        d = g.degree(u)
+    for u, (ends, counts) in enumerate(zip(g.incidence, g._color_counts)):
+        d = len(ends)
         if d % 2 != 0:
             return EulerCheck(False, "odd-degree", u)
-        if any(2 * cnt > d for cnt in g.color_counts(u)):
+        if 2 * max(counts, default=0) > d:
             return EulerCheck(False, "unbalanced", u)
     return EulerCheck(True)
 
@@ -148,14 +148,20 @@ def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]
     greedy never gets stuck.
     """
     pairs_at: list[list[tuple[int, int]]] = []
-    for u in range(g.n):
+    for ends in g.incidence:
+        if len(ends) == 2:  # two colors, one pair; the list is ascending
+            pairs_at.append([(ends[0][0], ends[1][0])])
+            continue
+        # incidence lists ascend by edge id, so walking one backwards
+        # leaves every bucket descending and pop() yields its smallest id
         buckets: dict[int, list[int]] = {}
-        for eid, _, color, _ in g.incidence[u]:
-            buckets.setdefault(color, []).append(eid)
-        heap: list[tuple[int, int]] = []
-        for color, ids in buckets.items():
-            ids.sort(reverse=True)  # pop() yields the smallest id
-            heap.append((-len(ids), color))
+        for eid, _, color, _ in reversed(ends):
+            bucket = buckets.get(color)
+            if bucket is None:
+                buckets[color] = [eid]
+            else:
+                bucket.append(eid)
+        heap = [(-len(ids), color) for color, ids in buckets.items()]
         heapify(heap)
         pairs: list[tuple[int, int]] = []
         while heap:
@@ -235,12 +241,16 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
             at[b] = a
         partner.append(at)
 
-    cur_v = min(g.edges[0].u, g.edges[0].v)
+    edges = g.edges
+    cur_v = min(edges[0].u, edges[0].v)
     verts, eids = [cur_v], []
     cur_e = 0
+    weight = 0
     for _ in range(m):
         eids.append(cur_e)
-        cur_v = g.edges[cur_e].other(cur_v)
+        e = edges[cur_e]
+        cur_v = e.v if e.u == cur_v else e.u
+        weight += e.weight
         verts.append(cur_v)
         cur_e = partner[cur_v][cur_e]
         if cur_e == 0:
@@ -257,7 +267,7 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
         edges=tuple(eids),
         first_color=g.edges[eids[0]].color,
         last_color=g.edges[eids[-1]].color,
-        weight=sum(g.edges[eid].weight for eid in eids),
+        weight=weight,
     )
 
 
@@ -288,20 +298,23 @@ def verify_pc_closed_walk(g: ColoredMultigraph, walk: PCWalk) -> WalkReport:
         return fail("walk has no edges")
     if walk.vertices[0] != walk.vertices[-1]:
         return fail("walk is not closed")
+    edges = g.edges
+    m = len(edges)
     total = 0
     prev_color = None
     cur = walk.vertices[0]
     for eid, nxt in zip(walk.edges, walk.vertices[1:]):
-        if not (0 <= eid < len(g.edges)):
+        if not (0 <= eid < m):
             return fail(f"unknown edge id {eid}")
-        e = g.edges[eid]
-        if {e.u, e.v} != {cur, nxt}:
+        e = edges[eid]
+        u, v, color = e.u, e.v, e.color
+        if not ((u == cur and v == nxt) or (v == cur and u == nxt)):
             return fail(f"edge {eid} does not join {cur} and {nxt}")
-        if prev_color is not None and e.color == prev_color:
-            return fail(f"consecutive edges share color {e.color}")
+        if color == prev_color:
+            return fail(f"consecutive edges share color {color}")
         counts[eid] += 1
         total += e.weight
-        prev_color = e.color
+        prev_color = color
         cur = nxt
     first = g.edges[walk.edges[0]]
     last = g.edges[walk.edges[-1]]

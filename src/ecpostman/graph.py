@@ -4,12 +4,19 @@ Vertices are dense integers 0..n-1, colors are 1..k, weights are
 non-negative integers, so every weight comparison and sum is exact.
 Parallel edges are allowed, loops are not. Graphs are immutable after
 construction; every operation is a pure query or returns a new graph.
+
+An ``Edge`` is a named tuple ``(eid, u, v, color, weight)``: it reads by
+attribute, unpacks, and compares equal to the plain tuple of its fields.
+The constructor validates each row once, with one combined test per row;
+only a failing row is examined field by field for its message.
+``with_copies`` derives a graph from rows of an existing one and does
+not validate again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -20,8 +27,7 @@ class InvariantError(RuntimeError):
     """Internal consistency failure; indicates a bug in the solver pipeline."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     eid: int
     u: int
     v: int
@@ -39,6 +45,28 @@ class Edge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
+# builds an Edge from a ready tuple without NamedTuple's argument parsing
+_new_tuple = tuple.__new__
+
+
+def _check_row(eid: int, n: int, k: int, u, v, color, weight) -> None:
+    """Raise the GraphError of a row's first fault; return if it has none.
+
+    The faults are tested in a fixed order: endpoint, loop, color, weight
+    type (an ``int`` subclass passes, ``bool`` does not), negative weight.
+    """
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge {eid}: endpoint out of range")
+    if u == v:
+        raise GraphError(f"edge {eid}: loops are not allowed")
+    if not (1 <= color <= k):
+        raise GraphError(f"edge {eid}: color {color} not in 1..{k}")
+    if isinstance(weight, bool) or not isinstance(weight, int):
+        raise GraphError(f"edge {eid}: weight {weight!r} is not an integer")
+    if weight < 0:
+        raise GraphError(f"edge {eid}: negative weight")
+
+
 class ColoredMultigraph:
     """Immutable edge-colored weighted multigraph.
 
@@ -47,6 +75,10 @@ class ColoredMultigraph:
         k: number of colors (ids 1..k; not every color needs to be used).
         edges: iterable of (u, v, color, weight) tuples with non-negative
             integer weights; edge ids are assigned densely in input order.
+
+    ``incidence[u]`` holds one ``(eid, other end, color, weight)`` entry per
+    edge end at u, ascending by edge id; ``build_transition_system``
+    relies on that order.
     """
 
     __slots__ = ("n", "k", "edges", "incidence", "_color_counts")
@@ -60,17 +92,12 @@ class ColoredMultigraph:
         incidence: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         counts = [[0] * k for _ in range(n)]
         for eid, (u, v, color, weight) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {eid}: endpoint out of range")
-            if u == v:
-                raise GraphError(f"edge {eid}: loops are not allowed")
-            if not (1 <= color <= k):
-                raise GraphError(f"edge {eid}: color {color} not in 1..{k}")
-            if isinstance(weight, bool) or not isinstance(weight, int):
-                raise GraphError(f"edge {eid}: weight {weight!r} is not an integer")
-            if weight < 0:
-                raise GraphError(f"edge {eid}: negative weight")
-            built.append(Edge(eid, u, v, color, weight))
+            if not (
+                0 <= u < n and 0 <= v < n and u != v and 1 <= color <= k
+                and type(weight) is int and weight >= 0
+            ):
+                _check_row(eid, n, k, u, v, color, weight)
+            built.append(_new_tuple(Edge, (eid, u, v, color, weight)))
             incidence[u].append((eid, v, color, weight))
             incidence[v].append((eid, u, color, weight))
             counts[u][color - 1] += 1
@@ -80,6 +107,34 @@ class ColoredMultigraph:
             tuple(lst) for lst in incidence
         )
         self._color_counts = tuple(tuple(c) for c in counts)
+
+    def with_copies(self, eids: Iterable[int]) -> ColoredMultigraph:
+        """This graph plus one copy of each listed edge id, in list order.
+
+        Copy i gets edge id m + i. Every row comes from this graph, which
+        validated it, so nothing is validated again; incidence lists and
+        color counts are extended, not rebuilt.
+        """
+        edges = list(self.edges)
+        incidence = [list(lst) for lst in self.incidence]
+        counts = [list(c) for c in self._color_counts]
+        source = self.edges
+        eid = len(edges)
+        for src in eids:
+            _, u, v, color, weight = source[src]
+            edges.append(_new_tuple(Edge, (eid, u, v, color, weight)))
+            incidence[u].append((eid, v, color, weight))
+            incidence[v].append((eid, u, color, weight))
+            counts[u][color - 1] += 1
+            counts[v][color - 1] += 1
+            eid += 1
+        g = ColoredMultigraph.__new__(ColoredMultigraph)
+        g.n = self.n
+        g.k = self.k
+        g.edges = tuple(edges)
+        g.incidence = tuple(tuple(lst) for lst in incidence)
+        g._color_counts = tuple(tuple(c) for c in counts)
+        return g
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)

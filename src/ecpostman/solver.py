@@ -91,8 +91,6 @@ def apply_matching(
     per new-graph edge id, the edge id of g it copies (identity on g's
     own range).
     """
-    rows = [(e.u, e.v, e.color, e.weight) for e in g.edges]
-    origin = list(range(len(g.edges)))
     signatures = []
     for pair in pairs:
         sig = mg.signature(*pair)
@@ -100,12 +98,10 @@ def apply_matching(
             raise InvariantError(f"matched pair {pair} is not an auxiliary edge")
         if sig is not None:
             signatures.append(sig)
+    copies: list[int] = []
     for sig in sorted(signatures):
-        for eid in mg.witnesses[sig]:
-            e = g.edges[eid]
-            rows.append((e.u, e.v, e.color, e.weight))
-            origin.append(eid)
-    return ColoredMultigraph(g.n, g.k, rows), tuple(origin)
+        copies.extend(mg.witnesses[sig])
+    return g.with_copies(copies), (*range(len(g.edges)), *copies)
 
 
 def solve(g: ColoredMultigraph) -> Solution:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from ecpostman import ColoredMultigraph, PCWalk, check_pc_euler
+from ecpostman import ColoredMultigraph, Edge, PCWalk, check_pc_euler
 from ecpostman.auxgraph import MatchingGraph
 from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
 from ecpostman.oracle import encode_digraph, gen_random_digraph, gen_random_instance
@@ -115,6 +115,25 @@ def multigraphs(
     if connected:
         assume(is_connected(g))
     return g
+
+
+def assert_same_graph(derived: ColoredMultigraph, built: ColoredMultigraph) -> None:
+    """Field-by-field equality, plus the ascending incidence invariant."""
+    assert (derived.n, derived.k) == (built.n, built.k)
+    assert derived.edges == built.edges
+    assert all(type(e) is Edge for e in derived.edges)
+    assert derived.incidence == built.incidence
+    for u in range(built.n):
+        assert derived.color_counts(u) == built.color_counts(u)
+        assert derived.degree(u) == built.degree(u)
+    for g in (derived, built):
+        for ends in g.incidence:
+            ids = [eid for eid, _, _, _ in ends]
+            assert ids == sorted(ids)
+
+
+def rows_of(g: ColoredMultigraph, eids) -> list[tuple[int, int, int, int]]:
+    return [(g.edges[e].u, g.edges[e].v, g.edges[e].color, g.edges[e].weight) for e in eids]
 
 
 def walk_addition_violation(

@@ -77,6 +77,19 @@ def test_parse_errors_have_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_non_ascii_comment_parses_like_none(at):
+    """A comment with non-ASCII text and '_' only moves the parser to its per-line test."""
+    lines = HOUSE.splitlines(keepends=True)
+    commented = "".join(lines[:at] + ["# caf\u00e9 _x\n"] + lines[at:])
+    g, plain = parse_instance_text(commented), parse_instance_text(HOUSE)
+    assert (g.n, g.k, g.edges) == (plain.n, plain.k, plain.edges)
+    for field in ("1_0", "\u0663"):
+        bad = commented.replace("4 3 1 1\n", f"4 3 1 {field}\n")
+        with pytest.raises(ParseError, match=":7: edge fields must be integers"):
+            parse_instance_text(bad, "inst.ecg")
+
+
 def test_parse_accepts_signed_ascii_integers():
     g = parse_instance_text("ecg +2 1 +1\n+1 2 01 +0\n")
     assert (g.n, g.k, len(g.edges), g.edges[0].weight) == (2, 1, 1, 0)

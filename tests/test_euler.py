@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from conftest import mg, multigraphs
 
 from ecpostman import (
+    ColoredMultigraph,
     GraphError,
     InvariantError,
     PCWalk,
@@ -54,6 +55,21 @@ def test_feasibility_examples(triangle, single_color_path):
     g = mg(4, 2, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1)])
     chk = check_pc_euler(g)
     assert not chk.feasible and chk.vertex == 0
+
+
+def test_feasibility_on_a_vertex_without_edges_or_colors():
+    assert check_pc_euler(ColoredMultigraph(1, 0, [])).feasible
+
+
+def test_feasibility_reports_the_first_vertex_and_its_first_fault():
+    # vertex 0 is even but unbalanced (colors {1, 1}), vertices 1 and 2 are odd
+    g = mg(3, 2, [(0, 1, 1, 1), (0, 2, 1, 1), (1, 2, 2, 1), (1, 2, 2, 1)])
+    chk = check_pc_euler(g)
+    assert (chk.reason, chk.vertex) == ("unbalanced", 0)
+    # vertex 0 is odd and unbalanced (colors {1, 1, 2}): odd-degree wins
+    g = mg(4, 2, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1), (1, 2, 2, 1), (2, 3, 1, 1)])
+    chk = check_pc_euler(g)
+    assert (chk.reason, chk.vertex) == ("odd-degree", 0)
 
 
 def test_balanced_even_vertex_contributes_no_violation():
@@ -190,6 +206,16 @@ def test_verify_rejects_color_repeat():
     walk = PCWalk((0, 1, 0), (0, 0), 1, 1, 2)
     rep = verify_pc_closed_walk(g, walk)
     assert not rep.ok and "color" in rep.failure
+
+
+def test_verify_checks_that_each_edge_joins_its_vertices(triangle):
+    # edges 0: 0-1, 1: 1-2, 2: 2-0; either direction of an edge is fine
+    backwards = PCWalk((0, 2, 1, 0), (2, 1, 0), 3, 1, 3)
+    assert verify_pc_closed_walk(triangle, backwards).ok
+    wrong = PCWalk((0, 2, 1, 0), (0, 1, 2), 1, 3, 3)
+    assert verify_pc_closed_walk(triangle, wrong).failure == "edge 0 does not join 0 and 2"
+    unknown = PCWalk((0, 1, 2, 0), (0, 1, 5), 1, 3, 3)
+    assert verify_pc_closed_walk(triangle, unknown).failure == "unknown edge id 5"
 
 
 def test_verify_rejects_missing_coverage(triangle):

@@ -3,10 +3,11 @@ and contraction (``oracle``)."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mg, multigraphs
+from conftest import assert_same_graph, mg, multigraphs, rows_of
 
-from ecpostman import ColoredMultigraph, GraphError, InvariantError, PCWalk
+from ecpostman import ColoredMultigraph, Edge, GraphError, InvariantError, PCWalk
 from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
 from ecpostman.oracle import contract_walk, is_simple, normalize, walk_from_edges
 
@@ -24,6 +25,70 @@ def test_rejects_loops_and_bad_colors():
         mg(2, 1, [(0, 1, 1, 0.5)])
     with pytest.raises(GraphError, match="edge 0"):
         mg(2, 1, [(0, 1, 1, True)])
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ((0, 3, 1, 1), "edge 1: endpoint out of range"),
+        ((-1, 1, 1, 1), "edge 1: endpoint out of range"),
+        ((1, 1, 1, 1), "edge 1: loops are not allowed"),
+        ((0, 1, 3, 1), "edge 1: color 3 not in 1..2"),
+        ((0, 1, 0, 1), "edge 1: color 0 not in 1..2"),
+        ((0, 1, 0.5, 1), "edge 1: color 0.5 not in 1..2"),
+        ((0, 1, 1, 0.5), "edge 1: weight 0.5 is not an integer"),
+        ((0, 1, 1, 2.0), "edge 1: weight 2.0 is not an integer"),
+        ((0, 1, 1, True), "edge 1: weight True is not an integer"),
+        ((0, 1, 1, -1), "edge 1: negative weight"),
+        # several faults in one row: the first in the order above is named
+        ((0, 3, 9, -1), "edge 1: endpoint out of range"),
+        ((2, 2, 9, 0.5), "edge 1: loops are not allowed"),
+        ((0, 1, 9, True), "edge 1: color 9 not in 1..2"),
+        ((0, 1, 1, -1.5), "edge 1: weight -1.5 is not an integer"),
+    ],
+)
+def test_constructor_names_the_first_fault_of_a_row(row, message):
+    with pytest.raises(GraphError) as err:
+        ColoredMultigraph(3, 2, [(0, 1, 1, 1), row])
+    assert str(err.value) == message
+
+
+def test_constructor_accepts_int_subclass_weights():
+    class W(int):
+        pass
+
+    g = ColoredMultigraph(2, 1, [(0, 1, 1, W(4))])
+    assert g.edges[0].weight == 4 and type(g.edges[0].weight) is W
+    assert g.total_weight() == 4
+
+
+def test_edge_is_an_immutable_record():
+    g = mg(3, 2, [(0, 1, 1, 5), (2, 1, 2, 7)])
+    e = g.edges[1]
+    assert type(e) is Edge
+    assert (e.eid, e.u, e.v, e.color, e.weight) == (1, 2, 1, 2, 7)
+    assert e.other(2) == 1 and e.other(1) == 2
+    with pytest.raises(GraphError, match="vertex 0 is not an endpoint of edge 1"):
+        e.other(0)
+    assert e.pair() == (1, 2)
+    # a named tuple: it unpacks and equals the plain tuple of its fields
+    eid, u, v, color, weight = e
+    assert (eid, u, v, color, weight) == e == (1, 2, 1, 2, 7)
+    with pytest.raises(AttributeError):
+        e.weight = 0
+    with pytest.raises(TypeError):
+        e[4] = 0
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_with_copies_equals_the_constructor(data):
+    g = data.draw(multigraphs())
+    m = len(g.edges)
+    eids = data.draw(st.lists(st.integers(0, m - 1), max_size=12))
+    derived = g.with_copies(eids)
+    assert_same_graph(derived, ColoredMultigraph(g.n, g.k, rows_of(g, [*range(m), *eids])))
+    assert len(g.edges) == m  # g itself is unchanged
 
 
 def test_color_degrees_triangle(triangle):

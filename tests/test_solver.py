@@ -1,12 +1,20 @@
 """End-to-end solver: worked instances, accounting, duplication effects."""
 
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from conftest import beyond_brute_force, mg, multigraphs, walk_addition_violation
+from conftest import (
+    assert_same_graph,
+    beyond_brute_force,
+    mg,
+    multigraphs,
+    rows_of,
+    walk_addition_violation,
+)
 
 from ecpostman import (
     ColoredMultigraph,
@@ -31,7 +39,9 @@ from ecpostman.oracle import (
     reference_solve,
     walk_from_edges,
 )
-from ecpostman.solver import Solution, apply_matching
+from ecpostman.solver import Solution, apply_matching, solve_with_model
+
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
 
 def test_triangle_is_already_optimal(triangle):
@@ -215,6 +225,30 @@ def test_duplication_degree_effects(house):
         witness = walk_from_edges(house, edge.signature[0], aux.witnesses[edge.signature])
         assert walk_addition_violation(current, after, witness) is None
         current = after
+
+
+def test_duplicated_graph_equals_the_constructor_on_the_corpus(monkeypatch):
+    """apply_matching's graph, derived by with_copies, against a fresh build.
+
+    The solver models of the first 40 inputs of the benchmark's seed-1
+    ``colored`` and ``directed`` corpora.
+    """
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    models = 0
+    for workload in ("colored", "directed"):
+        for inst in workloads.corpus(workload, 1, 40):
+            g = ColoredMultigraph(inst.n, inst.k, inst.edges)
+            _, aux = solve_with_model(g)
+            if aux is None:
+                continue
+            models += 1
+            matching = min_weight_perfect_matching(aux.instance)
+            duplicated, origin = apply_matching(g, aux, matching.pairs)
+            assert origin[: len(g.edges)] == tuple(range(len(g.edges)))
+            assert_same_graph(duplicated, ColoredMultigraph(g.n, g.k, rows_of(g, origin)))
+    assert models == 54  # 24 colored, 30 directed
 
 
 def test_lost_trail_feasibility_is_an_invariant_error(house, monkeypatch):
