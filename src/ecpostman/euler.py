@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph import ColoredMultigraph, GraphError, InvariantError, PCWalk, is_connected
+from .graph import (
+    ColoredMultigraph,
+    GraphError,
+    InvariantError,
+    PCWalk,
+    first_odd_or_unbalanced,
+    is_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -38,12 +45,9 @@ def check_pc_euler(g: ColoredMultigraph) -> EulerCheck:
         raise GraphError("feasibility is undefined on the empty graph")
     if not is_connected(g):
         return EulerCheck(False, "disconnected", None)
-    for u, (ends, counts) in enumerate(zip(g.incidence, g._color_counts)):
-        d = len(ends)
-        if d % 2 != 0:
-            return EulerCheck(False, "odd-degree", u)
-        if 2 * max(counts, default=0) > d:
-            return EulerCheck(False, "unbalanced", u)
+    fault = first_odd_or_unbalanced(g)
+    if fault is not None:
+        return EulerCheck(False, *fault)
     return EulerCheck(True)
 
 
@@ -149,9 +153,6 @@ def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]
     """
     pairs_at: list[list[tuple[int, int]]] = []
     for ends in g.incidence:
-        if len(ends) == 2:  # two colors, one pair; the list is ascending
-            pairs_at.append([(ends[0][0], ends[1][0])])
-            continue
         # incidence lists ascend by edge id, so walking one backwards
         # leaves every bucket descending and pop() yields its smallest id
         buckets: dict[int, list[int]] = {}

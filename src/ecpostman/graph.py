@@ -111,16 +111,19 @@ class ColoredMultigraph:
     def with_copies(self, eids: Iterable[int]) -> ColoredMultigraph:
         """This graph plus one copy of each listed edge id, in list order.
 
-        Copy i gets edge id m + i. Every row comes from this graph, which
-        validated it, so nothing is validated again; incidence lists and
-        color counts are extended, not rebuilt.
+        Copy i gets edge id m + i. An id outside 0..m-1 raises GraphError.
+        Every row comes from this graph, which validated it, so no row is
+        validated again; incidence lists and color counts are extended,
+        not rebuilt.
         """
         edges = list(self.edges)
         incidence = [list(lst) for lst in self.incidence]
         counts = [list(c) for c in self._color_counts]
         source = self.edges
-        eid = len(edges)
+        m = eid = len(edges)
         for src in eids:
+            if not 0 <= src < m:
+                raise GraphError(f"unknown edge id {src}")
             _, u, v, color, weight = source[src]
             edges.append(_new_tuple(Edge, (eid, u, v, color, weight)))
             incidence[u].append((eid, v, color, weight))
@@ -200,6 +203,23 @@ def is_connected(g: ColoredMultigraph) -> bool:
                 reached += 1
                 stack.append(y)
     return reached == g.n
+
+
+def first_odd_or_unbalanced(g: ColoredMultigraph) -> tuple[str, int] | None:
+    """Return ``(reason, vertex)`` for the first vertex that is not even and balanced.
+
+    Vertices are scanned by ascending id; at each one the odd-degree test
+    comes before the unbalanced one, so a vertex that is both is reported
+    as ``"odd-degree"``. A vertex is unbalanced when one color holds more
+    than half of its edge ends. None if every vertex passes.
+    """
+    for u, (ends, counts) in enumerate(zip(g.incidence, g._color_counts)):
+        d = len(ends)
+        if d % 2 != 0:
+            return ("odd-degree", u)
+        if 2 * max(counts, default=0) > d:
+            return ("unbalanced", u)
+    return None
 
 
 def has_single_color_vertex(g: ColoredMultigraph) -> int | None:
