@@ -9,8 +9,8 @@ An ``Edge`` is a named tuple ``(eid, u, v, color, weight)``: it reads by
 attribute, unpacks, and compares equal to the plain tuple of its fields.
 The constructor validates each row once, with one combined test per row;
 only a failing row is examined field by field for its message.
-``with_copies`` derives a graph from rows of an existing one and does
-not validate again.
+``with_copies`` derives a graph from rows of an existing one; it checks
+the edge ids it is given but does not validate the rows again.
 """
 
 from __future__ import annotations

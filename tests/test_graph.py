@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from conftest import assert_same_graph, mg, multigraphs, rows_of
 
 from ecpostman import ColoredMultigraph, Edge, GraphError, InvariantError, PCWalk
-from ecpostman.graph import (
-    color_degrees,
-    first_odd_or_unbalanced,
-    has_single_color_vertex,
-    is_connected,
-)
+from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
 from ecpostman.oracle import contract_walk, is_simple, normalize, walk_from_edges
 
 
@@ -101,17 +96,6 @@ def test_with_copies_rejects_unknown_edge_ids(triangle):
         with pytest.raises(GraphError, match=f"unknown edge id {bad}$"):
             triangle.with_copies([0, bad])
     assert len(triangle.with_copies([2, 0]).edges) == 5
-
-
-def test_first_odd_or_unbalanced_reports_in_vertex_order():
-    assert first_odd_or_unbalanced(ColoredMultigraph(1, 0, [])) is None
-    assert first_odd_or_unbalanced(mg(3, 3, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 3, 1)])) is None
-    # vertex 0 is even but unbalanced (colors {1, 1}), vertex 1 is odd
-    g = mg(3, 2, [(0, 1, 1, 1), (0, 2, 1, 1), (1, 2, 2, 1), (1, 2, 2, 1)])
-    assert first_odd_or_unbalanced(g) == ("unbalanced", 0)
-    # vertex 0 is odd and unbalanced (colors {1, 1, 2}): odd-degree is named
-    g = mg(4, 2, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 1)])
-    assert first_odd_or_unbalanced(g) == ("odd-degree", 0)
 
 
 def test_color_degrees_triangle(triangle):
