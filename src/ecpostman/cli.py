@@ -213,11 +213,7 @@ def parse_tour_text(text: str, g: ColoredMultigraph, path: str = "<tour>") -> PC
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = load_instance(args.instance)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    g = load_instance(args.instance)
     sol, model = solve_with_model(g)
     if args.dump_aux is not None:
         if model is None:
@@ -229,19 +225,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(dump_matching_graph(model))
             except OSError as exc:
-                print(ParseError(path, 0, f"cannot write file: {exc.strerror}"), file=sys.stderr)
-                return EXIT_ERROR
+                raise ParseError(path, 0, f"cannot write file: {exc.strerror}") from None
     if not args.quiet:
         sys.stdout.write(format_result(g, sol))
     return EXIT_OK if sol.optimal else EXIT_INFEASIBLE
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        g = load_instance(args.instance)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    g = load_instance(args.instance)
     yn = lambda b: "yes" if b else "no"
     for u in range(g.n):
         prof = color_degrees(g, u)
@@ -256,12 +247,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = load_instance(args.instance)
-        walk = parse_tour_text(read_text(args.tour), g, args.tour)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    g = load_instance(args.instance)
+    walk = parse_tour_text(read_text(args.tour), g, args.tour)
     report = verify_pc_closed_walk(g, walk)
     if report.ok:
         print("verdict pass")
@@ -275,16 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import oracle_solve  # reference code: loaded only for this command
 
-    try:
-        g = load_instance(args.instance)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        hit = oracle_solve(g, bound=args.bound)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    hit = oracle_solve(load_instance(args.instance), bound=args.bound)
     if hit is None:
         print("status infeasible")
         return EXIT_INFEASIBLE
@@ -298,11 +276,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     from .oracle import gen_random_instance
 
-    try:
-        g = gen_random_instance(args.n, args.k, args.m, args.max_w, args.seed)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = gen_random_instance(args.n, args.k, args.m, args.max_w, args.seed)
     print(f"# random instance n={args.n} k={args.k} m={args.m} max_w={args.max_w} seed={args.seed}")
     print(f"ecg {g.n} {g.k} {len(g.edges)}")
     for e in g.edges:
@@ -358,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

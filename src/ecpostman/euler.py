@@ -9,7 +9,8 @@ properly colored trails; cross re-pairing at shared vertices merges
 them into one, and that one trail is walked once. The edge screen
 (``uncoverable_edge``) decides the weaker question the postman problem
 asks: whether some properly colored closed walk covers every edge, with
-edges traversed any number of times.
+edges traversed any number of times. It runs on the same (vertex,
+entering color) states as the walk tables of ``pcwalks``.
 """
 
 from __future__ import annotations
@@ -59,56 +60,58 @@ def uncoverable_edge(g: ColoredMultigraph) -> int | None:
     walk per edge, added up, is even and balanced everywhere, so Kotzig's
     theorem gives an Euler trail of the sum.
 
-    The test runs on a digraph of arcs and hubs. Node 2e is edge e
-    traversed u -> v and 2e + 1 is v -> u. Each (vertex x, color c)
-    present at x gets a hub; an arc entering x with color c points to
-    every hub of x with another color, and hub (x, c) points to every
-    arc leaving x with color c. Cycles of this digraph are exactly the
-    properly colored closed walks, wraparound included, so edge e lies
-    on one iff node 2e sits in a strongly connected component of more
-    than one node.
+    The test runs on the states of the walk tables (``pcwalks``): state
+    (x, c) means "at x, entered by color c", one per color present at x.
+    An edge xy of color c' != c leads from (x, c) to (y, c'), so cycles
+    of this digraph are exactly the properly colored closed walks,
+    wraparound included. Edge e = xy of color c lies on one iff (y, c)
+    shares a strongly connected component with some (x, c'), c' != c.
     """
-    m = len(g.edges)
-    succ: list[list[int]] = [[] for _ in range(2 * m)]
-    hubs_at: list[dict[int, int]] = []
-    for x in range(g.n):
-        hubs: dict[int, int] = {}
-        for eid, _, color, _ in g.incidence[x]:
-            hub = hubs.get(color)
-            if hub is None:
-                hub = hubs[color] = len(succ)
-                succ.append([])
-            # the arc of eid that leaves x
-            succ[hub].append(2 * eid if g.edges[eid].u == x else 2 * eid + 1)
-        hubs_at.append(hubs)
-    for e in g.edges:
-        for arc, head in ((2 * e.eid, e.v), (2 * e.eid + 1, e.u)):
-            succ[arc] = [hub for color, hub in hubs_at[head].items() if color != e.color]
+    state_at: list[dict[int, int]] = []
+    count = 0
+    for ends in g.incidence:
+        states: dict[int, int] = {}
+        for _, _, color, _ in ends:
+            if color not in states:
+                states[color] = count
+                count += 1
+        state_at.append(states)
+    succ: list[list[int]] = [[]] * count
+    for x, ends in enumerate(g.incidence):
+        heads = [(color, state_at[y][color]) for _, y, color, _ in ends]
+        for c, s in state_at[x].items():
+            succ[s] = [t for color, t in heads if color != c]
 
-    cyclic = _on_cycle(succ)
-    return next((eid for eid in range(m) if not cyclic[2 * eid]), None)
+    component = _strong_components(succ)
+    for eid, x, y, color, _ in g.edges:
+        target = component[state_at[y][color]]
+        for c, s in state_at[x].items():
+            if c != color and component[s] == target:
+                break
+        else:
+            return eid
+    return None
 
 
-def _on_cycle(succ: list[list[int]]) -> list[bool]:
-    """Mark the nodes whose strongly connected component has several nodes.
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Label each node with the root node of its strongly connected component.
 
     Tarjan's algorithm with an explicit stack of (node, successor
     iterator) frames, so deep digraphs cannot hit the recursion limit.
+    A visited node without a label is still on Tarjan's stack.
     """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    component: list[int] = []
-    cyclic = [False] * n
+    component = [-1] * n
+    stack: list[int] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
-        component.append(root)
-        on_stack[root] = True
+        stack.append(root)
         frames = [(root, iter(succ[root]))]
         while frames:
             v, successors = frames[-1]
@@ -116,11 +119,10 @@ def _on_cycle(succ: list[list[int]]) -> list[bool]:
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
-                    component.append(w)
-                    on_stack[w] = True
+                    stack.append(w)
                     frames.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if component[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 frames.pop()
@@ -129,15 +131,11 @@ def _on_cycle(succ: list[list[int]]) -> list[bool]:
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                 if low[v] == index[v]:
-                    w = component.pop()
-                    on_stack[w] = False
-                    if w != v:
-                        cyclic[v] = cyclic[w] = True
-                        while w != v:
-                            w = component.pop()
-                            on_stack[w] = False
-                            cyclic[w] = True
-    return cyclic
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        component[w] = v
+    return component
 
 
 def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]:

@@ -423,6 +423,21 @@ def test_gen_impossible_parameters(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_impossible_parameters_message(capsys):
+    assert run_cli("gen", "1", "1", "1", "1", "0") == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: impossible generator parameters\n"
+    assert captured.out == ""
+
+
+def test_oracle_rejects_a_zero_bound(tmp_path, capsys):
+    inst = write(tmp_path, "house.ecg", HOUSE)
+    assert run_cli("oracle", inst, "--bound", "0") == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: multiplicity bound must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_format_result_consistency():
     g = parse_instance_text(HOUSE)
     sol = solve(g)

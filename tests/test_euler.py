@@ -20,7 +20,13 @@ from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import build_transition_system, uncoverable_edge
 from ecpostman.graph import has_single_color_vertex
 from ecpostman.matching import min_weight_perfect_matching
-from ecpostman.oracle import encode_digraph, gen_random_trail_instance, normalize, walk_from_edges
+from ecpostman.oracle import (
+    encode_digraph,
+    gen_random_trail_instance,
+    normalize,
+    pc_walk_minima,
+    walk_from_edges,
+)
 
 
 def brute_force_has_pc_euler_trail(g) -> bool:
@@ -297,6 +303,43 @@ def test_uncoverable_edge_of_a_one_way_join():
     assert uncoverable_edge(g) == 6 and g.edges[6].color == 1
     back = encode_digraph(6, arcs + [(5, 2, 1)])
     assert uncoverable_edge(back) is None
+
+
+def reference_uncoverable_edge(g):
+    """The lowest edge id on no properly colored closed walk, by walk search.
+
+    Edge e = uv of color c closes such a walk iff some walk from v with
+    first color != c reaches u entered by a color != c.
+    """
+    for eid, u, v, color, _ in g.edges:
+        if not any(
+            end == u and last != color
+            for first in range(1, g.k + 1)
+            if first != color
+            for end, last in pc_walk_minima(g, v, first)
+        ):
+            return eid
+    return None
+
+
+# unfiltered: parallel edges, disconnected inputs and single-color
+# vertices all stay in
+@given(multigraphs(min_n=2, max_n=5, max_k=4, max_m=8))
+@settings(max_examples=300, deadline=None)
+def test_edge_screen_agrees_with_the_walk_search(g):
+    assert uncoverable_edge(g) == reference_uncoverable_edge(g)
+
+
+def test_edge_screen_on_a_deep_state_digraph():
+    # an alternating two-color cycle of 20,000 edges, with the trapped
+    # triangle's pendant hung off vertex 0; Tarjan walks the cycle's
+    # states in one chain of 20,000 frames
+    n = 20_000
+    cycle = [(i, (i + 1) % n, 1 + i % 2, 1) for i in range(n)]
+    pendant = [(0, n, 1, 1), (n, n + 1, 1, 1), (n + 1, n + 2, 2, 1), (n + 2, n, 3, 1)]
+    g = mg(n + 3, 3, cycle + pendant)
+    assert uncoverable_edge(g) == n
+    assert uncoverable_edge(mg(n, 2, cycle)) is None
 
 
 # most small draws have a single-color vertex; this shape keeps both
