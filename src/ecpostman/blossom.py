@@ -5,17 +5,28 @@ networkx 3.6.1 (``networkx/algorithms/matching.py``), which follows
 Galil's primal-dual formulation ("Efficient Algorithms for Finding
 Maximum Matching in Graphs", ACM Computing Surveys, 1986) of Edmonds'
 blossom method. It keeps networkx's control flow and its strict ``<``
-tie-breaks, but it does not start from the empty matching: it starts
-from a greedy matching of the edges that have zero slack under the
-initial duals, so where optima tie it may return a different one of
-the same cardinality and weight. The start is a state that every stage
-of the method assumes: all vertex duals equal maxweight, so every edge
-has non-negative slack and an edge of weight maxweight has slack zero;
-every matched edge is such an edge, so it is tight; and no blossom
-exists yet. The dual certificate that :func:`verify_optimum` checks on
-every call then proves the result optimal, as it would from the empty
-matching. Otherwise, what changed is the representation and some
-bookkeeping:
+tie-breaks, but it does not start from the empty matching with every
+vertex dual at maxweight. It uses the greedy initialization of Blossom V
+(V. Kolmogorov, Math. Prog. Comp. 1 (2009) 43-67; see also U. Derigs and
+A. Metz, Computing 36 (1986)): each vertex starts at its own dual, its
+largest weight (rounded up to even in the doubled units used here), and
+then, in id order, each vertex still single lowers its dual to the least
+value that keeps its slacks non-negative and is matched along its first
+tight edge to a single neighbour. So where optima tie it may return a
+different one of the same cardinality and weight. The start is a state
+that every stage of the method assumes: every slack is non-negative,
+every matched edge is tight, no blossom exists yet, and the duals of the
+single vertices share one parity, so the S-S slacks that delta3 halves
+are even (an odd one raises :class:`InvariantError`). Vertex duals are
+free in the perfect-matching LP, so unequal starts still prove a perfect
+result optimal: the conditions of :func:`verify_optimum` on slacks,
+matched edges and blossoms are its certificate, and the one on single
+vertices is vacuous. A run that ends with a single vertex proves nothing
+and is redone from the uniform start, every dual at maxweight with a
+greedy matching of the edges of weight maxweight, whose certificate
+holds for maximum cardinality. :func:`verify_optimum` checks the
+certificate on every call. Otherwise, what changed is the
+representation and some bookkeeping:
 
 * vertices are ``0..n-1``; blossoms get the ids ``n, n+1, ...`` in
   creation order and an id is never reused, so per-blossom state lives in
@@ -45,7 +56,10 @@ bookkeeping:
   than the closure cells the nested helpers share;
 * networkx's end-of-stage ``assert`` that ``mate`` is symmetric, a loop
   over all n vertices at every stage, is gone: :func:`verify_optimum`
-  checks the same condition once per call, also under ``python -O``.
+  checks the same condition once per call, also under ``python -O``;
+* networkx's ``assert`` that an S-S slack is even raises
+  :class:`InvariantError` instead, since under ``python -O`` an odd slack
+  would floor delta to zero and the stage would loop forever.
 
 networkx's other inline ``assert`` statements are kept.
 
@@ -88,7 +102,7 @@ The networkx code is distributed under the 3-clause BSD license:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from .graph import InvariantError
@@ -96,30 +110,79 @@ from .graph import InvariantError
 SINGLE = -1  # mate of an unmatched vertex; also "no vertex" in scan_blossom
 
 
-def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
+def max_weight_matching(n: int, edges: Iterable[tuple[int, int, int]]) -> list[int]:
     """Maximum-weight matching among the maximum-cardinality ones.
 
-    ``edges`` holds loop-free ``(u, v, weight)`` triples with integer
-    weights, at most one per vertex pair. Returns ``mate`` with ``mate[v]``
-    the partner of v, or ``SINGLE`` when v is unmatched. The dual
-    certificate is checked by :func:`verify_optimum` before returning.
+    ``edges`` holds or yields loop-free ``(u, v, weight)`` triples with
+    integer weights, at most one per vertex pair; it is read once. Returns
+    ``mate`` with ``mate[v]`` the partner of v, or ``SINGLE`` when v is
+    unmatched. The dual certificate is checked by :func:`verify_optimum`
+    before returning.
     """
     if not n:
         return []
-    maxweight = max(0, max((wt for _, _, wt in edges), default=0))
-
-    # mate[v] is v's partner, or SINGLE; updated during augmentation. It
-    # starts as a greedy matching of the edges of zero slack under the
-    # initial duals, which are those of weight maxweight.
-    mate = [SINGLE] * n
+    # One pass over the edges keeps the triples for the certificate, fills
+    # adj, and finds each vertex's largest weight (at least 0).
+    records: list[tuple[int, int, int]] = []
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, j, wt in edges:
+    top = [0] * n
+    for rec in edges:
+        i, j, wt = rec
+        records.append(rec)
         adj[i].append((i, j, 2 * wt))
         adj[j].append((j, i, 2 * wt))
-        if wt == maxweight and mate[i] == SINGLE and mate[j] == SINGLE:
-            mate[i] = j
-            mate[j] = i
+        if wt > top[i]:
+            top[i] = wt
+        if wt > top[j]:
+            top[j] = wt
 
+    # dualvar[v] = 2 * u(v) starts at v's largest weight rounded up to
+    # even, so every slack is even and non-negative (the module docstring
+    # says why the greedy pass below keeps the stages exact).
+    mate = [SINGLE] * n
+    dualvar = [t + (t & 1) for t in top]
+    for v in range(n):
+        nbrs = adj[v]
+        if mate[v] != SINGLE or not nbrs:
+            continue
+        dv = dualvar[v] = max([wt2 - dualvar[w] for _, w, wt2 in nbrs])
+        for _, w, wt2 in nbrs:
+            if mate[w] == SINGLE and dv + dualvar[w] == wt2:
+                mate[v] = w
+                mate[w] = v
+                break
+    blossoms = _run_stages(n, adj, mate, dualvar)
+
+    if SINGLE in mate:
+        # Unequal single duals certify only a perfect matching: rerun from
+        # the uniform start, every dual at maxweight, with a greedy matching
+        # of the edges of weight maxweight, whose slack is zero there.
+        maxweight = max(top)
+        mate = [SINGLE] * n
+        for i, j, wt in records:
+            if wt == maxweight and mate[i] == SINGLE and mate[j] == SINGLE:
+                mate[i] = j
+                mate[j] = i
+        dualvar = [maxweight] * n
+        blossoms = _run_stages(n, adj, mate, dualvar)
+    verify_optimum(records, mate, dualvar, *blossoms)
+    return mate
+
+
+def _run_stages(
+    n: int,
+    adj: Sequence[Sequence[tuple[int, int, int]]],
+    mate: list[int],
+    dualvar: list[int],
+) -> tuple[dict[int, int], list[int | None], list[list[tuple[int, int]] | None]]:
+    """Run the stages of the blossom method from a start without blossoms.
+
+    ``adj[v]`` lists the records ``(v, w, 2*weight)`` at v. ``mate`` and
+    ``dualvar`` (twice the vertex duals) hold the start and are updated in
+    place: every slack is non-negative, every matched edge is tight, and
+    all single vertices have duals of one parity. Returns the blossom
+    state that :func:`verify_optimum` takes after ``dualvar``.
+    """
     # Per id (vertex or blossom), valid for vertices and live blossoms:
     # label[b] is 0 (free), 1 (S) or 2 (T) for a top-level blossom b; a
     # vertex inside a T-blossom has label 2 iff it is reachable from an
@@ -147,9 +210,6 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
     # If v is a top-level vertex, inblossom[v] == v; otherwise it is the
     # top-level blossom that contains v.
     inblossom = list(range(n))
-
-    # dualvar[v] = 2 * u(v); initially u(v) = maxweight / 2.
-    dualvar = [maxweight] * n
 
     # blossomdual[b] = z(b) for every live non-trivial blossom b, in
     # creation order.
@@ -681,7 +741,10 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
                     and bestedge_[b] is not None
                 ):
                     kslack = slack(bestedge_[b])
-                    assert (kslack % 2) == 0
+                    if kslack & 1:
+                        # halving would floor delta, and the edge would never
+                        # become tight: the single duals lost their common parity
+                        raise InvariantError(f"odd slack {kslack} between S-blossoms")
                     d = kslack // 2
                     if deltatype == -1 or d < delta:
                         delta = d
@@ -753,8 +816,7 @@ def max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[i
     # assign_label reaches itself through its closure cell; emptying the
     # cell breaks that cycle, so the call's state is freed on return
     del assign_label
-    verify_optimum(edges, mate, dualvar, blossomdual, blossomparent, bedges)
-    return mate
+    return blossomdual, blossomparent, bedges
 
 
 def verify_optimum(

@@ -10,11 +10,13 @@ attribute, unpacks, and compares equal to the plain tuple of its fields.
 The constructor validates each row once, with one combined test per row;
 only a failing row is examined field by field for its message.
 ``with_copies`` derives a graph from rows of an existing one; it checks
-the edge ids it is given but does not validate the rows again.
+the edge ids it is given but does not validate the rows again, and it
+shares the rows of every vertex that the copies do not touch.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -113,30 +115,36 @@ class ColoredMultigraph:
 
         Copy i gets edge id m + i. An id outside 0..m-1 raises GraphError.
         Every row comes from this graph, which validated it, so no row is
-        validated again; incidence lists and color counts are extended,
-        not rebuilt.
+        validated again. Only the incidence lists and color counts of the
+        copies' endpoints are rebuilt; every other vertex shares its tuples
+        with this graph.
         """
-        edges = list(self.edges)
-        incidence = [list(lst) for lst in self.incidence]
-        counts = [list(c) for c in self._color_counts]
         source = self.edges
-        m = eid = len(edges)
+        m = eid = len(source)
+        copies: list[Edge] = []
+        new_ends: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
         for src in eids:
             if not 0 <= src < m:
                 raise GraphError(f"unknown edge id {src}")
             _, u, v, color, weight = source[src]
-            edges.append(_new_tuple(Edge, (eid, u, v, color, weight)))
-            incidence[u].append((eid, v, color, weight))
-            incidence[v].append((eid, u, color, weight))
-            counts[u][color - 1] += 1
-            counts[v][color - 1] += 1
+            copies.append(_new_tuple(Edge, (eid, u, v, color, weight)))
+            new_ends[u].append((eid, v, color, weight))
+            new_ends[v].append((eid, u, color, weight))
             eid += 1
+        incidence = list(self.incidence)
+        color_counts = list(self._color_counts)
+        for x, ends in new_ends.items():
+            incidence[x] += tuple(ends)
+            counts = list(color_counts[x])
+            for _, _, color, _ in ends:
+                counts[color - 1] += 1
+            color_counts[x] = tuple(counts)
         g = ColoredMultigraph.__new__(ColoredMultigraph)
         g.n = self.n
         g.k = self.k
-        g.edges = tuple(edges)
-        g.incidence = tuple(tuple(lst) for lst in incidence)
-        g._color_counts = tuple(tuple(c) for c in counts)
+        g.edges = source + tuple(copies)
+        g.incidence = tuple(incidence)
+        g._color_counts = tuple(color_counts)
         return g
 
     def degree(self, u: int) -> int:

@@ -2,8 +2,10 @@
 
 The matcher is ``blossom.max_weight_matching``, an in-repo port of
 networkx's blossom implementation (Galil's primal-dual form of Edmonds'
-algorithm) warm-started from a greedy matching of its tight edges. It
-runs in maximum-cardinality mode on reflected weights, so that the
+algorithm). It starts each vertex at its own dual and greedily matches
+the edges tight there, as Blossom V does (Kolmogorov, 2009); a run that
+ends without a perfect matching is redone from networkx's uniform start.
+It runs in maximum-cardinality mode on reflected weights, so that the
 minimum-weight perfect matching drops out exactly; with integer weights
 every comparison is exact, and the dual certificate is checked on every
 call. ``min_weight_perfect_matching`` owns the check of the mate it
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .blossom import SINGLE, max_weight_matching
 from .graph import InvariantError
@@ -67,17 +70,20 @@ class PerfectMatching:
 def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | None:
     """Minimum-weight perfect matching, or None when no perfect matching exists.
 
-    Exact: weights are reflected as (C - w) with C above the maximum
+    Exact: weights are reflected as 2*(C - w) with C above the maximum
     weight, and a maximum-cardinality maximum-weight matching on the
     reflected graph is a minimum-weight perfect matching whenever the
-    maximum cardinality reaches n/2.
+    maximum cardinality reaches n/2. The reflected weights are passed as
+    a generator, which the matcher reads once.
     """
     if inst.n == 0:
         return PerfectMatching((), 0)
     if not inst.edges:
         return None
-    ceiling = 1 + max(w for _, _, w in inst.edges)
-    mate = max_weight_matching(inst.n, [(u, v, ceiling - w) for u, v, w in inst.edges])
+    # doubled: every vertex's largest reflected weight is then even, so the
+    # matcher's per-vertex start needs no rounding up
+    ceiling = 1 + max(inst.edges, key=itemgetter(2))[2]
+    mate = max_weight_matching(inst.n, ((u, v, 2 * (ceiling - w)) for u, v, w in inst.edges))
     if SINGLE in mate:
         return None
     pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)

@@ -88,7 +88,13 @@ def test_with_copies_equals_the_constructor(data):
     eids = data.draw(st.lists(st.integers(0, m - 1), max_size=12))
     derived = g.with_copies(eids)
     assert_same_graph(derived, ColoredMultigraph(g.n, g.k, rows_of(g, [*range(m), *eids])))
-    assert len(g.edges) == m  # g itself is unchanged
+    # g itself is unchanged
+    assert_same_graph(g, ColoredMultigraph(g.n, g.k, rows_of(g, range(m))))
+    # a vertex no copy touches shares its rows with g
+    touched = {x for eid in eids for x in g.edges[eid][1:3]}
+    for x in range(g.n):
+        shared = derived.incidence[x] is g.incidence[x]
+        assert shared == (derived.color_counts(x) is g.color_counts(x)) == (x not in touched)
 
 
 def test_with_copies_rejects_unknown_edge_ids(triangle):

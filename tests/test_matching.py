@@ -1,11 +1,15 @@
 """Minimum-weight perfect matching against the brute-force oracle and networkx.
 
-The blossom port starts from a greedy matching and so need not return
-networkx's matching where optima tie: it must return one of the same
-cardinality and weight, and networkx's own matching wherever the optimum
-is unique. Documents depend only on the multiset of matched signatures,
-so on the models that ``solve`` builds that multiset must equal the one
-of networkx's matching.
+The blossom port starts each vertex at its own dual with a greedy
+matching of the edges tight there, and so need not return networkx's
+matching where optima tie: it must return one of the same cardinality
+and weight, and networkx's own matching wherever the optimum is unique.
+A run that ends without a perfect matching is redone from networkx's
+uniform start; the tests cover both runs, the mid-stage T-blossom
+expansions of each, and the parity that the per-vertex start keeps.
+Documents depend only on the multiset of matched signatures, so on the
+models that ``solve`` builds that multiset must equal the one of
+networkx's matching.
 """
 
 import gc
@@ -222,11 +226,15 @@ def test_mate_equals_networkx(n, data):
 
 # Graphs on which the matcher expands a T-blossom in the middle of a stage
 # (a delta4 step) and relabels its sub-blossoms along the edges between
-# them. Each was picked by counting such expansions in an instrumented
-# copy of the matcher: every graph has at least one, and from the third
-# on an expanded T-blossom holds a nested blossom. Counted again with the
-# greedy start, the expansions per graph are 1, 1, 1, 2, 2, 2, 3, 3, 3, 4
-# and 2, of which 0, 0, 1, 1, 1, 1, 2, 2, 2, 3 and 2 hold a nested blossom.
+# them, each picked by counting such expansions in an instrumented copy
+# of the matcher. The first eleven have no perfect matching, so their
+# answer comes from the uniform fallback run, which expands 1, 1, 1, 2,
+# 2, 2, 3, 3, 3, 4 and 2 T-blossoms mid-stage, of which 0, 0, 1, 1, 1, 1,
+# 2, 2, 2, 3 and 2 hold a nested blossom; before it, the per-vertex run
+# expands 3 (2 nested) on the seventh graph and none on the others. The
+# last six have a perfect matching, so the per-vertex run alone gives
+# their answer; it expands 1, 1, 1, 2, 2 and 3, of which 1, 1, 1, 1, 1
+# and 2 hold a nested blossom.
 MID_STAGE_EXPANSIONS = [
     (7, [
         (0, 3, 0), (1, 5, 6), (2, 4, 11), (2, 5, 15), (3, 5, 18), (3, 6, 8), (4, 6, 6),
@@ -282,12 +290,115 @@ MID_STAGE_EXPANSIONS = [
         (2, 10, 2), (3, 6, 3), (3, 7, 0), (3, 10, 3), (4, 5, 1), (4, 9, 2), (5, 7, 3),
         (5, 9, 2), (5, 10, 3), (6, 7, 3), (6, 10, 3), (7, 8, 0), (7, 9, 3), (8, 10, 2),
     ]),
+    (10, [
+        (0, 1, 0), (0, 2, 5), (0, 5, 5), (0, 7, 0), (0, 8, 5), (0, 9, 5), (1, 4, 4),
+        (1, 9, 3), (2, 7, 2), (2, 9, 5), (3, 4, 4), (3, 8, 1), (3, 9, 0), (4, 5, 2),
+        (4, 6, 1), (4, 7, 4), (5, 8, 5), (8, 9, 1),
+    ]),
+    (14, [
+        (0, 5, 19), (0, 9, 0), (0, 10, 9), (0, 11, 3), (1, 2, 1), (1, 4, 7), (1, 7, 15),
+        (1, 12, 10), (2, 4, 5), (2, 8, 13), (2, 9, 17), (2, 11, 12), (3, 7, 13),
+        (3, 9, 2), (3, 13, 12), (4, 5, 20), (4, 9, 12), (5, 6, 14), (5, 9, 16),
+        (5, 10, 18), (7, 8, 7), (8, 9, 4), (8, 10, 16), (9, 10, 15), (9, 11, 16),
+    ]),
+    (16, [
+        (0, 3, 6), (0, 10, 9), (0, 14, 8), (1, 3, 1), (1, 5, 6), (1, 9, 2), (1, 15, 9),
+        (2, 5, 9), (2, 6, 4), (2, 7, 0), (2, 9, 1), (2, 10, 1), (2, 15, 9), (4, 11, 3),
+        (5, 8, 4), (5, 14, 9), (6, 8, 1), (7, 12, 5), (8, 14, 4), (9, 11, 9),
+        (9, 12, 1), (10, 12, 6), (10, 14, 0), (11, 14, 0), (12, 13, 6), (12, 14, 0),
+        (13, 15, 3), (14, 15, 0),
+    ]),
+    (14, [
+        (0, 7, 18), (0, 8, 4), (1, 2, 0), (1, 4, 4), (1, 5, 0), (1, 6, 11), (1, 11, 9),
+        (1, 12, 10), (2, 3, 2), (2, 12, 16), (3, 12, 18), (4, 5, 10), (4, 7, 0),
+        (4, 8, 9), (5, 10, 12), (5, 12, 12), (6, 10, 20), (6, 12, 20), (7, 11, 11),
+        (8, 11, 15), (8, 13, 1), (9, 12, 12), (10, 13, 8), (12, 13, 16),
+    ]),
+    (14, [
+        (0, 2, 1), (0, 5, 3), (0, 7, 2), (1, 3, 3), (1, 4, 1), (1, 5, 1), (1, 6, 1),
+        (1, 11, 0), (2, 8, 0), (2, 9, 0), (2, 10, 2), (2, 12, 3), (2, 13, 1), (3, 4, 1),
+        (3, 8, 5), (3, 10, 4), (3, 11, 3), (4, 5, 5), (5, 9, 3), (5, 10, 4), (5, 13, 2),
+        (6, 7, 4), (6, 8, 1), (7, 9, 1), (7, 13, 3), (8, 10, 3), (8, 11, 2),
+        (10, 13, 1),
+    ]),
+    (16, [
+        (0, 5, 4), (0, 7, 6), (0, 10, 6), (0, 12, 2), (0, 14, 3), (0, 15, 1), (1, 3, 2),
+        (1, 5, 9), (2, 4, 3), (2, 6, 4), (2, 8, 3), (2, 11, 5), (2, 14, 2), (3, 5, 9),
+        (3, 10, 4), (3, 14, 1), (4, 6, 4), (4, 8, 5), (4, 9, 3), (4, 10, 6), (5, 6, 5),
+        (5, 10, 3), (5, 12, 7), (6, 15, 6), (7, 9, 3), (7, 10, 7), (7, 11, 2),
+        (7, 15, 7), (8, 10, 8), (8, 11, 6), (8, 15, 7), (9, 11, 3), (9, 13, 1),
+        (9, 14, 9), (10, 14, 5), (11, 14, 9), (13, 14, 8),
+    ]),
 ]
+
+
+def test_per_vertex_starts_of_mixed_parity_match_networkx():
+    """Direct calls whose vertices' largest weights differ in parity.
+
+    Each vertex starts at its largest weight rounded up to even. Without
+    the rounding the single vertices' duals would lose their common
+    parity and the stage would meet an odd slack between S-blossoms.
+    """
+    rng = random.Random(2209)
+    mixed = perfect = 0
+    for case in range(200):
+        n = 2 * rng.randint(2, 10)
+        edges = random_graph(rng, n, rng.choice((0.3, 0.6, 1.0)), 9, shuffled=case % 2 == 1)
+        tops = [0] * n
+        for u, v, w in edges:
+            tops[u], tops[v] = max(tops[u], w), max(tops[v], w)
+        if len({t % 2 for t in tops}) < 2:
+            continue
+        mixed += 1
+        assert_same_optimum(n, edges, case)
+        perfect += SINGLE not in max_weight_matching(n, edges)
+    assert mixed >= 150 and perfect >= 50, (mixed, perfect)
+
+
+def test_odd_slack_between_s_blossoms_is_an_invariant_error():
+    """Single duals of unequal parity give an odd S-S slack: an error also under python -O."""
+    adj = [[(0, 1, 2)], [(1, 0, 2)]]
+    with pytest.raises(InvariantError, match="odd slack 1 between S-blossoms"):
+        blossom._run_stages(2, adj, [SINGLE, SINGLE], [2, 1])
+
+
+def counted_runs(monkeypatch):
+    """A list that gets one entry per run of the blossom stages."""
+    runs = []
+    run_stages = blossom._run_stages
+
+    def counted(*args):
+        runs.append(args[0])
+        return run_stages(*args)
+
+    monkeypatch.setattr(blossom, "_run_stages", counted)
+    return runs
+
+
+def test_no_perfect_matching_takes_the_uniform_fallback(monkeypatch):
+    """The star K1,3 has an even vertex count and no perfect matching.
+
+    The per-vertex run ends with single vertices, whose unequal duals
+    certify nothing, so the matcher runs again from the uniform start; a
+    perfect instance takes one run.
+    """
+    runs = counted_runs(monkeypatch)
+    star = [(0, 1, 1), (0, 2, 5), (0, 3, 2)]
+    assert min_weight_perfect_matching(inst(4, star)) is None
+    assert len(runs) == 2
+    runs.clear()
+    assert_same_optimum(4, star)
+    assert len(runs) == 2
+    runs.clear()
+    assert min_weight_perfect_matching(inst(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)]))
+    assert len(runs) == 1
 
 
 def test_mid_stage_t_blossom_expansions_match_networkx():
     for case, (n, edges) in enumerate(MID_STAGE_EXPANSIONS):
         assert_same_optimum(n, edges, case)
+        # only a perfect result keeps the per-vertex run's answer
+        assert (SINGLE not in max_weight_matching(n, edges)) == (case >= 11), case
 
 
 def networkx_perfect_pairs(inst):
