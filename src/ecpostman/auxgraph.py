@@ -44,7 +44,7 @@ A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
 tour. The structure of every perfect matching follows from the vertex
 counts above; the solver checks only their consequence, that the
-duplicated graph is even and balanced (``pc_euler_trail``).
+duplicated graph is even and balanced (``first_odd_or_unbalanced``).
 ``oracle.validate_matching_structure`` checks the counts themselves,
 for the tests.
 """

@@ -39,7 +39,8 @@ representation and some bookkeeping:
   in which networkx walks ``blossomparent``;
 * the optimality check is the module-level :func:`verify_optimum`, which
   raises :class:`InvariantError` and so survives ``python -O``; it builds
-  each vertex's chain of enclosing blossoms once, not once per edge end;
+  the chain of enclosing blossoms once per vertex inside a live blossom,
+  not once per edge end, and none when no blossom is live;
 * networkx's ``allowedge`` set is gone: the scan takes an edge as
   allowable exactly when its slack, computed from the vertex duals, is
   at most zero. With integer duals that is the answer the set gave. An
@@ -848,22 +849,27 @@ def verify_optimum(
     if blossomdual and min(blossomdual.values()) < 0:
         fail("negative blossom dual")
     # chains[v] lists the blossoms that contain vertex v, top-level first,
-    # ending with v itself; it is built once per vertex, not per edge end.
-    chains = []
-    for v in range(len(mate)):
-        up = [v]
-        while blossomparent[up[-1]] is not None:
-            up.append(blossomparent[up[-1]])
-        up.reverse()
-        chains.append(up)
+    # ending with v itself; it is built once per vertex, not per edge end,
+    # and only for a vertex inside a live blossom: the slack of an edge
+    # with an end outside every blossom has no blossom term.
+    chains: dict[int, list[int]] = {}
+    if blossomdual:
+        for v in range(len(mate)):
+            if blossomparent[v] is not None:
+                up = [v]
+                while blossomparent[up[-1]] is not None:
+                    up.append(blossomparent[up[-1]])
+                up.reverse()
+                chains[v] = up
     # 0. all edges have non-negative slack and
     # 1. all matched edges have zero slack;
     for i, j, wt in edges:
         s = dualvar[i] + dualvar[j] - 2 * wt
-        for bi, bj in zip(chains[i], chains[j]):
-            if bi != bj:
-                break
-            s += 2 * blossomdual[bi]
+        if i in chains and j in chains:
+            for bi, bj in zip(chains[i], chains[j]):
+                if bi != bj:
+                    break
+                s += 2 * blossomdual[bi]
         if s < 0:
             fail(f"edge ({i}, {j}) has negative slack")
         if mate[i] == j or mate[j] == i:

@@ -103,7 +103,8 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
         raise ParseError(
             path, header_line, f"expected {header[2]} edge lines, found {len(edges)}"
         )
-    return ColoredMultigraph(header[0], header[1], edges)
+    # every row passed the checks above, which are the constructor's own
+    return ColoredMultigraph._from_valid_rows(header[0], header[1], edges)
 
 
 def read_text(path: str) -> str:

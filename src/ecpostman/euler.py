@@ -200,7 +200,8 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
     The result traverses each edge exactly once and is proper including
     the wraparound pair. The trail is rotated to start at its smallest
     vertex id with, among those positions, the smallest departing edge
-    id.
+    id. A graph without edges, or one that ``check_pc_euler`` rejects,
+    raises GraphError naming the reason.
     """
     if not g.edges:
         raise GraphError("trail extraction requires at least one edge")
@@ -208,7 +209,15 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
     if not chk.feasible:
         where = "" if chk.vertex is None else f" at vertex {chk.vertex}"
         raise GraphError(f"graph has no properly colored Euler trail: {chk.reason}{where}")
+    return _extract_trail(g)
 
+
+def _extract_trail(g: ColoredMultigraph) -> PCWalk:
+    """``pc_euler_trail`` on a graph known to be connected, even and balanced.
+
+    That precondition, and at least one edge, is the caller's to
+    establish; it is not checked again here.
+    """
     m = len(g.edges)
     pairs_at = build_transition_system(g)
 
@@ -257,7 +266,7 @@ def pc_euler_trail(g: ColoredMultigraph) -> PCWalk:
     if cur_e != 0 or cur_v != verts[0] or len(eids) != m:
         raise InvariantError("pairing does not induce a single closed trail")
 
-    best = min(range(m), key=lambda i: (verts[i], eids[i]))
+    best = min(zip(verts, eids, range(m)))[2]
     verts = verts[best:-1] + verts[: best + 1]
     eids = eids[best:] + eids[:best]
 

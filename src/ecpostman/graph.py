@@ -8,7 +8,10 @@ construction; every operation is a pure query or returns a new graph.
 An ``Edge`` is a named tuple ``(eid, u, v, color, weight)``: it reads by
 attribute, unpacks, and compares equal to the plain tuple of its fields.
 The constructor validates each row once, with one combined test per row;
-only a failing row is examined field by field for its message.
+only a failing row is examined field by field for its message. The CLI's
+parser checks the same facts on each line, to name the line, and then
+builds through the same loop with the row test off
+(``_from_valid_rows``), so no row is checked twice.
 ``with_copies`` derives a graph from rows of an existing one; it checks
 the edge ids it is given but does not validate the rows again, and it
 shares the rows of every vertex that the copies do not touch.
@@ -88,13 +91,32 @@ class ColoredMultigraph:
     def __init__(self, n: int, k: int, edges: Iterable[tuple[int, int, int, int]]):
         if n < 0 or k < 0:
             raise GraphError("vertex and color counts must be non-negative")
+        self._build(n, k, edges, True)
+
+    @classmethod
+    def _from_valid_rows(
+        cls, n: int, k: int, rows: Iterable[tuple[int, int, int, int]]
+    ) -> ColoredMultigraph:
+        """The constructor's graph of rows already checked as it would.
+
+        The caller guarantees n, k >= 0 and, on every row, endpoints in
+        0..n-1, no loop, a color in 1..k and a non-negative ``int`` weight;
+        no row is tested again.
+        """
+        g = cls.__new__(cls)
+        g._build(n, k, rows, False)
+        return g
+
+    def _build(
+        self, n: int, k: int, rows: Iterable[tuple[int, int, int, int]], check: bool
+    ) -> None:
         self.n = n
         self.k = k
         built: list[Edge] = []
         incidence: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         counts = [[0] * k for _ in range(n)]
-        for eid, (u, v, color, weight) in enumerate(edges):
-            if not (
+        for eid, (u, v, color, weight) in enumerate(rows):
+            if check and not (
                 0 <= u < n and 0 <= v < n and u != v and 1 <= color <= k
                 and type(weight) is int and weight >= 0
             ):

@@ -18,13 +18,18 @@ input that passes it still goes through the blossom, whose failure to
 find a perfect matching would contradict the screen and is an internal
 error, so each criterion checks the other on every feasible solve.
 
-Each fact after the blossom is checked once, by its owner:
+Each fact is checked once, by its owner: ``check_pc_euler`` that the
+input is connected and whether it is already even and balanced;
 ``min_weight_perfect_matching`` that the mate is symmetric, perfect and
 made of instance edges; ``apply_matching`` that every pair is a model
-edge; ``pc_euler_trail`` (through ``check_pc_euler``) that the
-duplicated graph is even and balanced, naming the first vertex that is
-not; and ``verify_pc_closed_walk`` plus the weight identity that the
-answer is a covering properly colored closed walk of the stated weight.
+edge; ``first_odd_or_unbalanced`` that the duplicated graph is even and
+balanced, naming the first vertex that is not (the copies join vertices
+of the connected input, so connectivity is not tested again); and
+``verify_pc_closed_walk`` plus the weight identity that the answer is a
+covering properly colored closed walk of the stated weight. The trail
+comes from ``euler._extract_trail``, which relies on those checks
+instead of repeating them; the public ``pc_euler_trail`` is the same
+extraction behind ``check_pc_euler``.
 
 Where tours tie, the answer is canonical: a walk edge of weight w weighs
 w*B + t(signature) in the matching, t in [1, 2**20], B = (|V|/2)*2**20 + 1,
@@ -45,8 +50,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph
-from .euler import check_pc_euler, pc_euler_trail, uncoverable_edge, verify_pc_closed_walk
-from .graph import ColoredMultigraph, GraphError, InvariantError, PCWalk, has_single_color_vertex
+from .euler import _extract_trail, check_pc_euler, uncoverable_edge, verify_pc_closed_walk
+from .graph import (
+    ColoredMultigraph,
+    GraphError,
+    InvariantError,
+    PCWalk,
+    first_odd_or_unbalanced,
+    has_single_color_vertex,
+)
 from .matching import min_weight_perfect_matching
 
 INFEASIBLE_DISCONNECTED = "disconnected"
@@ -130,9 +142,8 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
         return _infeasible(INFEASIBLE_DISCONNECTED), None
     if chk.feasible:
         # every vertex is already even and balanced (so none sees a single
-        # color): nothing to duplicate
-        duplicated, origin, matching_weight = g, tuple(range(len(g.edges))), 0
-        mg = None
+        # color): the input's own trail is the answer
+        walk, matching_weight, mg = _extract_trail(g), 0, None
     else:
         if has_single_color_vertex(g) is not None:
             return _infeasible(INFEASIBLE_SINGLE_COLOR), None
@@ -145,13 +156,17 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
                 "no perfect matching although every edge lies on a PC closed walk"
             )
         duplicated, origin = apply_matching(g, mg, matching.pairs)
+        # copies of g's edges on g's vertices keep g connected, so only
+        # parity and balance can have been lost
+        fault = first_odd_or_unbalanced(duplicated)
+        if fault is not None:
+            raise InvariantError(
+                "duplicated graph lost trail feasibility: graph has no properly"
+                f" colored Euler trail: {fault[0]} at vertex {fault[1]}"
+            )
+        trail = _extract_trail(duplicated)
+        walk = replace(trail, edges=tuple(origin[eid] for eid in trail.edges))
         matching_weight = matching.weight
-    try:
-        trail = pc_euler_trail(duplicated)
-    except GraphError as exc:
-        raise InvariantError(f"duplicated graph lost trail feasibility: {exc}") from None
-
-    walk = replace(trail, edges=tuple(origin[eid] for eid in trail.edges))
 
     report = verify_pc_closed_walk(g, walk)
     if not report.ok:

@@ -6,9 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import assert_same_graph, multigraphs
 
 import ecpostman
-from ecpostman import InvariantError
+from ecpostman import ColoredMultigraph, InvariantError
 from ecpostman.auxgraph import build_matching_graph, dump_matching_graph
 from ecpostman.cli import (
     EXIT_ERROR,
@@ -75,6 +79,52 @@ def test_parse_errors_have_line_numbers(text, fragment):
         parse_instance_text(text, "inst.ecg")
     assert "inst.ecg:" in str(err.value)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a range fault on line 3 comes before the short line 4
+        ("ecg 4 2 2\n1 2 1 1\n1 9 1 1\n1 2 3\n", "f.ecg:3: vertex ids must be in 1..4"),
+        # a short line 2 comes before the range fault on line 3
+        ("ecg 4 2 2\n1 2 1\n1 9 1 1\n", "f.ecg:2: expected '<u> <v> <color> <weight>'"),
+        # a sign fault on line 2 comes before the non-integer on line 3
+        ("ecg 4 2 2\n1 2 1 -1\n1 2 x 1\n", "f.ecg:2: weights must be non-negative"),
+        # a loop on line 2 comes before the extra line 3
+        ("ecg 4 2 1\n2 2 1 1\n1 2 1 1\n", "f.ecg:2: loops are not allowed"),
+    ],
+)
+def test_the_first_faulty_line_wins(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text, "f.ecg")
+    assert str(err.value) == message
+
+
+@st.composite
+def instance_texts(draw):
+    """A valid instance text and the graph it describes, written with the
+    freedoms the format allows: comment and blank lines, runs of blanks
+    and tabs between fields, a '+' sign and leading zeros."""
+    g = draw(multigraphs(max_n=6, max_k=4, max_m=9, max_w=20))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    prefix = st.sampled_from(["", "", "+", "0", "+00"])
+
+    def line(*values):
+        return draw(gap).join(draw(prefix) + str(x) for x in values)
+
+    lines = ["ecg" + draw(gap) + line(g.n, g.k, len(g.edges))]
+    for _, u, v, color, weight in g.edges:
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  # 1 2 3 4"]), max_size=1)))
+        lines.append(line(u + 1, v + 1, color, weight))
+    return g, "\n".join(lines) + "\n"
+
+
+@given(instance_texts())
+@settings(max_examples=200, deadline=None)
+def test_parser_builds_the_constructors_graph(case):
+    g, text = case
+    rows = [(u, v, color, weight) for _, u, v, color, weight in g.edges]
+    assert_same_graph(parse_instance_text(text), ColoredMultigraph(g.n, g.k, rows))
 
 
 @pytest.mark.parametrize("at", [0, 1])

@@ -476,6 +476,40 @@ def test_tampered_certificate_is_an_invariant_error(monkeypatch):
         blossom.verify_optimum(edges_, one_sided, dualvar, blossomdual, blossomparent, bedges)
 
 
+def test_one_corrupted_vertex_dual_is_an_invariant_error(monkeypatch):
+    """With and without a live blossom at the end, one vertex dual moved by
+    one doubled unit breaks the certificate.
+
+    The end states are those of the first solver models of
+    gen_random_instance(8, 3, 14, 9, seed), the first ending with no live
+    blossom and the first ending with one; in the second the corrupted
+    vertex lies inside a live blossom, so its slacks carry blossom terms.
+    """
+    states = []
+    check = blossom.verify_optimum
+
+    def record(*args):
+        states.append(args)
+        check(*args)
+
+    monkeypatch.setattr(blossom, "verify_optimum", record)
+    for mg in models((gen_random_instance(8, 3, 14, 9, seed) for seed in range(2000)), 20):
+        min_weight_perfect_matching(mg.instance)
+    monkeypatch.undo()
+    free = next(args for args in states if not args[3])
+    live = next(args for args in states if args[3])
+    for edges, mate, dualvar, blossomdual, blossomparent, bedges in (free, live):
+        blossom.verify_optimum(edges, mate, dualvar, blossomdual, blossomparent, bedges)
+        inside = [v for v in range(len(mate)) if blossomparent[v] is not None]
+        assert bool(inside) == bool(blossomdual)
+        v = inside[0] if inside else 0
+        for step, fault in ((-2, "has negative slack"), (2, "has slack")):
+            moved = list(dualvar)
+            moved[v] += step
+            with pytest.raises(InvariantError, match=fault):
+                blossom.verify_optimum(edges, mate, moved, blossomdual, blossomparent, bedges)
+
+
 def test_asymmetric_mate_is_an_invariant_error():
     # vertex 2 claims 0, which is matched to 1; the pair (0, 2) is no edge,
     # so only the symmetry condition can notice

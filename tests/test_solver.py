@@ -26,7 +26,7 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
-from ecpostman.graph import has_single_color_vertex
+from ecpostman.graph import has_single_color_vertex, is_connected
 from ecpostman.matching import PerfectMatching, min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
@@ -121,10 +121,45 @@ def test_screened_infeasibility_builds_no_model(trapped_triangle, monkeypatch):
         raise AssertionError("the model path ran on a screened-out input")
 
     for name in ("build_matching_graph", "min_weight_perfect_matching", "apply_matching",
-                 "pc_euler_trail"):
+                 "_extract_trail"):
         monkeypatch.setattr(f"ecpostman.solver.{name}", unreachable)
     sol = solve(trapped_triangle)
     assert (sol.status, sol.reason) == ("infeasible", "no-perfect-matching")
+
+
+def test_each_solve_runs_one_connectivity_search(triangle, house, monkeypatch):
+    """The solver's ``check_pc_euler`` is the only connectivity search on
+    either route: neither the trail nor the duplicated graph's check
+    runs another."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr("ecpostman.euler.is_connected", counted)
+    for g, matching_weight in ((triangle, 0), (house, 2)):
+        calls.clear()
+        sol = solve(g)
+        assert sol.optimal and sol.matching_weight == matching_weight
+        assert calls == [g]
+
+
+def test_public_trail_keeps_its_input_check(triangle, single_color_path):
+    """``pc_euler_trail`` still rejects every input the solver's own call trusts."""
+    disconnected = ColoredMultigraph(
+        6, 3, rows_of(triangle, range(3)) + [(3, 4, 1, 1), (4, 5, 2, 1), (5, 3, 3, 1)]
+    )
+    unbalanced = ColoredMultigraph(3, 2, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 1, 1)])
+    cases = [
+        (disconnected, "graph has no properly colored Euler trail: disconnected"),
+        (single_color_path, "graph has no properly colored Euler trail: odd-degree at vertex 0"),
+        (unbalanced, "graph has no properly colored Euler trail: unbalanced at vertex 0"),
+    ]
+    for g, message in cases:
+        with pytest.raises(GraphError) as err:
+            pc_euler_trail(g)
+        assert str(err.value) == message
 
 
 def test_no_matching_after_the_screen_is_an_invariant_error(house, monkeypatch):
@@ -252,7 +287,7 @@ def test_duplicated_graph_equals_the_constructor_on_the_corpus(monkeypatch):
 
 
 def test_lost_trail_feasibility_is_an_invariant_error(house, monkeypatch):
-    """The trail's even/balanced check owns the structure of the duplicated graph."""
+    """The duplicated graph's even/balanced check names the first faulty vertex."""
 
     def no_duplication(g, mg, pairs):
         return g, tuple(range(len(g.edges)))
