@@ -22,17 +22,19 @@ walks end at u a number of times ≡ d(u), and every degree ends even.
   vertices, a zero-weight clique joined to every slot of u. Slots minus
   fillers is 2*d_i(u) - d(u) ≡ d(u), the least number of walk ends at
   u, since each filler absorbs at most one slot.
-Dijkstra runs on (vertex, entering color) states and keeps witnesses as
-edge-id sequences, and the Euler trail comes from a transition system
-on edge ends: neither names an edge by its endpoints, so parallel
-edges need no subdivision.
+Dijkstra runs on dense ids of (vertex, entering color) states and keeps
+witnesses as edge-id sequences, and the Euler trail comes from a
+transition system on edge ends: neither names an edge by its endpoints,
+so parallel edges need no subdivision.
 
 Every other slot pair (a at (u, i), b at (v, j)) receives an edge
 weighted by the minimum properly colored fixed-end walk from u to v with
-end colors (i, j), when one exists. The walk is looked up once per pair
-of slot classes, and its witness, the edge-id sequence, is stored once
-per signature (u, i, v, j); an absent color costs no walk table, and
-neither does a class with no slot pair left to weigh.
+end colors (i, j), when one exists. One Dijkstra run per class (u, i)
+labels every state id; each later class (v, j) reads the label of its
+state, so the walk is looked up once per pair of slot classes, and its
+witness, the edge-id sequence, is stored once per signature (u, i, v, j).
+An absent color costs no walk table, and neither does a class with no
+slot pair left to weigh.
 
 The builder emits the canonical matching instance (``matching``) itself,
 as flat (a, b, weight) int triples: all vertices exist before the first
@@ -141,6 +143,7 @@ def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) 
     later class visits each slot pair a < b once.
     """
     finder = ShortestWalkFinder(g)
+    state_at = finder.state_at
     scale = (len(vertices) // 2 << TIE_BITS) + 1
     witnesses = {}
     classes = list(slot_indices.items())
@@ -151,9 +154,10 @@ def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) 
         later = classes[i + (len(a_slots) < 2) if profiles[u].dominant else ends[u]:]
         if not later:
             continue  # no partner class: nobody would read the walk table
-        table = finder.table(u, cu)
+        labels = finder.labels(u, cu)
         for (v, cv), b_slots in later:
-            hit = table.get((v, cv))
+            s = state_at[v].get(cv)  # the full model asks about absent colors
+            hit = None if s is None else labels[s]
             if hit is None:
                 continue
             sig = (u, cu, v, cv)

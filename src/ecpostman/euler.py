@@ -26,6 +26,7 @@ from .graph import (
     first_odd_or_unbalanced,
     is_connected,
 )
+from .pcwalks import color_states, other_colors
 
 
 @dataclass(frozen=True)
@@ -60,29 +61,23 @@ def uncoverable_edge(g: ColoredMultigraph) -> int | None:
     walk per edge, added up, is even and balanced everywhere, so Kotzig's
     theorem gives an Euler trail of the sum.
 
-    The test runs on the states of the walk tables (``pcwalks``): state
-    (x, c) means "at x, entered by color c", one per color present at x.
-    An edge xy of color c' != c leads from (x, c) to (y, c'), so cycles
-    of this digraph are exactly the properly colored closed walks,
-    wraparound included. Edge e = xy of color c lies on one iff (y, c)
-    shares a strongly connected component with some (x, c'), c' != c.
+    The test runs on the states of the walk tables, numbered as they are
+    (``pcwalks.color_states``): state (x, c) means "at x, entered by
+    color c", one per color present at x. An edge xy of color c' != c
+    leads from (x, c) to (y, c'), so cycles of this digraph are exactly
+    the properly colored closed walks, wraparound included. Edge e = xy
+    of color c lies on one iff (y, c) shares a strongly connected
+    component with some (x, c'), c' != c. The successors are grouped by
+    color first (``pcwalks.other_colors``), so the two states of a
+    two-color vertex share one list each way; the verdict does not
+    depend on their order.
     """
-    state_at: list[dict[int, int]] = []
-    count = 0
-    for ends in g.incidence:
-        states: dict[int, int] = {}
-        for _, _, color, _ in ends:
-            if color not in states:
-                states[color] = count
-                count += 1
-        state_at.append(states)
-    succ: list[list[int]] = [[]] * count
-    for x, ends in enumerate(g.incidence):
-        heads = [(color, state_at[y][color]) for _, y, color, _ in ends]
-        for c, s in state_at[x].items():
-            succ[s] = [t for color, t in heads if color != c]
-
-    component = _strong_components(succ)
+    state_at, count = color_states(g)
+    heads: list[list[int]] = [[] for _ in range(count)]
+    for states, ends in zip(state_at, g.incidence):
+        for _, y, color, _ in ends:
+            heads[states[color]].append(state_at[y][color])
+    component = _strong_components(other_colors(state_at, heads))
     for eid, x, y, color, _ in g.edges:
         target = component[state_at[y][color]]
         for c, s in state_at[x].items():

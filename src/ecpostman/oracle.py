@@ -3,7 +3,8 @@
 Everything here exists to cross-check the main solver, the walk
 finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
-witness checker, a builder that turns a witness into a ``PCWalk``, an
+witness checker, the plain tuple-keyed Dijkstra the walk finder must
+reproduce, a builder that turns a witness into a ``PCWalk``, an
 exhaustive perfect-matching search and the edge-list normalizer of
 matching instances, the full slot/filler auxiliary model that the
 solver's live-slot model reduces, the structural-lemma checker of a
@@ -16,6 +17,7 @@ instance generators.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections.abc import Sequence
@@ -33,6 +35,7 @@ from .graph import (
     is_connected,
 )
 from .matching import MatchingInstance, PerfectMatching
+from .pcwalks import WalkTable
 from .solver import Solution, solve
 
 DEFAULT_BOUND = 3
@@ -145,6 +148,48 @@ def pc_walk_minima(
                 continue
             offer(other, ecolor, weight + w, length + 1)
     return best
+
+
+def reference_walk_table(g: ColoredMultigraph, u: int, c1: int) -> WalkTable:
+    """The walk table of ``pcwalks.ShortestWalkFinder.table``, by the plain Dijkstra.
+
+    States are (vertex, entering color) tuples, a run keeps its labels
+    in dicts keyed by them, and every pop filters ``incidence[x]`` by
+    color; the finder runs on dense state ids instead. Ties break on the
+    (weight, edge-id sequence) label, so witnesses must agree too.
+    """
+    g._check_vertex(u)
+    incidence = g.incidence
+    # heap entries (dist, edge-id sequence, vertex, entering color);
+    # the sequence makes ties break deterministically and doubles as
+    # the witness.
+    heap: list[tuple[int, tuple[int, ...], int, int]] = []
+    tentative: WalkTable = {}
+    for eid, other, color, w in incidence[u]:
+        if color == c1:
+            label = (w, (eid,))
+            state = (other, color)
+            if state not in tentative or label < tentative[state]:
+                tentative[state] = label
+                heapq.heappush(heap, (w, (eid,), other, color))
+    settled: WalkTable = {}
+    while heap:
+        dist, seq, x, c = heapq.heappop(heap)
+        state = (x, c)
+        if state in settled:
+            continue
+        settled[state] = (dist, seq)
+        for eid, y, cy, w in incidence[x]:
+            if cy == c:
+                continue
+            nxt = (y, cy)
+            if nxt in settled:
+                continue
+            label = (dist + w, seq + (eid,))
+            if nxt not in tentative or label < tentative[nxt]:
+                tentative[nxt] = label
+                heapq.heappush(heap, (label[0], label[1], y, cy))
+    return settled
 
 
 def enumerate_pc_walks(

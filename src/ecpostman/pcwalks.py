@@ -5,76 +5,145 @@ last color c2 corresponds to a directed path in a layered state graph
 whose states are (vertex, color of the entering edge), plus one source
 state per query. One Dijkstra run from the source therefore answers
 every (v, c2) target at once; all weights are non-negative.
+
+The states are numbered densely (``color_states``), one per color
+present at a vertex, and the edge screen (``euler.uncoverable_edge``)
+runs on the same numbering. Each state's moves are the edges that
+leave its vertex in another color, grouped by color once per graph
+(``other_colors``): at a two-color vertex a state's moves are just the
+other color's group.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 from .graph import ColoredMultigraph
 
 # (end vertex, last color) -> (weight, edge ids of a minimum walk)
 WalkTable = dict[tuple[int, int], tuple[int, tuple[int, ...]]]
+# (weight, edge ids of a minimum walk, end state id)
+Label = tuple[int, tuple[int, ...], int]
+
+
+def color_states(g: ColoredMultigraph) -> tuple[list[dict[int, int]], int]:
+    """Number the (vertex, color) states of g densely; return them and their count.
+
+    ``state_at[x]`` maps each color present at x to its state id, in the
+    order the colors first occur in ``incidence[x]``. Ids ascend with the
+    vertex, so the ids of one vertex are consecutive.
+    """
+    state_at: list[dict[int, int]] = []
+    count = 0
+    for ends in g.incidence:
+        states: dict[int, int] = {}
+        for _, _, color, _ in ends:
+            if color not in states:
+                states[color] = count
+                count += 1
+        state_at.append(states)
+    return state_at, count
+
+
+def other_colors(state_at: list[dict[int, int]], groups: list[list]) -> list[list]:
+    """Per state (x, c): the entries of the groups of every other state at x.
+
+    ``groups[s]`` holds one entry per edge that leaves the vertex of
+    state s in the state's color. At a two-color vertex each state gets
+    the other state's group itself, not a copy; a single-color state gets
+    an empty list. The callers only read the result.
+    """
+    out: list[list] = [[]] * len(groups)
+    for states in state_at:
+        if len(states) == 2:
+            s, t = states.values()
+            out[s] = groups[t]
+            out[t] = groups[s]
+        elif len(states) > 2:
+            ids = list(states.values())
+            for s in ids:
+                out[s] = [entry for t in ids if t != s for entry in groups[t]]
+    return out
 
 
 class ShortestWalkFinder:
-    """Memoized single-source shortest properly-colored-walk queries.
+    """Single-source shortest properly-colored-walk queries on one graph.
 
-    One instance wraps one immutable graph; tables are cached per
-    (source vertex, first color), the key of a slot class in the
-    auxiliary matching graph.
+    One instance wraps one immutable graph and builds its state graph
+    once: ``state_at`` (see ``color_states``) and, per state, its moves
+    as (next state, edge id, weight). ``labels`` runs Dijkstra on state
+    ids; ``table`` is the same run keyed by (end vertex, last color) and
+    cached per (source vertex, first color), the key of a slot class in
+    the auxiliary matching graph.
     """
 
     def __init__(self, g: ColoredMultigraph):
         self.g = g
+        state_at, count = color_states(g)
+        self.state_at = state_at
+        leaving: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+        for states, ends in zip(state_at, g.incidence):
+            for eid, y, color, w in ends:
+                leaving[states[color]].append((state_at[y][color], eid, w))
+        self._leaving = leaving  # a run's first moves: the edges leaving u in color c1
+        self._moves = other_colors(state_at, leaving)
         self._tables: dict[tuple[int, int], WalkTable] = {}
 
     def table(self, u: int, c1: int) -> WalkTable:
         """Minima from u with first color c1, keyed by (end vertex, last color).
 
         Each value is (weight, edge-id sequence of a minimum walk);
-        unreachable keys are absent. Each key is asked for once; the cache
-        keeps every table alive with the finder, so benchmark/tracer.py
-        can count one Dijkstra run per table identity.
+        unreachable keys are absent. Tables are cached per key.
         """
         key = (u, c1)
         cached = self._tables.get(key)
         if cached is None:
-            cached = self._dijkstra(u, c1)
+            labels = self.labels(u, c1)
+            cached = {
+                (x, c): label[:2]
+                for x, states in enumerate(self.state_at)
+                for c, s in states.items()
+                if (label := labels[s]) is not None
+            }
             self._tables[key] = cached
         return cached
 
-    def _dijkstra(self, u: int, c1: int) -> WalkTable:
-        g = self.g
-        g._check_vertex(u)
-        incidence = g.incidence
-        # heap entries (dist, edge-id sequence, vertex, entering color);
-        # the sequence makes ties break deterministically and doubles as
-        # the witness.
-        heap: list[tuple[int, tuple[int, ...], int, int]] = []
-        tentative: WalkTable = {}
-        for eid, other, color, w in incidence[u]:
-            if color == c1:
-                label = (w, (eid,))
-                state = (other, color)
-                if state not in tentative or label < tentative[state]:
-                    tentative[state] = label
-                    heapq.heappush(heap, (w, (eid,), other, color))
-        settled: WalkTable = {}
+    def labels(self, u: int, c1: int) -> list[Label | None]:
+        """One Dijkstra run from u with first color c1, indexed by state id.
+
+        Entry s is the least (weight, edge-id sequence, s) over the walks
+        that end in state s, None if none does. The sequence breaks ties
+        deterministically and doubles as the witness. An edge-id sequence
+        fixes its end state, so ordering labels as whole tuples orders
+        them by (weight, sequence), and one tuple serves as both the heap
+        entry and the stored label.
+        """
+        self.g._check_vertex(u)
+        count = len(self._moves)
+        labels: list[Label | None] = [None] * count
+        start = self.state_at[u].get(c1)
+        if start is None:
+            return labels
+        heap: list[Label] = []
+        for t, eid, w in self._leaving[start]:
+            label = (w, (eid,), t)
+            old = labels[t]
+            if old is None or label < old:
+                labels[t] = label
+                heappush(heap, label)
+        moves = self._moves
+        settled = [False] * count
         while heap:
-            dist, seq, x, c = heapq.heappop(heap)
-            state = (x, c)
-            if state in settled:
+            dist, seq, s = heappop(heap)
+            if settled[s]:
                 continue
-            settled[state] = (dist, seq)
-            for eid, y, cy, w in incidence[x]:
-                if cy == c:
+            settled[s] = True
+            for t, eid, w in moves[s]:
+                if settled[t]:
                     continue
-                nxt = (y, cy)
-                if nxt in settled:
-                    continue
-                label = (dist + w, seq + (eid,))
-                if nxt not in tentative or label < tentative[nxt]:
-                    tentative[nxt] = label
-                    heapq.heappush(heap, (label[0], label[1], y, cy))
-        return settled
+                label = (dist + w, seq + (eid,), t)
+                old = labels[t]
+                if old is None or label < old:
+                    labels[t] = label
+                    heappush(heap, label)
+        return labels

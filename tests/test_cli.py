@@ -254,14 +254,14 @@ def test_solve_dump_aux_sidecar(tmp_path, capsys):
 
 
 def test_solve_dump_aux_builds_no_second_model(tmp_path, monkeypatch):
-    calls = []
-    table = ShortestWalkFinder.table
+    calls = []  # one per Dijkstra run
+    labels = ShortestWalkFinder.labels
 
     def counted(self, u, c1):
         calls.append((u, c1))
-        return table(self, u, c1)
+        return labels(self, u, c1)
 
-    monkeypatch.setattr(ShortestWalkFinder, "table", counted)
+    monkeypatch.setattr(ShortestWalkFinder, "labels", counted)
     path = write(tmp_path, "house.ecg", HOUSE)
     assert run_cli("solve", path, "--quiet") == EXIT_OK
     plain = len(calls)

@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from conftest import mg, multigraphs
 
 from ecpostman import ColoredMultigraph
-from ecpostman.oracle import check_walk_witness, normalize, pc_walk_minima, walk_from_edges
+from ecpostman.oracle import (
+    check_walk_witness,
+    encode_digraph,
+    gen_random_digraph,
+    gen_random_instance,
+    normalize,
+    pc_walk_minima,
+    reference_walk_table,
+    walk_from_edges,
+)
 from ecpostman.pcwalks import ShortestWalkFinder
 
 
@@ -113,3 +122,31 @@ def test_works_on_normalized_multigraphs():
                 table = finder.table(u, c1)
                 brute = pc_walk_minima(h, u, c1)
                 assert {key: w for key, (w, _) in table.items()} == brute
+
+
+def assert_reference_tables(g):
+    finder = ShortestWalkFinder(g)
+    for u in range(g.n):
+        for c1 in range(1, g.k + 1):
+            assert finder.table(u, c1) == reference_walk_table(g, u, c1), (u, c1)
+
+
+@given(multigraphs(max_n=8, max_k=4, max_m=14))
+@settings(max_examples=200, deadline=None)
+def test_tables_equal_the_reference_dijkstra(g):
+    # weights, witnesses and reachability, with zero weights and parallel edges
+    assert_reference_tables(g)
+
+
+def test_tables_equal_the_reference_dijkstra_on_generated_inputs():
+    for seed in range(12):
+        assert_reference_tables(gen_random_instance(9, 3, 16, 5, seed=seed))
+        assert_reference_tables(encode_digraph(*gen_random_digraph(8, 18, 5, seed=seed)))
+
+
+def test_labels_index_the_table_by_state(triangle):
+    finder = ShortestWalkFinder(triangle)
+    labels = finder.labels(0, 1)
+    for (v, c2), (w, eids) in finder.table(0, 1).items():
+        assert labels[finder.state_at[v][c2]] == (w, eids, finder.state_at[v][c2])
+    assert finder.labels(0, 5) == [None] * len(labels)
