@@ -22,10 +22,16 @@ walks end at u a number of times ≡ d(u), and every degree ends even.
   vertices, a zero-weight clique joined to every slot of u. Slots minus
   fillers is 2*d_i(u) - d(u) ≡ d(u), the least number of walk ends at
   u, since each filler absorbs at most one slot.
+- A balanced two-color vertex (p = 2, d(u) even) gets no vertex at
+  all, and the builder skips it before any slot arithmetic.
 Dijkstra runs on dense ids of (vertex, entering color) states and keeps
 witnesses as edge-id sequences, and the Euler trail comes from a
 transition system on edge ends: neither names an edge by its endpoints,
-so parallel edges need no subdivision.
+so parallel edges need no subdivision. The walk finder keeps the states
+of the class owners only: a pass-through vertex (degree 2, two colors,
+such as every middle vertex of a digraph encoding) owns no class, and a
+walk crosses it, or a chain of them, in one move whose edge ids and
+weight are the whole chain's (``pcwalks``).
 
 Every other slot pair (a at (u, i), b at (v, j)) receives an edge
 weighted by the minimum properly colored fixed-end walk from u to v with
@@ -142,7 +148,7 @@ def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) 
     ascending index order, so pairing each class with itself and every
     later class visits each slot pair a < b once.
     """
-    finder = ShortestWalkFinder(g)
+    finder = ShortestWalkFinder(g, keep={u for u, _ in slot_indices})
     state_at = finder.state_at
     scale = (len(vertices) // 2 << TIE_BITS) + 1
     witnesses = {}
@@ -190,12 +196,14 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
         d = prof.degree
         if d and max(prof.per_color) == d:
             raise GraphError(f"vertex {u} is incident to a single color only")
+        present = g.k - prof.per_color.count(0)
+        if present == 2 and prof.dominant is None:
+            continue  # a balanced two-color vertex: no slot, even degree
         first = len(vertices)
         for c, count in enumerate(prof.per_color, start=1):
             if count and d > 2 * count:
                 slot_indices[(u, c)] = range(len(vertices), len(vertices) + d - 2 * count)
                 vertices.extend(SlotVertex(u, c, copy) for copy in range(d - 2 * count))
-        present = g.k - prof.per_color.count(0)
         if prof.dominant is None:
             if (present - 1) * d % 2:
                 vertices.append(SlotVertex(u, None, 0))  # the parity vertex

@@ -12,10 +12,25 @@ runs on the same numbering. Each state's moves are the edges that
 leave its vertex in another color, grouped by color once per graph
 (``other_colors``): at a two-color vertex a state's moves are just the
 other color's group.
+
+A walk that enters a pass-through vertex (degree 2, two colors) must
+leave it along its other edge, so the finder contracts such vertices
+out of its state graph unless a caller reads their states: a move into
+one of them continues along its other edge, a chain of them collapses
+into one move that lists every edge it crosses, and the move weighs
+their sum. Every label of a kept state, witness included, is the one
+the uncontracted state graph gives. The caller names the vertices it
+keeps: the model builder (``auxgraph.with_walk_edges``) keeps the
+owners of slot classes, and the default keeps every state, as the
+cached ``table`` view needs. The full model
+(``oracle.build_full_matching_graph``) goes through the same builder
+and keeps every state too: with an odd k >= 3 a two-color vertex owns
+the slot classes of its absent colors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from heapq import heappop, heappush
 
 from .graph import ColoredMultigraph
@@ -26,16 +41,22 @@ WalkTable = dict[tuple[int, int], tuple[int, tuple[int, ...]]]
 Label = tuple[int, tuple[int, ...], int]
 
 
-def color_states(g: ColoredMultigraph) -> tuple[list[dict[int, int]], int]:
+def color_states(
+    g: ColoredMultigraph, contracted: Sequence[bool] = ()
+) -> tuple[list[dict[int, int]], int]:
     """Number the (vertex, color) states of g densely; return them and their count.
 
     ``state_at[x]`` maps each color present at x to its state id, in the
     order the colors first occur in ``incidence[x]``. Ids ascend with the
-    vertex, so the ids of one vertex are consecutive.
+    vertex, so the ids of one vertex are consecutive. A vertex x with
+    ``contracted[x]`` true gets no states.
     """
+    incidence = g.incidence
+    if contracted:
+        incidence = [() if gone else ends for ends, gone in zip(incidence, contracted)]
     state_at: list[dict[int, int]] = []
     count = 0
-    for ends in g.incidence:
+    for ends in incidence:
         states: dict[int, int] = {}
         for _, _, color, _ in ends:
             if color not in states:
@@ -71,20 +92,47 @@ class ShortestWalkFinder:
 
     One instance wraps one immutable graph and builds its state graph
     once: ``state_at`` (see ``color_states``) and, per state, its moves
-    as (next state, edge id, weight). ``labels`` runs Dijkstra on state
-    ids; ``table`` is the same run keyed by (end vertex, last color) and
-    cached per (source vertex, first color), the key of a slot class in
-    the auxiliary matching graph.
+    as (next state, edge ids, weight). A pass-through vertex outside
+    ``keep`` is contracted: it has no states (an empty ``state_at``
+    entry), and a move that crosses it lists the edges of the whole
+    chain. ``keep=None`` keeps every state. ``labels`` runs Dijkstra on
+    state ids; ``table`` is the same run keyed by (end vertex, last
+    color), over the kept states, and cached per (source vertex, first
+    color), the key of a slot class in the auxiliary matching graph.
     """
 
-    def __init__(self, g: ColoredMultigraph):
+    def __init__(self, g: ColoredMultigraph, keep: Collection[int] | None = None):
         self.g = g
-        state_at, count = color_states(g)
+        incidence = g.incidence
+        contracted: list[bool] = []
+        if keep is not None:
+            contracted = [
+                len(ends) == 2 and ends[0][2] != ends[1][2] and x not in keep
+                for x, ends in enumerate(incidence)
+            ]
+            if not any(contracted):
+                contracted = []
+        self._contracted = contracted
+        state_at, count = color_states(g, contracted)
         self.state_at = state_at
-        leaving: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
-        for states, ends in zip(state_at, g.incidence):
+        leaving: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(count)]
+        for states, ends in zip(state_at, incidence):
+            if not states:
+                continue  # contracted, or isolated
             for eid, y, color, w in ends:
-                leaving[states[color]].append((state_at[y][color], eid, w))
+                group = leaving[states[color]]
+                if not (contracted and contracted[y]):
+                    group.append((state_at[y][color], (eid,), w))
+                    continue
+                # the chain ends at a kept vertex: it never comes back to a
+                # vertex it crossed, since it used both of that vertex's edges
+                eids = [eid]
+                while contracted[y]:
+                    a, b = incidence[y]
+                    eid, y, color, step = b if a[2] == color else a
+                    eids.append(eid)
+                    w += step
+                group.append((state_at[y][color], tuple(eids), w))
         self._leaving = leaving  # a run's first moves: the edges leaving u in color c1
         self._moves = other_colors(state_at, leaving)
         self._tables: dict[tuple[int, int], WalkTable] = {}
@@ -93,7 +141,8 @@ class ShortestWalkFinder:
         """Minima from u with first color c1, keyed by (end vertex, last color).
 
         Each value is (weight, edge-id sequence of a minimum walk);
-        unreachable keys are absent. Tables are cached per key.
+        unreachable keys, and the states of contracted vertices, are
+        absent. Tables are cached per key.
         """
         key = (u, c1)
         cached = self._tables.get(key)
@@ -116,17 +165,19 @@ class ShortestWalkFinder:
         deterministically and doubles as the witness. An edge-id sequence
         fixes its end state, so ordering labels as whole tuples orders
         them by (weight, sequence), and one tuple serves as both the heap
-        entry and the stored label.
+        entry and the stored label. A contracted u raises ``ValueError``.
         """
         self.g._check_vertex(u)
         count = len(self._moves)
         labels: list[Label | None] = [None] * count
         start = self.state_at[u].get(c1)
         if start is None:
+            if self._contracted and self._contracted[u]:
+                raise ValueError(f"vertex {u} is contracted out of the state graph")
             return labels
         heap: list[Label] = []
-        for t, eid, w in self._leaving[start]:
-            label = (w, (eid,), t)
+        for t, eids, w in self._leaving[start]:
+            label = (w, eids, t)
             old = labels[t]
             if old is None or label < old:
                 labels[t] = label
@@ -138,10 +189,10 @@ class ShortestWalkFinder:
             if settled[s]:
                 continue
             settled[s] = True
-            for t, eid, w in moves[s]:
+            for t, eids, w in moves[s]:
                 if settled[t]:
                     continue
-                label = (dist + w, seq + (eid,), t)
+                label = (dist + w, seq + eids, t)
                 old = labels[t]
                 if old is None or label < old:
                     labels[t] = label

@@ -117,6 +117,41 @@ def multigraphs(
     return g
 
 
+@st.composite
+def chained_multigraphs(draw, max_n: int = 5, max_k: int = 3, max_m: int = 6):
+    """A multigraph with pass-through chains, and the vertices to keep.
+
+    The base graph (``multigraphs``, at least two colors) gets one to
+    three chains of 1-3 middle vertices, each of degree 2 with two
+    colors; a chain may end where it starts, and one of a single middle
+    vertex then is two parallel edges of distinct colors to its end.
+    A separate pure alternating cycle of 2, 4 or 6 vertices follows.
+    Weights start at 0. ``keep`` is a subset of the base vertices, so
+    the cycle and every middle vertex are pass-through and not kept.
+    """
+    base = draw(multigraphs(max_n=max_n, max_k=max_k, max_m=max_m))
+    k = max(base.k, 2)
+    rows = [(e.u, e.v, e.color, e.weight) for e in base.edges]
+    n = base.n
+    weight = st.integers(0, 3)
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.integers(0, base.n - 1))
+        y = draw(st.integers(0, base.n - 1))
+        color = draw(st.integers(1, k))
+        other = draw(st.integers(1, k - 1))
+        other += other >= color
+        prev = x
+        for step in range(draw(st.integers(1, 3))):
+            rows.append((prev, n, (color, other)[step % 2], draw(weight)))
+            prev, n = n, n + 1
+        rows.append((prev, y, (color, other)[(step + 1) % 2], draw(weight)))
+    length = 2 * draw(st.integers(1, 3))
+    for step in range(length):
+        rows.append((n + step, n + (step + 1) % length, 1 + step % 2, draw(weight)))
+    keep = draw(st.sets(st.integers(0, base.n - 1)))
+    return ColoredMultigraph(n + length, k, rows), keep
+
+
 def assert_same_graph(derived: ColoredMultigraph, built: ColoredMultigraph) -> None:
     """Field-by-field equality, plus the ascending incidence invariant."""
     assert (derived.n, derived.k) == (built.n, built.k)

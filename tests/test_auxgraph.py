@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import beyond_brute_force, mg, multigraphs, owner_slots
+from conftest import beyond_brute_force, chained_multigraphs, mg, multigraphs, owner_slots
 
 from ecpostman import GraphError
 from ecpostman.auxgraph import (
@@ -21,6 +21,8 @@ from ecpostman.oracle import (
     build_full_matching_graph,
     check_walk_witness,
     color_deficiency,
+    encode_digraph,
+    gen_random_digraph,
     gen_random_instance,
     instance_from_edges,
     normalize,
@@ -427,3 +429,34 @@ def test_flat_instance_matches_edges_view_beyond_brute_force():
             build_matching_graph(g), build_matching_graph(gn), build_full_matching_graph(gn)
         ):
             assert_instance_matches_edges_view(aux)
+
+
+def assert_contraction_changes_no_model(g):
+    """The model's instance and witnesses are those of a finder that keeps
+    every state."""
+    contracted = build_matching_graph(g)
+    with mock.patch("ecpostman.auxgraph.ShortestWalkFinder", lambda g, keep: ShortestWalkFinder(g)):
+        full = build_matching_graph(g)
+    assert contracted.instance == full.instance
+    assert contracted.witnesses == full.witnesses
+
+
+@given(chained_multigraphs())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_contraction_changes_no_model(drawn):
+    g, _ = drawn
+    assume(has_single_color_vertex(g) is None)
+    assert_contraction_changes_no_model(g)
+
+
+def test_contraction_changes_no_model_on_digraph_encodings():
+    # every middle vertex of an encoding is pass-through and owns no class
+    encodings = (encode_digraph(*gen_random_digraph(8, 18, 5, seed=seed)) for seed in range(100))
+    checked = 0
+    for g in encodings:
+        if has_single_color_vertex(g) is None:
+            assert_contraction_changes_no_model(g)
+            checked += 1
+            if checked == 12:
+                break
+    assert checked == 12

@@ -1,8 +1,9 @@
 """Shortest properly colored fixed-end walks vs exhaustive enumeration."""
 
+import pytest
 from hypothesis import given, settings
 
-from conftest import mg, multigraphs
+from conftest import chained_multigraphs, mg, multigraphs
 
 from ecpostman import ColoredMultigraph
 from ecpostman.oracle import (
@@ -15,7 +16,7 @@ from ecpostman.oracle import (
     reference_walk_table,
     walk_from_edges,
 )
-from ecpostman.pcwalks import ShortestWalkFinder
+from ecpostman.pcwalks import ShortestWalkFinder, color_states
 
 
 def test_triangle_fixed_values(triangle):
@@ -150,3 +151,56 @@ def test_labels_index_the_table_by_state(triangle):
     for (v, c2), (w, eids) in finder.table(0, 1).items():
         assert labels[finder.state_at[v][c2]] == (w, eids, finder.state_at[v][c2])
     assert finder.labels(0, 5) == [None] * len(labels)
+
+
+def assert_contracted_labels(g, keep):
+    """A finder that keeps ``keep`` drops exactly the other pass-through
+    vertices, and its labels from every kept source equal the reference
+    Dijkstra's on every state it keeps, witnesses included."""
+    finder = ShortestWalkFinder(g, keep=keep)
+    full = color_states(g)[0]
+    kept = 0
+    for x, (states, ends) in enumerate(zip(finder.state_at, g.incidence)):
+        passing = len(ends) == 2 and ends[0][2] != ends[1][2]
+        expected = {} if passing and x not in keep else full[x]
+        assert states.keys() == expected.keys()
+        assert sorted(states.values()) == list(range(kept, kept + len(states)))
+        kept += len(states)
+    for u in range(g.n):
+        for c1 in range(1, g.k + 1):
+            if u not in keep and finder.state_at[u] == {} and g.incidence[u]:
+                with pytest.raises(ValueError):
+                    finder.labels(u, c1)
+                continue
+            labels = finder.labels(u, c1)
+            assert len(labels) == kept
+            reference = reference_walk_table(g, u, c1)
+            for x, states in enumerate(finder.state_at):
+                for c, s in states.items():
+                    hit = reference.get((x, c))
+                    assert labels[s] == (None if hit is None else (*hit, s)), (u, c1, x, c)
+
+
+@given(chained_multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_contracted_labels_equal_the_reference_dijkstra(drawn):
+    assert_contracted_labels(*drawn)
+
+
+def test_contracted_chains_on_a_fixed_graph():
+    # 0-1-2 triangle; chain 0-3-4-1 (two middles), chain 2-5-2 (back to its
+    # start: two parallel edges of distinct colors), zero weights, and the
+    # pure alternating cycle 6-7-8-9
+    g = mg(10, 3, [
+        (0, 1, 1, 2), (1, 2, 2, 1), (2, 0, 3, 1),
+        (0, 3, 2, 0), (3, 4, 1, 1), (4, 1, 3, 0),
+        (2, 5, 1, 0), (5, 2, 2, 1),
+        (6, 7, 1, 1), (7, 8, 2, 0), (8, 9, 1, 1), (9, 6, 2, 0),
+    ])
+    finder = ShortestWalkFinder(g, keep={0, 1, 2})
+    assert [x for x, states in enumerate(finder.state_at) if states] == [0, 1, 2]
+    hit = finder.labels(0, 2)[finder.state_at[1][3]]
+    assert hit[:2] == (1, (3, 4, 5))  # one move across both middle vertices
+    assert finder.labels(2, 1)[finder.state_at[2][2]][:2] == (1, (6, 7))
+    for keep in ({0, 1, 2}, {0}, set(), set(range(10))):
+        assert_contracted_labels(g, keep)
