@@ -1,11 +1,12 @@
-"""Maximum-weight maximum-cardinality matching by Edmonds' blossom algorithm.
+"""Maximum-weight perfect matching by Edmonds' blossom algorithm.
 
 This is a port of ``max_weight_matching(G, maxcardinality=True)`` from
 networkx 3.6.1 (``networkx/algorithms/matching.py``), which follows
 Galil's primal-dual formulation ("Efficient Algorithms for Finding
 Maximum Matching in Graphs", ACM Computing Surveys, 1986) of Edmonds'
 blossom method. It keeps networkx's control flow and its strict ``<``
-tie-breaks, but it does not start from the empty matching with every
+tie-breaks, but it answers one question only: a maximum-weight perfect
+matching, or none. It does not start from the empty matching with every
 vertex dual at maxweight. It uses the greedy initialization of Blossom V
 (V. Kolmogorov, Math. Prog. Comp. 1 (2009) 43-67; see also U. Derigs and
 A. Metz, Computing 36 (1986)): each vertex starts at its own dual, its
@@ -13,20 +14,31 @@ largest weight (rounded up to even in the doubled units used here), and
 then, in id order, each vertex still single lowers its dual to the least
 value that keeps its slacks non-negative and is matched along its first
 tight edge to a single neighbour. So where optima tie it may return a
-different one of the same cardinality and weight. The start is a state
-that every stage of the method assumes: every slack is non-negative,
-every matched edge is tight, no blossom exists yet, and the duals of the
-single vertices share one parity, so the S-S slacks that delta3 halves
-are even (an odd one raises :class:`InvariantError`). Vertex duals are
-free in the perfect-matching LP, so unequal starts still prove a perfect
-result optimal: the conditions of :func:`verify_optimum` on slacks,
-matched edges and blossoms are its certificate, and the one on single
-vertices is vacuous. A run that ends with a single vertex proves nothing
-and is redone from the uniform start, every dual at maxweight with a
-greedy matching of the edges of weight maxweight, whose certificate
-holds for maximum cardinality. :func:`verify_optimum` checks the
-certificate on every call. Otherwise, what changed is the
-representation and some bookkeeping:
+different one of the same weight. The start is a state that every stage
+of the method assumes: every slack is non-negative, every matched edge
+is tight, no blossom exists yet, and the duals of the single vertices
+share one parity, so the S-S slacks that delta3 halves are even (an odd
+one raises :class:`InvariantError`). Vertex duals are free in the
+perfect-matching LP, so unequal starts still prove a perfect result
+optimal: the conditions of :func:`verify_optimum` on slacks, matched
+edges and blossoms are its certificate, checked on every call that
+returns a matching.
+
+One run decides whether a perfect matching exists. The stages stop when
+a stage ends without augmenting, that is when no delta2, delta3 or
+delta4 candidate is left. Then no top-level T-blossom is left, every
+S-blossom is odd, and every edge that leaves an S-blossom ends at a
+T-vertex: an edge to a free vertex or to another S-blossom would be
+tight, and so scanned, or a candidate. Take T = the T-vertices. Each
+T-vertex is matched to the base of its own S-blossom, and the base of
+every other S-blossom is single, so G - T has at least |T| + (number of
+single vertices) odd components, the S-blossoms among them. With a
+single vertex left that exceeds |T|, so by Tutte's theorem no perfect
+matching exists, whatever the duals (this is the Edmonds-Gallai
+structure). The proof needs no certificate, so a run that ends with a
+single vertex returns None unchecked.
+
+Otherwise, what changed is the representation and some bookkeeping:
 
 * vertices are ``0..n-1``; blossoms get the ids ``n, n+1, ...`` in
   creation order and an id is never reused, so per-blossom state lives in
@@ -111,14 +123,15 @@ from .graph import InvariantError
 SINGLE = -1  # mate of an unmatched vertex; also "no vertex" in scan_blossom
 
 
-def max_weight_matching(n: int, edges: Iterable[tuple[int, int, int]]) -> list[int]:
-    """Maximum-weight matching among the maximum-cardinality ones.
+def max_weight_perfect_matching(
+    n: int, edges: Iterable[tuple[int, int, int]]
+) -> list[int] | None:
+    """Maximum-weight perfect matching, or None when the graph has none.
 
     ``edges`` holds or yields loop-free ``(u, v, weight)`` triples with
     integer weights, at most one per vertex pair; it is read once. Returns
-    ``mate`` with ``mate[v]`` the partner of v, or ``SINGLE`` when v is
-    unmatched. The dual certificate is checked by :func:`verify_optimum`
-    before returning.
+    ``mate`` with ``mate[v]`` the partner of v, once :func:`verify_optimum`
+    has checked its dual certificate.
     """
     if not n:
         return []
@@ -153,19 +166,8 @@ def max_weight_matching(n: int, edges: Iterable[tuple[int, int, int]]) -> list[i
                 mate[w] = v
                 break
     blossoms = _run_stages(n, adj, mate, dualvar)
-
     if SINGLE in mate:
-        # Unequal single duals certify only a perfect matching: rerun from
-        # the uniform start, every dual at maxweight, with a greedy matching
-        # of the edges of weight maxweight, whose slack is zero there.
-        maxweight = max(top)
-        mate = [SINGLE] * n
-        for i, j, wt in records:
-            if wt == maxweight and mate[i] == SINGLE and mate[j] == SINGLE:
-                mate[i] = j
-                mate[j] = i
-        dualvar = [maxweight] * n
-        blossoms = _run_stages(n, adj, mate, dualvar)
+        return None  # the module docstring proves that no perfect matching exists
     verify_optimum(records, mate, dualvar, *blossoms)
     return mate
 
@@ -181,8 +183,10 @@ def _run_stages(
     ``adj[v]`` lists the records ``(v, w, 2*weight)`` at v. ``mate`` and
     ``dualvar`` (twice the vertex duals) hold the start and are updated in
     place: every slack is non-negative, every matched edge is tight, and
-    all single vertices have duals of one parity. Returns the blossom
-    state that :func:`verify_optimum` takes after ``dualvar``.
+    all single vertices have duals of one parity. The stages run while a
+    single vertex remains and stop at the first that cannot augment.
+    Returns the blossom state that :func:`verify_optimum` takes after
+    ``dualvar``.
     """
     # Per id (vertex or blossom), valid for vertices and live blossoms:
     # label[b] is 0 (free), 1 (S) or 2 (T) for a top-level blossom b; a
@@ -607,8 +611,8 @@ def _run_stages(
     # never rebound, so both names always see the same state.
     label_, inblossom_, dualvar_, bestedge_, adj_ = label, inblossom, dualvar, bestedge, adj
 
-    # Main loop: continue until no further improvement is possible.
-    while 1:
+    # Main loop: continue until the matching is perfect or cannot grow.
+    while singles:
         # Each iteration of this loop is a "stage".
         # A stage finds an augmenting path and uses that to improve
         # the matching.
@@ -764,11 +768,9 @@ def _run_stages(
                     deltablossom = b
 
             if deltatype == -1:
-                # No further improvement possible; max-cardinality optimum
-                # reached. Do a final delta update to make the optimum
-                # verifiable.
-                deltatype = 1
-                delta = max(0, min(dualvar_))
+                # No further improvement possible: the matching has reached
+                # its maximum cardinality.
+                break
 
             # Update dual variables according to delta.
             for v in vertices:
@@ -788,10 +790,7 @@ def _run_stages(
                         blossomdual[b] -= delta
 
             # Take action at the point where minimum delta occurred.
-            if deltatype == 1:
-                # No further improvement possible; optimum reached.
-                break
-            elif deltatype == 2 or deltatype == 3:
+            if deltatype == 2 or deltatype == 3:
                 # Use the least-slack edge, which now has zero slack, to
                 # continue the search.
                 v = deltaedge[0]
@@ -828,9 +827,9 @@ def verify_optimum(
     blossomparent: Sequence[int | None],
     bedges: Sequence[Sequence[tuple[int, int]] | None],
 ) -> None:
-    """Check the dual certificate of a maximum-cardinality optimum.
+    """Check the dual certificate of a maximum-weight perfect matching.
 
-    The arguments are the end state of :func:`max_weight_matching`:
+    The arguments are the end state of :func:`max_weight_perfect_matching`:
     ``dualvar`` holds twice the vertex duals, ``blossomdual`` the duals of
     the live blossoms, and ``blossomparent`` and ``bedges`` are indexed by
     vertex or blossom id. Raises :class:`InvariantError` when a condition
@@ -840,12 +839,8 @@ def verify_optimum(
     def fail(what: str) -> None:
         raise InvariantError(f"blossom optimality certificate broken: {what}")
 
-    # Vertices may have negative dual; find a constant non-negative number
-    # to add to all vertex duals.
-    vdualoffset = max(0, -min(dualvar))
-    # 0. all dual variables are non-negative
-    if min(dualvar) + vdualoffset < 0:
-        fail("negative vertex dual")
+    # 0. all blossom duals are non-negative (vertex duals are free in the
+    # perfect-matching LP)
     if blossomdual and min(blossomdual.values()) < 0:
         fail("negative blossom dual")
     # chains[v] lists the blossoms that contain vertex v, top-level first,
@@ -877,13 +872,9 @@ def verify_optimum(
                 fail(f"edge ({i}, {j}) is matched on one side only")
             if s != 0:
                 fail(f"matched edge ({i}, {j}) has slack")
-    # 2. all single vertices have zero dual value, and the matching is
-    # symmetric (networkx checks that after every stage);
+    # 2. the matching is symmetric (networkx checks that after every stage);
     for v, m in enumerate(mate):
-        if m == SINGLE:
-            if dualvar[v] + vdualoffset != 0:
-                fail(f"single vertex {v} has non-zero dual")
-        elif mate[m] != v:
+        if m != SINGLE and mate[m] != v:
             fail(f"vertex {v} is matched to {m}, which is matched to {mate[m]}")
     # 3. all blossoms with positive dual value are full.
     for b, z in blossomdual.items():

@@ -1,14 +1,14 @@
 """Exact minimum-weight perfect matching on general weighted graphs.
 
-The matcher is ``blossom.max_weight_matching``, an in-repo port of
-networkx's blossom implementation (Galil's primal-dual form of Edmonds'
-algorithm). It starts each vertex at its own dual and greedily matches
-the edges tight there, as Blossom V does (Kolmogorov, 2009); a run that
-ends without a perfect matching is redone from networkx's uniform start.
-It runs in maximum-cardinality mode on reflected weights, so that the
-minimum-weight perfect matching drops out exactly; with integer weights
-every comparison is exact, and the dual certificate is checked on every
-call. ``min_weight_perfect_matching`` owns the check of the mate it
+The matcher is ``blossom.max_weight_perfect_matching``, an in-repo port
+of networkx's blossom implementation (Galil's primal-dual form of
+Edmonds' algorithm). It starts each vertex at its own dual and greedily
+matches the edges tight there, as Blossom V does (Kolmogorov, 2009), and
+one run either ends perfect or proves that no perfect matching exists.
+It runs on reflected weights, so that the minimum-weight perfect
+matching drops out exactly; with integer weights every comparison is
+exact, and the dual certificate is checked on every call that returns a
+matching. ``min_weight_perfect_matching`` owns the check of the mate it
 gets back: symmetric, no vertex single, every pair an instance edge.
 The brute-force enumerator in ``oracle`` is the independent reference
 it is checked against, and the tests compare its weight with
@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .blossom import SINGLE, max_weight_matching
+from .blossom import max_weight_perfect_matching
 from .graph import InvariantError
 
 TIE_BITS = 20
@@ -71,10 +71,9 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     """Minimum-weight perfect matching, or None when no perfect matching exists.
 
     Exact: weights are reflected as 2*(C - w) with C above the maximum
-    weight, and a maximum-cardinality maximum-weight matching on the
-    reflected graph is a minimum-weight perfect matching whenever the
-    maximum cardinality reaches n/2. The reflected weights are passed as
-    a generator, which the matcher reads once.
+    weight, and a maximum-weight perfect matching on the reflected graph
+    is a minimum-weight perfect matching on the instance. The reflected
+    weights are passed as a generator, which the matcher reads once.
     """
     if inst.n == 0:
         return PerfectMatching((), 0)
@@ -83,8 +82,9 @@ def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | Non
     # doubled: every vertex's largest reflected weight is then even, so the
     # matcher's per-vertex start needs no rounding up
     ceiling = 1 + max(inst.edges, key=itemgetter(2))[2]
-    mate = max_weight_matching(inst.n, ((u, v, 2 * (ceiling - w)) for u, v, w in inst.edges))
-    if SINGLE in mate:
+    reflected = ((u, v, 2 * (ceiling - w)) for u, v, w in inst.edges)
+    mate = max_weight_perfect_matching(inst.n, reflected)
+    if mate is None:
         return None
     pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)
     if 2 * len(pairs) != inst.n:

@@ -3,16 +3,17 @@
 Everything here exists to cross-check the main solver, the walk
 finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
-witness checker, the plain tuple-keyed Dijkstra the walk finder must
-reproduce, a builder that turns a witness into a ``PCWalk``, an
-exhaustive perfect-matching search and the edge-list normalizer of
-matching instances, the full slot/filler auxiliary model that the
-solver's live-slot model reduces, the structural-lemma checker of a
-matching on either model, the normalization
-(simple graph, odd color count) that the full model needs and the
-reference pipeline built on it, the classic digraph encoding into two
-colors, a brute-force directed postman solver, and deterministic random
-instance generators.
+witness checker, the walk finder's runs keyed by (end vertex, last
+color) and the plain tuple-keyed Dijkstra they must reproduce, a builder
+that turns a witness into a ``PCWalk``, an exhaustive perfect-matching
+search, networkx's maximum-cardinality matching on the blossom's own
+stages, the edge-list normalizer of matching instances, the full
+slot/filler auxiliary model that the solver's live-slot model reduces,
+the structural-lemma checker of a matching on either model, the
+normalization (simple graph, odd color count) that the full model needs
+and the reference pipeline built on it, the classic digraph encoding
+into two colors, a brute-force directed postman solver, and
+deterministic random instance generators.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .auxgraph import NOT_AN_EDGE, MatchingGraph, SlotVertex, with_walk_edges
+from .blossom import SINGLE, _run_stages
 from .euler import verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
@@ -35,12 +37,15 @@ from .graph import (
     is_connected,
 )
 from .matching import MatchingInstance, PerfectMatching
-from .pcwalks import WalkTable
+from .pcwalks import ShortestWalkFinder
 from .solver import Solution, solve
 
 DEFAULT_BOUND = 3
 MAX_CANDIDATES = 5_000_000
 MAX_EXPANSIONS = 5_000_000
+
+# (end vertex, last color) -> (weight, edge ids of a minimum walk)
+WalkTable = dict[tuple[int, int], tuple[int, tuple[int, ...]]]
 
 
 def oracle_solve(
@@ -150,8 +155,23 @@ def pc_walk_minima(
     return best
 
 
+def walk_table(finder: ShortestWalkFinder, u: int, c1: int) -> WalkTable:
+    """The minima of ``finder.labels(u, c1)``, keyed by (end vertex, last color).
+
+    Each value is (weight, edge-id sequence of a minimum walk);
+    unreachable keys, and the states of contracted vertices, are absent.
+    """
+    labels = finder.labels(u, c1)
+    return {
+        (x, c): label[:2]
+        for x, states in enumerate(finder.state_at)
+        for c, s in states.items()
+        if (label := labels[s]) is not None
+    }
+
+
 def reference_walk_table(g: ColoredMultigraph, u: int, c1: int) -> WalkTable:
-    """The walk table of ``pcwalks.ShortestWalkFinder.table``, by the plain Dijkstra.
+    """The walk table of :func:`walk_table`, by the plain Dijkstra.
 
     States are (vertex, entering color) tuples, a run keeps its labels
     in dicts keyed by them, and every pop filters ``incidence[x]`` by
@@ -337,6 +357,31 @@ def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatc
     if best_weight[0] is None:
         return None
     return PerfectMatching(best_pairs[0], best_weight[0] // inst.scale)
+
+
+def max_cardinality_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
+    """networkx's maximum-weight maximum-cardinality matching, on the blossom's stages.
+
+    The reference for graphs without a perfect matching, where
+    ``blossom.max_weight_perfect_matching`` returns None. It runs the
+    same ``blossom._run_stages`` from networkx's uniform start: every
+    vertex dual at maxweight, the largest weight (at least 0), plus a
+    greedy matching of the edges of weight maxweight, whose slack is zero
+    there. Returns ``mate`` with ``SINGLE`` for an unmatched vertex; no
+    certificate is checked.
+    """
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, j, wt in edges:
+        adj[i].append((i, j, 2 * wt))
+        adj[j].append((j, i, 2 * wt))
+    maxweight = max([0, *(wt for _, _, wt in edges)])
+    mate = [SINGLE] * n
+    for i, j, wt in edges:
+        if wt == maxweight and mate[i] == SINGLE and mate[j] == SINGLE:
+            mate[i] = j
+            mate[j] = i
+    _run_stages(n, adj, mate, [maxweight] * n)
+    return mate
 
 
 def color_deficiency(profile: DegreeProfile, color: int) -> int:

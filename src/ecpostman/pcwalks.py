@@ -22,7 +22,7 @@ their sum. Every label of a kept state, witness included, is the one
 the uncontracted state graph gives. The caller names the vertices it
 keeps: the model builder (``auxgraph.with_walk_edges``) keeps the
 owners of slot classes, and the default keeps every state, as the
-cached ``table`` view needs. The full model
+tests' table view (``oracle.walk_table``) needs. The full model
 (``oracle.build_full_matching_graph``) goes through the same builder
 and keeps every state too: with an odd k >= 3 a two-color vertex owns
 the slot classes of its absent colors.
@@ -35,8 +35,6 @@ from heapq import heappop, heappush
 
 from .graph import ColoredMultigraph
 
-# (end vertex, last color) -> (weight, edge ids of a minimum walk)
-WalkTable = dict[tuple[int, int], tuple[int, tuple[int, ...]]]
 # (weight, edge ids of a minimum walk, end state id)
 Label = tuple[int, tuple[int, ...], int]
 
@@ -96,9 +94,8 @@ class ShortestWalkFinder:
     ``keep`` is contracted: it has no states (an empty ``state_at``
     entry), and a move that crosses it lists the edges of the whole
     chain. ``keep=None`` keeps every state. ``labels`` runs Dijkstra on
-    state ids; ``table`` is the same run keyed by (end vertex, last
-    color), over the kept states, and cached per (source vertex, first
-    color), the key of a slot class in the auxiliary matching graph.
+    state ids from a (source vertex, first color), the key of a slot
+    class in the auxiliary matching graph.
     """
 
     def __init__(self, g: ColoredMultigraph, keep: Collection[int] | None = None):
@@ -135,27 +132,6 @@ class ShortestWalkFinder:
                 group.append((state_at[y][color], tuple(eids), w))
         self._leaving = leaving  # a run's first moves: the edges leaving u in color c1
         self._moves = other_colors(state_at, leaving)
-        self._tables: dict[tuple[int, int], WalkTable] = {}
-
-    def table(self, u: int, c1: int) -> WalkTable:
-        """Minima from u with first color c1, keyed by (end vertex, last color).
-
-        Each value is (weight, edge-id sequence of a minimum walk);
-        unreachable keys, and the states of contracted vertices, are
-        absent. Tables are cached per key.
-        """
-        key = (u, c1)
-        cached = self._tables.get(key)
-        if cached is None:
-            labels = self.labels(u, c1)
-            cached = {
-                (x, c): label[:2]
-                for x, states in enumerate(self.state_at)
-                for c, s in states.items()
-                if (label := labels[s]) is not None
-            }
-            self._tables[key] = cached
-        return cached
 
     def labels(self, u: int, c1: int) -> list[Label | None]:
         """One Dijkstra run from u with first color c1, indexed by state id.

@@ -28,6 +28,7 @@ from ecpostman.oracle import (
     normalize,
     reference_solve,
     validate_matching_structure,
+    walk_table,
 )
 from ecpostman.pcwalks import ShortestWalkFinder
 
@@ -134,7 +135,7 @@ def check_walk_edges(gn):
         if e.artificial:
             continue
         u, c1, v, c2 = e.signature
-        hit = finder.table(u, c1).get((v, c2))
+        hit = walk_table(finder, u, c1).get((v, c2))
         assert hit is not None and hit[0] == e.weight
         assert check_walk_witness(gn, u, c1, v, c2, e.weight, aux.witnesses[e.signature]) is None
         assert (e.a, e.b) not in walk_edges  # one walk edge per slot pair
@@ -145,7 +146,7 @@ def check_walk_edges(gn):
     for i, (a, sa) in enumerate(slots):
         for b, sb in slots[i + 1:]:
             balanced = color_degrees(gn, sa.owner).dominant is None
-            hit = finder.table(sa.owner, sa.color).get((sb.owner, sb.color))
+            hit = walk_table(finder, sa.owner, sa.color).get((sb.owner, sb.color))
             if (sa.owner == sb.owner and balanced) or hit is None:
                 assert (a, b) not in walk_edges
                 continue

@@ -2,14 +2,17 @@
 
 The blossom port starts each vertex at its own dual with a greedy
 matching of the edges tight there, and so need not return networkx's
-matching where optima tie: it must return one of the same cardinality
-and weight, and networkx's own matching wherever the optimum is unique.
-A run that ends without a perfect matching is redone from networkx's
-uniform start; the tests cover both runs, the mid-stage T-blossom
-expansions of each, and the parity that the per-vertex start keeps.
-Documents depend only on the multiset of matched signatures, so on the
-models that ``solve`` builds that multiset must equal the one of
-networkx's matching.
+matching where optima tie: it must return one of the same weight, and
+networkx's own matching wherever the optimum is unique. It returns None
+exactly when networkx's maximum-cardinality matching leaves a vertex
+single: one run of the stages decides that. On such graphs the
+comparisons take ``oracle.max_cardinality_matching``, the same stages
+from networkx's uniform start, as the port's counterpart. The tests
+cover both starts, the mid-stage T-blossom expansions of each, a Tutte
+barrier whose run ends with live S-blossoms, and the parity that the
+per-vertex start keeps. Documents depend only on the multiset of matched
+signatures, so on the models that ``solve`` builds that multiset must
+equal the one of networkx's matching.
 """
 
 import gc
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 from ecpostman import GraphError, InvariantError
 from ecpostman import blossom, solver
 from ecpostman.auxgraph import build_matching_graph
-from ecpostman.blossom import SINGLE, max_weight_matching
+from ecpostman.blossom import SINGLE, max_weight_perfect_matching
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     brute_force_matching,
@@ -32,6 +35,7 @@ from ecpostman.oracle import (
     gen_random_digraph,
     gen_random_instance,
     instance_from_edges,
+    max_cardinality_matching,
 )
 
 
@@ -122,7 +126,7 @@ def test_matching_validity(n, data):
 def test_non_perfect_backend_mate_is_an_invariant_error(monkeypatch):
     """A backend fault is an internal error, not a user-input GraphError."""
     rotated = lambda n, edges: [(v + 1) % n for v in range(n)]
-    monkeypatch.setattr("ecpostman.matching.max_weight_matching", rotated)
+    monkeypatch.setattr("ecpostman.matching.max_weight_perfect_matching", rotated)
     with pytest.raises(InvariantError, match="non-perfect matching"):
         min_weight_perfect_matching(inst(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)]))
 
@@ -134,7 +138,7 @@ def test_backend_pairing_non_adjacent_vertices_is_an_invariant_error(monkeypatch
     the two is no edge: it sorts between two edges, or past the last one.
     """
     crossed = lambda n, edges: [3, 2, 1, 0]
-    monkeypatch.setattr("ecpostman.matching.max_weight_matching", crossed)
+    monkeypatch.setattr("ecpostman.matching.max_weight_perfect_matching", crossed)
     for edges in (
         [(0, 1, 1), (0, 2, 5), (1, 2, 2), (2, 3, 1)],  # (0, 3) missing, (1, 2) present
         [(0, 1, 1), (0, 2, 5), (0, 3, 2)],  # (1, 2) missing, past the last edge
@@ -154,7 +158,10 @@ def networkx_mate(n, edges):
 
 
 def ported_mate(n, edges):
-    mate = max_weight_matching(n, edges)
+    """The port's perfect matching, or the oracle's matching when there is none."""
+    mate = max_weight_perfect_matching(n, edges)
+    if mate is None:
+        mate = max_cardinality_matching(n, edges)
     assert all(m == SINGLE or mate[m] == v for v, m in enumerate(mate))
     return {frozenset((v, m)) for v, m in enumerate(mate) if v < m}
 
@@ -178,8 +185,14 @@ def mate_weight(pairs, edges):
 
 
 def assert_same_optimum(n, edges, context=None):
-    """The port's matching has networkx's cardinality and total weight."""
+    """The port's matching has networkx's cardinality and total weight.
+
+    The port finds no perfect matching exactly when networkx's leaves a
+    vertex single.
+    """
     ours, theirs = ported_mate(n, edges), networkx_mate(n, edges)
+    perfect = max_weight_perfect_matching(n, edges) is not None
+    assert perfect == (2 * len(theirs) == n), context
     assert len(ours) == len(theirs), context
     assert mate_weight(ours, edges) == mate_weight(theirs, edges), context
 
@@ -227,14 +240,14 @@ def test_mate_equals_networkx(n, data):
 # Graphs on which the matcher expands a T-blossom in the middle of a stage
 # (a delta4 step) and relabels its sub-blossoms along the edges between
 # them, each picked by counting such expansions in an instrumented copy
-# of the matcher. The first eleven have no perfect matching, so their
-# answer comes from the uniform fallback run, which expands 1, 1, 1, 2,
-# 2, 2, 3, 3, 3, 4 and 2 T-blossoms mid-stage, of which 0, 0, 1, 1, 1, 1,
-# 2, 2, 2, 3 and 2 hold a nested blossom; before it, the per-vertex run
-# expands 3 (2 nested) on the seventh graph and none on the others. The
-# last six have a perfect matching, so the per-vertex run alone gives
-# their answer; it expands 1, 1, 1, 2, 2 and 3, of which 1, 1, 1, 1, 1
-# and 2 hold a nested blossom.
+# of the matcher. The first eleven have no perfect matching, so the
+# comparison takes the oracle's run from the uniform start, which expands
+# 1, 1, 1, 2, 2, 2, 3, 3, 3, 4 and 2 T-blossoms mid-stage, of which 0, 0,
+# 1, 1, 1, 1, 2, 2, 2, 3 and 2 hold a nested blossom; the matcher's own
+# per-vertex run, which returns None, expands 3 (2 nested) on the seventh
+# graph and none on the others. The last six have a perfect matching, so
+# the per-vertex run alone gives their answer; it expands 1, 1, 1, 2, 2
+# and 3, of which 1, 1, 1, 1, 1 and 2 hold a nested blossom.
 MID_STAGE_EXPANSIONS = [
     (7, [
         (0, 3, 0), (1, 5, 6), (2, 4, 11), (2, 5, 15), (3, 5, 18), (3, 6, 8), (4, 6, 6),
@@ -351,7 +364,7 @@ def test_per_vertex_starts_of_mixed_parity_match_networkx():
             continue
         mixed += 1
         assert_same_optimum(n, edges, case)
-        perfect += SINGLE not in max_weight_matching(n, edges)
+        perfect += max_weight_perfect_matching(n, edges) is not None
     assert mixed >= 150 and perfect >= 50, (mixed, perfect)
 
 
@@ -375,30 +388,57 @@ def counted_runs(monkeypatch):
     return runs
 
 
-def test_no_perfect_matching_takes_the_uniform_fallback(monkeypatch):
+def test_non_perfect_instance_takes_one_run_of_the_stages(monkeypatch):
     """The star K1,3 has an even vertex count and no perfect matching.
 
-    The per-vertex run ends with single vertices, whose unequal duals
-    certify nothing, so the matcher runs again from the uniform start; a
-    perfect instance takes one run.
+    The per-vertex run ends with single vertices, which proves that no
+    perfect matching exists whatever the duals, so the matcher returns
+    None after that one run; a perfect instance takes one run too.
     """
     runs = counted_runs(monkeypatch)
     star = [(0, 1, 1), (0, 2, 5), (0, 3, 2)]
     assert min_weight_perfect_matching(inst(4, star)) is None
-    assert len(runs) == 2
-    runs.clear()
-    assert_same_optimum(4, star)
-    assert len(runs) == 2
+    assert len(runs) == 1
     runs.clear()
     assert min_weight_perfect_matching(inst(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)]))
     assert len(runs) == 1
 
 
+def test_tutte_barrier_run_ends_with_live_s_blossoms(monkeypatch):
+    """A centre vertex joined to three disjoint triangles, n = 10.
+
+    Removing the centre leaves three odd components, so no perfect
+    matching exists. The run stops with each triangle a live top-level
+    blossom: the triangles are the S-blossoms and the centre is the
+    T-vertex, the Edmonds-Gallai structure that proves it.
+    """
+    triangles = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    edges = [(0, 1, 4), (0, 5, 2), (0, 9, 7)]
+    for (a, b, c), w in zip(triangles, (3, 5, 1)):
+        edges += [(a, b, w), (b, c, w + 1), (a, c, w + 2)]
+    ends = []
+    run_stages = blossom._run_stages
+
+    def recorded(*args):
+        ends.append(run_stages(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(blossom, "_run_stages", recorded)
+    assert max_weight_perfect_matching(10, edges) is None
+    monkeypatch.undo()
+    blossomdual, blossomparent, bedges = ends[0]
+    assert all(blossomparent[b] is None for b in blossomdual)
+    assert {frozenset(v for e in bedges[b] for v in e) for b in blossomdual} == {
+        frozenset(t) for t in triangles
+    }
+    assert_same_optimum(10, edges)
+
+
 def test_mid_stage_t_blossom_expansions_match_networkx():
     for case, (n, edges) in enumerate(MID_STAGE_EXPANSIONS):
         assert_same_optimum(n, edges, case)
-        # only a perfect result keeps the per-vertex run's answer
-        assert (SINGLE not in max_weight_matching(n, edges)) == (case >= 11), case
+        # the per-vertex run finds a perfect matching on the last six only
+        assert (max_weight_perfect_matching(n, edges) is not None) == (case >= 11), case
 
 
 def networkx_perfect_pairs(inst):
@@ -444,7 +484,7 @@ def test_model_instances_match_networkx():
 
 
 def certificate(monkeypatch, n, edges):
-    """The arguments max_weight_matching hands to verify_optimum."""
+    """The arguments max_weight_perfect_matching hands to verify_optimum."""
     seen = []
     check = blossom.verify_optimum
 
@@ -453,7 +493,7 @@ def certificate(monkeypatch, n, edges):
         check(*args)
 
     monkeypatch.setattr(blossom, "verify_optimum", record)
-    max_weight_matching(n, edges)
+    max_weight_perfect_matching(n, edges)
     monkeypatch.undo()
     return seen[0]
 

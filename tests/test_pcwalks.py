@@ -15,13 +15,14 @@ from ecpostman.oracle import (
     pc_walk_minima,
     reference_walk_table,
     walk_from_edges,
+    walk_table,
 )
 from ecpostman.pcwalks import ShortestWalkFinder, color_states
 
 
 def test_triangle_fixed_values(triangle):
     # frozen from exhaustive enumeration of walks up to 4 edges
-    table = ShortestWalkFinder(triangle).table(0, 1)
+    table = walk_table(ShortestWalkFinder(triangle), 0, 1)
     assert table[(2, 2)][0] == 2
     assert table[(2, 2)][1] == (0, 1)
     assert table[(0, 3)][0] == 3
@@ -31,38 +32,31 @@ def test_triangle_fixed_values(triangle):
 def test_triangle_matches_enumeration(triangle):
     for u in range(3):
         for c1 in range(1, 4):
-            table = ShortestWalkFinder(triangle).table(u, c1)
+            table = walk_table(ShortestWalkFinder(triangle), u, c1)
             brute = pc_walk_minima(triangle, u, c1)
             assert {key: w for key, (w, _) in table.items()} == brute
 
 
 def test_single_edge_walk(triangle):
-    hit = ShortestWalkFinder(triangle).table(0, 1).get((1, 1))
+    hit = walk_table(ShortestWalkFinder(triangle), 0, 1).get((1, 1))
     assert hit is not None
     weight, eids = hit
     assert weight == 1 and eids == (0,)
 
 
 def test_no_incident_color_gives_empty_table(triangle):
-    assert ShortestWalkFinder(triangle).table(0, 5) == {}
+    assert walk_table(ShortestWalkFinder(triangle), 0, 5) == {}
 
 
 def test_disconnected_target_absent():
     g = mg(6, 3, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 0, 3, 1), (3, 4, 1, 1), (4, 5, 2, 1), (5, 3, 3, 1)])
-    assert ShortestWalkFinder(g).table(0, 1).get((3, 1)) is None
+    assert walk_table(ShortestWalkFinder(g), 0, 1).get((3, 1)) is None
 
 
 def test_closed_walk_to_source_needs_two_edges():
     g = mg(2, 2, [(0, 1, 1, 1), (0, 1, 2, 1)])
-    hit = ShortestWalkFinder(g).table(0, 1).get((0, 2))
+    hit = walk_table(ShortestWalkFinder(g), 0, 1).get((0, 2))
     assert hit is not None and len(hit[1]) == 2
-
-
-def test_finder_caches_tables(triangle):
-    finder = ShortestWalkFinder(triangle)
-    t1 = finder.table(0, 1)
-    t2 = finder.table(0, 1)
-    assert t1 is t2
 
 
 def test_witness_checker_rejects_each_fault(triangle):
@@ -88,7 +82,7 @@ def test_matches_enumeration_and_witnesses(g):
     finder = ShortestWalkFinder(g)
     for u in range(g.n):
         for c1 in range(1, g.k + 1):
-            table = finder.table(u, c1)
+            table = walk_table(finder, u, c1)
             brute = pc_walk_minima(g, u, c1)
             assert set(table) == set(brute)
             for (v, c2), (w, eids) in table.items():
@@ -106,8 +100,8 @@ def test_adding_an_edge_never_hurts(g):
     more = ShortestWalkFinder(bigger)
     for u in range(g.n):
         for c1 in range(1, g.k + 1):
-            before = base.table(u, c1)
-            after = more.table(u, c1)
+            before = walk_table(base, u, c1)
+            after = walk_table(more, u, c1)
             for key, (w, _) in before.items():
                 assert key in after
                 assert after[key][0] <= w
@@ -120,7 +114,7 @@ def test_works_on_normalized_multigraphs():
         finder = ShortestWalkFinder(h)
         for u in range(h.n):
             for c1 in range(1, h.k + 1):
-                table = finder.table(u, c1)
+                table = walk_table(finder, u, c1)
                 brute = pc_walk_minima(h, u, c1)
                 assert {key: w for key, (w, _) in table.items()} == brute
 
@@ -129,7 +123,7 @@ def assert_reference_tables(g):
     finder = ShortestWalkFinder(g)
     for u in range(g.n):
         for c1 in range(1, g.k + 1):
-            assert finder.table(u, c1) == reference_walk_table(g, u, c1), (u, c1)
+            assert walk_table(finder, u, c1) == reference_walk_table(g, u, c1), (u, c1)
 
 
 @given(multigraphs(max_n=8, max_k=4, max_m=14))
@@ -148,7 +142,7 @@ def test_tables_equal_the_reference_dijkstra_on_generated_inputs():
 def test_labels_index_the_table_by_state(triangle):
     finder = ShortestWalkFinder(triangle)
     labels = finder.labels(0, 1)
-    for (v, c2), (w, eids) in finder.table(0, 1).items():
+    for (v, c2), (w, eids) in walk_table(finder, 0, 1).items():
         assert labels[finder.state_at[v][c2]] == (w, eids, finder.state_at[v][c2])
     assert finder.labels(0, 5) == [None] * len(labels)
 
