@@ -24,14 +24,11 @@ walks end at u a number of times ≡ d(u), and every degree ends even.
   u, since each filler absorbs at most one slot.
 - A balanced two-color vertex (p = 2, d(u) even) gets no vertex at
   all, and the builder skips it before any slot arithmetic.
-Dijkstra runs on dense ids of (vertex, entering color) states and keeps
-witnesses as edge-id sequences, and the Euler trail comes from a
-transition system on edge ends: neither names an edge by its endpoints,
-so parallel edges need no subdivision. The walk finder keeps the states
-of the class owners only: a pass-through vertex (degree 2, two colors,
-such as every middle vertex of a digraph encoding) owns no class, and a
-walk crosses it, or a chain of them, in one move whose edge ids and
-weight are the whole chain's (``pcwalks``).
+Dijkstra keeps witnesses as edge-id sequences and the Euler trail pairs
+edge ends, so parallel edges need no subdivision. The walk finder keeps
+the states of class owners only: a pass-through vertex (degree 2, two
+colors, as every middle vertex of a digraph encoding) owns no class, and
+a chain of them is one move with all its edge ids and weight (``pcwalks``).
 
 Every other slot pair (a at (u, i), b at (v, j)) receives an edge
 weighted by the minimum properly colored fixed-end walk from u to v with
@@ -42,11 +39,14 @@ witness, the edge-id sequence, is stored once per signature (u, i, v, j).
 An absent color costs no walk table, and neither does a class with no
 slot pair left to weigh.
 
-The builder emits the canonical matching instance (``matching``) itself,
-as flat (a, b, weight) int triples: all vertices exist before the first
-walk edge, so the scale B is known, and each walk edge weighs
-w*B + tie_break(signature) straight away. No object is made per edge;
-the ``AuxEdge`` list is a view built on demand for dumps and tests.
+The builder reads each vertex's degree and color-count row, and keeps
+only the dominant owners' colors (``MatchingGraph.dominant``). It emits
+the canonical matching instance (``matching``) itself, as flat
+(a, b, weight) int triples: all vertices exist before the first walk
+edge, so the scale B is known, and each walk edge weighs
+w*B + tie_break(signature) straight away, the first two rounds of the
+mix done once per class (u, i). No object is made per edge; the
+``AuxEdge`` list is a view built on demand for dumps and tests.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -63,16 +63,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
-from .graph import ColoredMultigraph, DegreeProfile, GraphError, color_degrees
-from .matching import TIE_BITS, MatchingInstance, tie_break
+from .graph import ColoredMultigraph, GraphError, _new_tuple
+from .matching import TIE_BITS, MatchingInstance, tie_end, tie_mix
 from .pcwalks import ShortestWalkFinder
 
 NOT_AN_EDGE = "not an edge"  # what MatchingGraph.signature returns for a non-edge
 
 
-@dataclass(frozen=True)
-class SlotVertex:
+class SlotVertex(NamedTuple):
     """One auxiliary vertex; ``color`` is None for filler and parity vertices."""
 
     owner: int
@@ -96,8 +96,8 @@ class AuxEdge:
 class MatchingGraph:
     """Materialized auxiliary graph over an immutable input graph.
 
-    ``profiles[u]`` is the degree profile of u; a color-less vertex is a
-    filler at a dominant owner and a parity vertex at a balanced one.
+    ``dominant`` maps each owner with a dominant color to that color; a
+    color-less vertex is a filler there and a parity vertex elsewhere.
     ``canonical`` lists the edges as canonical (a, b, weight) triples,
     a < b, in build order, and ``instance`` holds them sorted, the
     matcher's input: since the builders emit every pair once, that is
@@ -110,7 +110,7 @@ class MatchingGraph:
     witnesses: dict[tuple[int, int, int, int], tuple[int, ...]]
     slot_indices: dict[tuple[int, int], Sequence[int]]
     filler_indices: dict[int, Sequence[int]]
-    profiles: list[DegreeProfile]
+    dominant: dict[int, int]
     instance: MatchingInstance
 
     def signature(self, a: int, b: int) -> tuple[int, int, int, int] | None | str:
@@ -124,7 +124,7 @@ class MatchingGraph:
         if a == b:
             return NOT_AN_EDGE
         x, y = self.vertices[min(a, b)], self.vertices[max(a, b)]
-        if x.owner == y.owner and None in (x.color, y.color, self.profiles[x.owner].dominant):
+        if x.owner == y.owner and (None in (x.color, y.color) or x.owner not in self.dominant):
             return None  # one owner: balanced, or one end color-less
         sig = (x.owner, x.color, y.owner, y.color)
         return sig if sig in self.witnesses else NOT_AN_EDGE
@@ -140,7 +140,7 @@ class MatchingGraph:
         return {(e.a, e.b): e for e in self.edges}
 
 
-def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) -> MatchingGraph:
+def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant) -> MatchingGraph:
     """Append the canonical walk edges to the artificial ``edges``; wrap the model.
 
     Shared by both builders; the arguments are the ``MatchingGraph``
@@ -157,23 +157,24 @@ def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles) 
     for i, ((u, cu), a_slots) in enumerate(classes):
         # a balanced owner's classes pair among themselves only artificially,
         # and a class pairs with itself only if it has two slots
-        later = classes[i + (len(a_slots) < 2) if profiles[u].dominant else ends[u]:]
+        later = classes[i + (len(a_slots) < 2) if u in dominant else ends[u]:]
         if not later:
             continue  # no partner class: nobody would read the walk table
         labels = finder.labels(u, cu)
+        prefix = tie_mix(4, (u, cu))  # tie_break((u, cu, v, cv)) up to its last rounds
         for (v, cv), b_slots in later:
             s = state_at[v].get(cv)  # the full model asks about absent colors
             hit = None if s is None else labels[s]
             if hit is None:
                 continue
             sig = (u, cu, v, cv)
-            w = hit[0] * scale + tie_break(sig)
+            w = hit[0] * scale + tie_end(tie_mix(prefix, (v, cv)))
             pairs = [(a, b, w) for a in a_slots for b in b_slots if a < b]
             if pairs:
                 witnesses[sig] = hit[1]
                 edges.extend(pairs)
     instance = MatchingInstance(len(vertices), tuple(sorted(edges)), scale)
-    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, profiles,
+    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, dominant,
                          instance)
 
 
@@ -185,38 +186,39 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
     walk table for (u, c) gives the weight and witness edge ids shared
     by every slot pair between the two classes.
     """
-    profiles = [color_degrees(g, u) for u in range(g.n)]
     vertices: list[SlotVertex] = []
     edges: list[tuple[int, int, int]] = []
     slot_indices: dict[tuple[int, int], range] = {}
     filler_indices: dict[int, range] = {}
+    dominant: dict[int, int] = {}
     # indices ascend within an owner (slots by color, then its filler or
     # parity vertices), so every artificial pair is (smaller, larger)
-    for u, prof in enumerate(profiles):
-        d = prof.degree
-        if d and max(prof.per_color) == d:
+    for u, (ends, counts) in enumerate(zip(g.incidence, g._color_counts)):
+        d = len(ends)
+        top = max(counts, default=0)
+        if 2 * top == d and counts.count(top) == 2:
+            continue  # a balanced two-color vertex (or none at all): no slot
+        if d and top == d:
             raise GraphError(f"vertex {u} is incident to a single color only")
-        present = g.k - prof.per_color.count(0)
-        if present == 2 and prof.dominant is None:
-            continue  # a balanced two-color vertex: no slot, even degree
+        present = g.k - counts.count(0)
         first = len(vertices)
-        for c, count in enumerate(prof.per_color, start=1):
+        for c, count in enumerate(counts, start=1):
             if count and d > 2 * count:
                 slot_indices[(u, c)] = range(len(vertices), len(vertices) + d - 2 * count)
-                vertices.extend(SlotVertex(u, c, copy) for copy in range(d - 2 * count))
-        if prof.dominant is None:
+                vertices.extend(_new_tuple(SlotVertex, (u, c, i)) for i in range(d - 2 * count))
+        if 2 * top <= d:
             if (present - 1) * d % 2:
-                vertices.append(SlotVertex(u, None, 0))  # the parity vertex
+                vertices.append(_new_tuple(SlotVertex, (u, None, 0)))  # the parity vertex
             owned = range(first, len(vertices))
             edges.extend((a, b, 0) for a, b in combinations(owned, 2))
         else:
+            dominant[u] = counts.index(top) + 1
             slots = range(first, len(vertices))
-            fill = range(len(vertices), len(vertices) + (present - 2) * d)
-            vertices.extend(SlotVertex(u, None, copy) for copy in range(len(fill)))
-            filler_indices[u] = fill
+            filler_indices[u] = fill = range(len(vertices), len(vertices) + (present - 2) * d)
+            vertices.extend(_new_tuple(SlotVertex, (u, None, i)) for i in range(len(fill)))
             edges.extend((a, b, 0) for a, b in combinations(fill, 2))
             edges.extend((s, f, 0) for s in slots for f in fill)
-    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
+    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant)
 
 
 def dump_matching_graph(mg: MatchingGraph) -> str:
@@ -224,7 +226,7 @@ def dump_matching_graph(mg: MatchingGraph) -> str:
     lines = [f"aux-graph vertices {len(mg.vertices)} edges {len(mg.edges)}"]
     for idx, sv in enumerate(mg.vertices):
         if sv.color is None:
-            cls = "parity" if mg.profiles[sv.owner].dominant is None else "filler"
+            cls = "filler" if sv.owner in mg.dominant else "parity"
         else:
             cls = f"slot color {sv.color}"
         lines.append(f"vertex {idx} owner {sv.owner} {cls} copy {sv.copy}")

@@ -3,10 +3,10 @@
 A connected edge-colored multigraph has a properly colored Euler trail
 exactly when every vertex has even degree and no color occupies more
 than half of any vertex's incident edge ends. Extraction works through
-a transition system: per vertex, a list of pairs of its edge ends with
-distinct colors. The pairing decomposes the edge set into closed
-properly colored trails; cross re-pairing at shared vertices merges
-them into one, and that one trail is walked once. The edge screen
+a transition system, a greedy pairing of each vertex's edge ends in
+distinct colors, read off directly at degree 2 and at two colors. It
+splits the edges into closed properly colored trails; cross re-pairing
+at shared vertices merges them into one, walked once. The edge screen
 (``uncoverable_edge``) decides the weaker question the postman problem
 asks: whether some properly colored closed walk covers every edge, with
 edges traversed any number of times. It runs on the same (vertex,
@@ -137,15 +137,19 @@ def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]
     """Pair the edge ends at every vertex so paired ends differ in color.
 
     Returns, per vertex, its pairs of edge ids, each pair and each list
-    sorted. Every vertex must be even and balanced; that is the caller's
-    precondition (``check_pc_euler``), not checked here. Greedy per
-    vertex: pair the smallest edge id of the most frequent remaining
-    color with the smallest edge id of the second most frequent, ties
-    to the smaller color. Each step keeps the vertex balanced, so the
-    greedy never gets stuck.
+    sorted. Every vertex must be even and balanced (``check_pc_euler``,
+    the caller's); one that is not raises InvariantError. The greedy
+    (``oracle.greedy_transition_system``) pairs the smallest edge id of
+    the most frequent remaining color with the smallest of the second
+    most frequent, ties to the smaller color, and so keeps the vertex
+    balanced. Only three or more colors need its heap: at degree 2 its
+    one pair is the two ends, at two colors it pairs their i-th smallest.
     """
     pairs_at: list[list[tuple[int, int]]] = []
-    for ends in g.incidence:
+    for u, ends in enumerate(g.incidence):
+        if len(ends) == 2 and ends[0][2] != ends[1][2]:
+            pairs_at.append([(ends[0][0], ends[1][0])])  # ascending, as incidence is
+            continue
         # incidence lists ascend by edge id, so walking one backwards
         # leaves every bucket descending and pop() yields its smallest id
         buckets: dict[int, list[int]] = {}
@@ -155,20 +159,26 @@ def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]
                 buckets[color] = [eid]
             else:
                 bucket.append(eid)
-        heap = [(-len(ids), color) for color, ids in buckets.items()]
-        heapify(heap)
-        pairs: list[tuple[int, int]] = []
-        while heap:
-            first, c1 = heappop(heap)
-            second, c2 = heappop(heap)
-            a = buckets[c1].pop()
-            b = buckets[c2].pop()
-            pairs.append((a, b) if a < b else (b, a))
-            if first < -1:
-                heappush(heap, (first + 1, c1))
-            if second < -1:
-                heappush(heap, (second + 1, c2))
-        pairs.sort()
+        if len(buckets) == 2:
+            pairs = [(a, b) if a < b else (b, a) for a, b in zip(*buckets.values())]
+            pairs.reverse()  # the i-th largest ids paired up: the pairs descended
+        else:
+            heap = [(-len(ids), color) for color, ids in buckets.items()]
+            heapify(heap)
+            pairs = []
+            while len(heap) > 1:
+                first, c1 = heappop(heap)
+                second, c2 = heappop(heap)
+                a = buckets[c1].pop()
+                b = buckets[c2].pop()
+                pairs.append((a, b) if a < b else (b, a))
+                if first < -1:
+                    heappush(heap, (first + 1, c1))
+                if second < -1:
+                    heappush(heap, (second + 1, c2))
+            pairs.sort()
+        if 2 * len(pairs) != len(ends):  # zip and the heap both stop at a shortfall
+            raise InvariantError(f"vertex {u} is not even and balanced")
         pairs_at.append(pairs)
     return pairs_at
 
@@ -213,49 +223,49 @@ def _extract_trail(g: ColoredMultigraph) -> PCWalk:
     That precondition, and at least one edge, is the caller's to
     establish; it is not checked again here.
     """
-    m = len(g.edges)
+    edges = g.edges
+    m = len(edges)
     pairs_at = build_transition_system(g)
 
-    # union-find over edge ids: each set is the edge set of one closed
-    # trail of the current pairing, starting from the transition pairs
+    # union-find over edge ids, path halving inlined: each set is the edge
+    # set of one closed trail of the current pairing
     parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for pairs in pairs_at:
         for a, b in pairs:
-            parent[find(b)] = find(a)
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[b] = a
 
-    # merge every trail through v into the one through v's first pair
-    partner: list[dict[int, int]] = []
-    for pairs in pairs_at:
-        for idx in range(1, len(pairs)):
-            rb, rp = find(pairs[0][0]), find(pairs[idx][0])
-            if rb != rp:
-                pairs[0], pairs[idx] = _cross_repair(g, pairs[0], pairs[idx])
-                parent[rp] = rb
-        at: dict[int, int] = {}
+    # merge every trail through x into the one through x's first pair, root rb
+    at_u, at_v = [0] * m, [0] * m  # the edge paired with e at e.u, at e.v
+    for x, pairs in enumerate(pairs_at):
+        if len(pairs) > 1:
+            rb = pairs[0][0]
+            while parent[rb] != rb:
+                parent[rb] = rb = parent[parent[rb]]
+            for idx in range(1, len(pairs)):
+                rp = pairs[idx][0]
+                while parent[rp] != rp:
+                    parent[rp] = rp = parent[parent[rp]]
+                if rb != rp:
+                    pairs[0], pairs[idx] = _cross_repair(g, pairs[0], pairs[idx])
+                    parent[rp] = rb
         for a, b in pairs:
-            at[a] = b
-            at[b] = a
-        partner.append(at)
+            (at_u if edges[a].u == x else at_v)[a] = b
+            (at_u if edges[b].u == x else at_v)[b] = a
 
-    edges = g.edges
     cur_v = min(edges[0].u, edges[0].v)
     verts, eids = [cur_v], []
     cur_e = 0
     weight = 0
     for _ in range(m):
         eids.append(cur_e)
-        e = edges[cur_e]
-        cur_v = e.v if e.u == cur_v else e.u
-        weight += e.weight
+        _, u, v, _, w = edges[cur_e]
+        weight += w
+        cur_v, cur_e = (v, at_v[cur_e]) if u == cur_v else (u, at_u[cur_e])
         verts.append(cur_v)
-        cur_e = partner[cur_v][cur_e]
         if cur_e == 0:
             break
     if cur_e != 0 or cur_v != verts[0] or len(eids) != m:

@@ -36,10 +36,18 @@ TIE_BITS = 20
 
 def tie_break(key: tuple[int, ...]) -> int:
     """A fixed mix of non-negative ints into [1, 2**TIE_BITS], equal in every process."""
-    x = len(key)
-    for part in key:
+    return tie_end(tie_mix(len(key), key))
+
+
+def tie_mix(x: int, parts: tuple[int, ...]) -> int:
+    """The rounds of ``tie_break``, part by part: keys that share a prefix mix it once."""
+    for part in parts:
         x = (x ^ part) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
         x ^= x >> 29
+    return x
+
+
+def tie_end(x: int) -> int:
     return ((x * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF) >> (64 - TIE_BITS)) + 1
 
 

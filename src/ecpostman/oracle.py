@@ -5,7 +5,8 @@ finder and the matching backend at desk scale: a multiplicity-search
 postman oracle, an exhaustive properly-colored-walk enumerator with a
 witness checker, the walk finder's runs keyed by (end vertex, last
 color) and the plain tuple-keyed Dijkstra they must reproduce, a builder
-that turns a witness into a ``PCWalk``, an exhaustive perfect-matching
+that turns a witness into a ``PCWalk``, the heap greedy that the Euler
+trail's transition system must equal, an exhaustive perfect-matching
 search, networkx's maximum-cardinality matching on the blossom's own
 stages, the edge-list normalizer of matching instances, the full
 slot/filler auxiliary model that the solver's live-slot model reduces,
@@ -285,6 +286,45 @@ def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PC
     )
 
 
+def greedy_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]:
+    """The pairing rule of ``euler.build_transition_system``, run on a heap everywhere.
+
+    Per vertex: pair the smallest edge id of the most frequent remaining
+    color with the smallest edge id of the second most frequent, ties to
+    the smaller color; each list of pairs sorted. The production pairing
+    takes shortcuts at vertices of degree 2 and of two colors, and must
+    equal this on every even, balanced vertex. A vertex that is not even
+    and balanced runs out of partners and raises IndexError.
+    """
+    pairs_at: list[list[tuple[int, int]]] = []
+    for ends in g.incidence:
+        # incidence lists ascend by edge id, so walking one backwards
+        # leaves every bucket descending and pop() yields its smallest id
+        buckets: dict[int, list[int]] = {}
+        for eid, _, color, _ in reversed(ends):
+            bucket = buckets.get(color)
+            if bucket is None:
+                buckets[color] = [eid]
+            else:
+                bucket.append(eid)
+        heap = [(-len(ids), color) for color, ids in buckets.items()]
+        heapq.heapify(heap)
+        pairs: list[tuple[int, int]] = []
+        while heap:
+            first, c1 = heapq.heappop(heap)
+            second, c2 = heapq.heappop(heap)
+            a = buckets[c1].pop()
+            b = buckets[c2].pop()
+            pairs.append((a, b) if a < b else (b, a))
+            if first < -1:
+                heapq.heappush(heap, (first + 1, c1))
+            if second < -1:
+                heapq.heappush(heap, (second + 1, c2))
+        pairs.sort()
+        pairs_at.append(pairs)
+    return pairs_at
+
+
 def instance_from_edges(
     n: int, edges: list[tuple[int, int, int]] | tuple, scale: int = 1
 ) -> MatchingInstance:
@@ -454,7 +494,8 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             for s in slots:
                 for f in fill:
                     edges.append((s, f, 0))
-    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, profiles)
+    dominant = {u: prof.dominant for u, prof in enumerate(profiles) if prof.dominant is not None}
+    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant)
 
 
 @dataclass(frozen=True)
@@ -491,7 +532,8 @@ def validate_matching_structure(
     if len(covered) != len(mg.vertices):
         failures.append("matching is not perfect")
 
-    for u, prof in enumerate(mg.profiles):
+    for u in range(mg.g.n):
+        prof = color_degrees(mg.g, u)
         if prof.dominant is not None:
             needed = 2 * prof.count(prof.dominant) - prof.degree
             if affected[u] < needed:

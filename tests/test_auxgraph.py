@@ -1,6 +1,7 @@
 """Auxiliary matching graph: sizes, edge kinds, structure validation, and
 the live-slot model against the full slot/filler reference."""
 
+import hashlib
 from unittest import mock
 
 import pytest
@@ -252,11 +253,15 @@ def test_live_class_sizes_on_the_input_graph(g):
         assert owned % 2 == d % 2
 
 
-def test_live_class_sizes_with_even_k_and_parallel_edges():
+def even_k_hubs():
     # k = 4; hub 0 sees colors {1, 1, 2, 3} (the 0-1 pair is parallel) and
     # hub 3 sees {2, 2, 2, 3, 4} (so does the 3-4 pair)
-    g = mg(5, 4, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 2, 1, 1), (0, 3, 3, 1), (1, 2, 3, 1),
-                  (2, 3, 2, 1), (3, 4, 2, 1), (3, 1, 2, 1), (3, 4, 4, 1), (4, 2, 1, 1)])
+    return mg(5, 4, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 2, 1, 1), (0, 3, 3, 1), (1, 2, 3, 1),
+                     (2, 3, 2, 1), (3, 4, 2, 1), (3, 1, 2, 1), (3, 4, 4, 1), (4, 2, 1, 1)])
+
+
+def test_live_class_sizes_with_even_k_and_parallel_edges():
+    g = even_k_hubs()
     aux = build_matching_graph(g)
     hub = [sv for sv in aux.vertices if sv.owner == 0]
     # balanced, d = 4, p = 3: (p - 2)*d = 4 slots, (p - 1)*d even: no parity vertex
@@ -360,6 +365,56 @@ def test_dump_format(triangle):
     assert lines[0] == f"aux-graph vertices {len(aux.vertices)} edges {len(aux.edges)}"
     assert sum(1 for ln in lines if ln.startswith("vertex ")) == len(aux.vertices)
     assert sum(1 for ln in lines if ln.startswith("edge ")) == len(aux.edges)
+
+
+HOUSE_DUMP = """\
+aux-graph vertices 6 edges 15
+vertex 0 owner 1 slot color 1 copy 0
+vertex 1 owner 1 slot color 2 copy 0
+vertex 2 owner 1 slot color 3 copy 0
+vertex 3 owner 2 slot color 1 copy 0
+vertex 4 owner 2 slot color 2 copy 0
+vertex 5 owner 2 slot color 3 copy 0
+edge 0 1 artificial weight 0
+edge 0 2 artificial weight 0
+edge 1 2 artificial weight 0
+edge 3 4 artificial weight 0
+edge 3 5 artificial weight 0
+edge 4 5 artificial weight 0
+edge 0 3 walk weight 9 from 1 color 1 to 2 color 1
+edge 0 4 walk weight 9 from 1 color 1 to 2 color 2
+edge 0 5 walk weight 2 from 1 color 1 to 2 color 3
+edge 1 3 walk weight 9 from 1 color 2 to 2 color 1
+edge 1 4 walk weight 5 from 1 color 2 to 2 color 2
+edge 1 5 walk weight 9 from 1 color 2 to 2 color 3
+edge 2 3 walk weight 2 from 1 color 3 to 2 color 1
+edge 2 4 walk weight 9 from 1 color 3 to 2 color 2
+edge 2 5 walk weight 9 from 1 color 3 to 2 color 3
+"""
+
+# the whole dump text, as the builder that kept one DegreeProfile per vertex
+# wrote it: (lines, sha256, its color-less vertex lines, artificial and walk
+# edge lines)
+PINNED_DUMPS = {
+    "parity_hub": (508, "9182ad215bd6fdeec53f6ac230ea3c27af2565afb712eb4ddb2149add3d3e7f2",
+                   ["vertex 10 owner 0 parity copy 0"], 98, 377),
+    "even_k_hubs": (277, "7afdc4e7b80413ab4894251ca41c47e90f7af0114bf9c0485a3382e0acc739e8",
+                    [f"vertex {18 + i} owner 3 filler copy {i}" for i in range(5)], 61, 189),
+}
+
+
+def test_dump_text_is_pinned(house):
+    """The labels (slot, parity, filler) and the edge classes (artificial,
+    walk) that the dump reads from ``MatchingGraph.dominant`` and
+    ``signature`` are those of the pinned text."""
+    assert dump_matching_graph(build_matching_graph(house)) == HOUSE_DUMP
+    for name, g in (("parity_hub", parity_hub()), ("even_k_hubs", even_k_hubs())):
+        text = dump_matching_graph(build_matching_graph(g))
+        lines = text.splitlines()
+        colorless = [ln for ln in lines if ln.startswith("vertex ") and " slot " not in ln]
+        shape = (len(lines), hashlib.sha256(text.encode()).hexdigest(), colorless,
+                 sum(" artificial " in ln for ln in lines), sum(" walk " in ln for ln in lines))
+        assert shape == PINNED_DUMPS[name], name
 
 
 def assert_live_and_full_agree(g):

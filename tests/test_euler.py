@@ -1,9 +1,12 @@
 """Trail feasibility, transition pairings, extraction and verification."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import mg, multigraphs
 
@@ -17,12 +20,13 @@ from ecpostman import (
     verify_pc_closed_walk,
 )
 from ecpostman.auxgraph import build_matching_graph
-from ecpostman.euler import build_transition_system, uncoverable_edge
+from ecpostman.euler import _extract_trail, build_transition_system, uncoverable_edge
 from ecpostman.graph import has_single_color_vertex
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
     gen_random_trail_instance,
+    greedy_transition_system,
     normalize,
     pc_walk_minima,
     walk_from_edges,
@@ -157,12 +161,114 @@ def test_transition_pairs_follow_the_greedy_tie_rule():
             m += 1
         g = gen_random_trail_instance(3 + seed % 3, k, m, 3, seed)
         pairs_at = build_transition_system(g)
+        reference = greedy_transition_system(g)
         assert len(pairs_at) == g.n
         for u in range(g.n):
-            assert pairs_at[u] == greedy_pairs(g, u), (seed, u)
+            assert pairs_at[u] == reference[u] == greedy_pairs(g, u), (seed, u)
             counts = sorted(g.color_counts(u), reverse=True) + [0]
             tied += counts[1] > 0 and counts[1] == counts[2]
     assert tied >= 100
+
+
+def cyclic_sequence(rng, first, pool, length):
+    """first, then length - 1 draws from pool, each unlike the one before it
+    and the last unlike first as well; None when no draw is left."""
+    seq = [first]
+    for i in range(1, length):
+        choices = [x for x in pool if x != seq[-1] and (i < length - 1 or x != first)]
+        if not choices:
+            return None
+        seq.append(rng.choice(choices))
+    return seq
+
+
+def closed_walks_graph(rng: random.Random) -> ColoredMultigraph:
+    """The edges of 1-4 properly colored closed walks from vertex 0.
+
+    Every pass of a closed walk through a vertex adds two ends of distinct
+    colors, so the union is even and balanced everywhere, and connected
+    once the vertices no walk reaches are dropped. A walk of length 2 is
+    a pair of parallel edges, and longer walks may repeat an edge too.
+    With k = 2..4 the vertices mix degree 2, two colors at a higher
+    degree, and three or more colors.
+    """
+    n, k = rng.randint(2, 7), rng.randint(2, 4)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        length = rng.randint(2, 7)
+        verts = cyclic_sequence(rng, 0, range(n), length)
+        colors = cyclic_sequence(rng, rng.randint(1, k), range(1, k + 1), length)
+        if verts is None or colors is None:
+            continue
+        for i in range(length):
+            rows.append((verts[i], verts[(i + 1) % length], colors[i], rng.randint(0, 3)))
+    used = sorted({x for u, v, _, _ in rows for x in (u, v)} | {0})
+    index = {x: i for i, x in enumerate(used)}
+    return ColoredMultigraph(len(used), k, [(index[u], index[v], c, w) for u, v, c, w in rows])
+
+
+def vertex_kind(g, u):
+    colors = len(set(color for _, _, color, _ in g.incidence[u]))
+    return "degree 2" if g.degree(u) == 2 else f"{min(colors, 3)} colors"
+
+
+def test_closed_walks_graphs_mix_every_kind_of_vertex():
+    kinds = {}
+    parallel = 0
+    for seed in range(300):
+        g = closed_walks_graph(random.Random(seed))
+        assert check_pc_euler(g).feasible, seed
+        for u in range(g.n):
+            kind = vertex_kind(g, u)
+            kinds[kind] = kinds.get(kind, 0) + 1
+        parallel += len({e.pair() for e in g.edges}) < len(g.edges)
+    counts = [kinds.get(kind, 0) for kind in ("degree 2", "2 colors", "3 colors")]
+    assert min(counts) >= 100 and parallel >= 100, (kinds, parallel)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_transition_system_equals_the_heap_greedy(rng):
+    g = closed_walks_graph(rng)
+    assert build_transition_system(g) == greedy_transition_system(g)
+
+
+def test_transition_system_raises_at_an_unbalanced_vertex():
+    # vertex 0 of each graph is odd or unbalanced: two ends of one color
+    # (degree 2), unequal counts of two colors (odd or even degree), one
+    # color only, and three colors at an odd or an unbalanced even degree.
+    # No vertex may be left with unpaired ends.
+    hubs = [(1, 1), (1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 1), (1,), (1, 2, 3), (1, 1, 1, 1, 2, 3)]
+    for colors in hubs:
+        rows = [(0, i + 1, c, 1) for i, c in enumerate(colors)]
+        g = mg(len(colors) + 1, 3, rows)
+        with pytest.raises(InvariantError, match="^vertex 0 is not even and balanced$"):
+            build_transition_system(g)
+        with pytest.raises(IndexError):
+            greedy_transition_system(g)
+
+
+def cycle_through_a_hub():
+    """A 2,000-edge cycle alternating colors 1 and 2, a triangle of colors
+    3, 1, 3 through its vertex 0, and every 50th cycle edge from 10 on
+    joined by two parallel edges of colors 1 and 2: vertex 0 has three
+    colors, 80 vertices have two colors at degree 4, the rest degree 2."""
+    rows = [(i, (i + 1) % 2000, 1 + i % 2, 1 + i % 7) for i in range(2000)]
+    rows += [(0, 2000, 3, 2), (2000, 2001, 1, 2), (2001, 0, 3, 2)]
+    for i in range(10, 2000, 50):
+        rows += [(i, i + 1, 1, 3), (i, i + 1, 2, 4)]
+    return mg(2002, 3, rows)
+
+
+def test_trail_of_a_long_cycle_through_a_hub():
+    g = cycle_through_a_hub()
+    kinds = [vertex_kind(g, u) for u in range(g.n)]
+    assert (kinds.count("3 colors"), kinds.count("2 colors"), len(g.edges)) == (1, 80, 2083)
+    t = _extract_trail(g)
+    assert verify_pc_closed_walk(g, t).ok and t.weight == 8281
+    # the tour the heap pairing and the per-vertex partner dicts walked
+    digest = hashlib.sha256(repr((t.vertices, t.edges, t.weight)).encode()).hexdigest()
+    assert digest == "059916ba996571b16b77c069d62646ee3e651ae60b72f488b0499de90ea33359"
 
 
 def test_trail_triangle(triangle):
