@@ -40,13 +40,17 @@ An absent color costs no walk table, and neither does a class with no
 slot pair left to weigh.
 
 The builder reads each vertex's degree and color-count row, and keeps
-only the dominant owners' colors (``MatchingGraph.dominant``). It emits
-the canonical matching instance (``matching``) itself, as flat
-(a, b, weight) int triples: all vertices exist before the first walk
-edge, so the scale B is known, and each walk edge weighs
+only the dominant owners' colors (``MatchingGraph.dominant``). It keeps
+the edges as blocks over index ranges, one per artificial clique or
+biclique and one per pair of slot classes: all vertices exist before
+the first walk edge, so the scale B is known, and a class pair weighs
 w*B + tie_break(signature) straight away, the first two rounds of the
-mix done once per class (u, i). No object is made per edge; the
-``AuxEdge`` list is a view built on demand for dumps and tests.
+mix done once per class (u, i). The largest of these weights fixes the
+reflection's ceiling, and then the builder writes the canonical
+matching instance (``matching``) itself: each edge once, as the
+matcher's record at each of its ends. Nothing else is made per edge;
+the canonical triples and the ``AuxEdge`` list are views built on
+demand for dumps and tests.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -62,7 +66,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 from .graph import ColoredMultigraph, GraphError, _new_tuple
@@ -92,21 +95,26 @@ class AuxEdge:
         return self.signature is None
 
 
+Block = tuple[Sequence[int], Sequence[int], int]  # (a_slots, b_slots, weight)
+
+
 @dataclass(eq=False)
 class MatchingGraph:
     """Materialized auxiliary graph over an immutable input graph.
 
     ``dominant`` maps each owner with a dominant color to that color; a
     color-less vertex is a filler there and a parity vertex elsewhere.
-    ``canonical`` lists the edges as canonical (a, b, weight) triples,
-    a < b, in build order, and ``instance`` holds them sorted, the
-    matcher's input: since the builders emit every pair once, that is
-    the instance that ``oracle.instance_from_edges`` would make of them.
+    ``blocks`` holds the edges in build order, a block per artificial
+    clique or biclique and per pair of slot classes: ``(a_slots, b_slots,
+    w)`` stands for the edges (a, b, w), a < b, of a in a_slots and b in
+    b_slots, at the canonical weight w (0 when artificial). A block pairs
+    a range with itself (a clique) or lies wholly below its second range.
+    ``instance`` is the matcher's input, written from the blocks.
     """
 
     g: ColoredMultigraph
     vertices: list[SlotVertex]
-    canonical: list[tuple[int, int, int]]
+    blocks: list[Block]
     witnesses: dict[tuple[int, int, int, int], tuple[int, ...]]
     slot_indices: dict[tuple[int, int], Sequence[int]]
     filler_indices: dict[int, Sequence[int]]
@@ -130,6 +138,16 @@ class MatchingGraph:
         return sig if sig in self.witnesses else NOT_AN_EDGE
 
     @cached_property
+    def canonical(self) -> list[tuple[int, int, int]]:
+        """The edges as canonical (a, b, w) triples, a < b, in build order (for dumps and tests).
+
+        Since the builders emit every pair once, ``oracle.instance_from_edges``
+        makes of them the instance that ``instance`` holds.
+        """
+        return [(a, b, w) for a_slots, b_slots, w in self.blocks
+                for a in a_slots for b in b_slots if a < b]
+
+    @cached_property
     def edges(self) -> list[AuxEdge]:
         """The edges in build order with their true weights (for dumps and tests)."""
         scale = self.instance.scale
@@ -140,18 +158,20 @@ class MatchingGraph:
         return {(e.a, e.b): e for e in self.edges}
 
 
-def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant) -> MatchingGraph:
-    """Append the canonical walk edges to the artificial ``edges``; wrap the model.
+def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant) -> MatchingGraph:
+    """Append the walk blocks to the artificial ``blocks``; write the instance; wrap the model.
 
     Shared by both builders; the arguments are the ``MatchingGraph``
     fields of the same names. ``slot_indices`` lists the slot classes in
     ascending index order, so pairing each class with itself and every
-    later class visits each slot pair a < b once.
+    later class visits each slot pair a < b once, and every such block
+    has a pair.
     """
     finder = ShortestWalkFinder(g, keep={u for u, _ in slot_indices})
     state_at = finder.state_at
     scale = (len(vertices) // 2 << TIE_BITS) + 1
     witnesses = {}
+    top = 0  # the largest walk weight so far
     classes = list(slot_indices.items())
     ends = {u: j + 1 for j, (u, _) in enumerate(slot_indices)}  # past u's last class
     for i, ((u, cu), a_slots) in enumerate(classes):
@@ -167,14 +187,25 @@ def with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant) 
             hit = None if s is None else labels[s]
             if hit is None:
                 continue
-            sig = (u, cu, v, cv)
             w = hit[0] * scale + tie_end(tie_mix(prefix, (v, cv)))
-            pairs = [(a, b, w) for a in a_slots for b in b_slots if a < b]
-            if pairs:
-                witnesses[sig] = hit[1]
-                edges.extend(pairs)
-    instance = MatchingInstance(len(vertices), tuple(sorted(edges)), scale)
-    return MatchingGraph(g, vertices, edges, witnesses, slot_indices, filler_indices, dominant,
+            if w > top:
+                top = w
+            witnesses[(u, cu, v, cv)] = hit[1]
+            blocks.append((a_slots, b_slots, w))
+    # every weight is known, so each record is written once, reflected below
+    # the ceiling (``MatchingInstance``)
+    ceiling = top + 1
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
+    for a_slots, b_slots, w in blocks:
+        r = 4 * (ceiling - w)
+        for a in a_slots:
+            row = adj[a]
+            for b in b_slots:
+                if a < b:
+                    row.append((a, b, r))
+                    adj[b].append((b, a, r))
+    instance = MatchingInstance(len(vertices), adj, ceiling, scale)
+    return MatchingGraph(g, vertices, blocks, witnesses, slot_indices, filler_indices, dominant,
                          instance)
 
 
@@ -187,7 +218,7 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
     by every slot pair between the two classes.
     """
     vertices: list[SlotVertex] = []
-    edges: list[tuple[int, int, int]] = []
+    blocks: list[Block] = []
     slot_indices: dict[tuple[int, int], range] = {}
     filler_indices: dict[int, range] = {}
     dominant: dict[int, int] = {}
@@ -210,15 +241,17 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             if (present - 1) * d % 2:
                 vertices.append(_new_tuple(SlotVertex, (u, None, 0)))  # the parity vertex
             owned = range(first, len(vertices))
-            edges.extend((a, b, 0) for a, b in combinations(owned, 2))
+            if len(owned) > 1:
+                blocks.append((owned, owned, 0))
         else:
             dominant[u] = counts.index(top) + 1
             slots = range(first, len(vertices))
             filler_indices[u] = fill = range(len(vertices), len(vertices) + (present - 2) * d)
             vertices.extend(_new_tuple(SlotVertex, (u, None, i)) for i in range(len(fill)))
-            edges.extend((a, b, 0) for a, b in combinations(fill, 2))
-            edges.extend((s, f, 0) for s in slots for f in fill)
-    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant)
+            if fill:
+                blocks.append((fill, fill, 0))
+                blocks.append((slots, fill, 0))
+    return with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant)
 
 
 def dump_matching_graph(mg: MatchingGraph) -> str:

@@ -43,14 +43,17 @@ Otherwise, what changed is the representation and some bookkeeping:
 * vertices are ``0..n-1``; blossoms get the ids ``n, n+1, ...`` in
   creation order and an id is never reused, so per-blossom state lives in
   lists indexed by id next to the per-vertex state;
-* ``adj[v]`` holds the records ``(v, w, 2*weight)`` in edge order, which
-  is the order of ``G.neighbors(v)``; a least-slack edge is kept as its
-  record, so its slack needs no weight lookup;
+* the input is the adjacency itself: ``adj[v]`` holds the records
+  ``(v, w, 2*weight)`` of the edges at v, in whatever order the caller
+  wrote them (networkx scans ``G.neighbors(v)``), and the matcher copies
+  no edge; a least-slack edge is kept as its record, so its slack needs
+  no weight lookup;
 * the live blossoms are the keys of the insertion-ordered ``blossomdual``
   dict, so "vertices, then live blossoms in creation order" is the order
   in which networkx walks ``blossomparent``;
 * the optimality check is the module-level :func:`verify_optimum`, which
-  raises :class:`InvariantError` and so survives ``python -O``; it builds
+  raises :class:`InvariantError` and so survives ``python -O``; it reads
+  every edge once, from its record at the smaller end, and it builds
   the chain of enclosing blossoms once per vertex inside a live blossom,
   not once per edge end, and none when no blossom is live;
 * networkx's ``allowedge`` set is gone: the scan takes an edge as
@@ -115,45 +118,34 @@ The networkx code is distributed under the 3-clause BSD license:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import chain
+from operator import itemgetter
 
 from .graph import InvariantError
 
 SINGLE = -1  # mate of an unmatched vertex; also "no vertex" in scan_blossom
+_weight = itemgetter(2)  # the doubled weight of an edge record
 
 
 def max_weight_perfect_matching(
-    n: int, edges: Iterable[tuple[int, int, int]]
+    n: int, adj: Sequence[Sequence[tuple[int, int, int]]]
 ) -> list[int] | None:
     """Maximum-weight perfect matching, or None when the graph has none.
 
-    ``edges`` holds or yields loop-free ``(u, v, weight)`` triples with
-    integer weights, at most one per vertex pair; it is read once. Returns
-    ``mate`` with ``mate[v]`` the partner of v, once :func:`verify_optimum`
-    has checked its dual certificate.
+    ``adj[v]`` lists the records ``(v, w, 2*weight)`` of the edges at v,
+    with integer weights: no loops, at most one edge per vertex pair, and
+    every edge listed at both ends with the same weight. The lists are
+    read, not changed. Returns ``mate`` with ``mate[v]`` the partner of v,
+    once :func:`verify_optimum` has checked its dual certificate.
     """
     if not n:
         return []
-    # One pass over the edges keeps the triples for the certificate, fills
-    # adj, and finds each vertex's largest weight (at least 0).
-    records: list[tuple[int, int, int]] = []
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    top = [0] * n
-    for rec in edges:
-        i, j, wt = rec
-        records.append(rec)
-        adj[i].append((i, j, 2 * wt))
-        adj[j].append((j, i, 2 * wt))
-        if wt > top[i]:
-            top[i] = wt
-        if wt > top[j]:
-            top[j] = wt
-
     # dualvar[v] = 2 * u(v) starts at v's largest weight rounded up to
     # even, so every slack is even and non-negative (the module docstring
     # says why the greedy pass below keeps the stages exact).
     mate = [SINGLE] * n
+    top = [max(nbrs, key=_weight)[2] >> 1 if nbrs else 0 for nbrs in adj]
     dualvar = [t + (t & 1) for t in top]
     for v in range(n):
         nbrs = adj[v]
@@ -168,7 +160,7 @@ def max_weight_perfect_matching(
     blossoms = _run_stages(n, adj, mate, dualvar)
     if SINGLE in mate:
         return None  # the module docstring proves that no perfect matching exists
-    verify_optimum(records, mate, dualvar, *blossoms)
+    verify_optimum(adj, mate, dualvar, *blossoms)
     return mate
 
 
@@ -820,7 +812,7 @@ def _run_stages(
 
 
 def verify_optimum(
-    edges: Sequence[tuple[int, int, int]],
+    adj: Sequence[Sequence[tuple[int, int, int]]],
     mate: Sequence[int],
     dualvar: Sequence[int],
     blossomdual: dict[int, int],
@@ -830,10 +822,11 @@ def verify_optimum(
     """Check the dual certificate of a maximum-weight perfect matching.
 
     The arguments are the end state of :func:`max_weight_perfect_matching`:
-    ``dualvar`` holds twice the vertex duals, ``blossomdual`` the duals of
-    the live blossoms, and ``blossomparent`` and ``bedges`` are indexed by
-    vertex or blossom id. Raises :class:`InvariantError` when a condition
-    fails.
+    ``adj`` is its input, ``dualvar`` holds twice the vertex duals,
+    ``blossomdual`` the duals of the live blossoms, and ``blossomparent``
+    and ``bedges`` are indexed by vertex or blossom id. Every edge is
+    checked once, from the record at its smaller end. Raises
+    :class:`InvariantError` when a condition fails.
     """
 
     def fail(what: str) -> None:
@@ -858,20 +851,23 @@ def verify_optimum(
                 chains[v] = up
     # 0. all edges have non-negative slack and
     # 1. all matched edges have zero slack;
-    for i, j, wt in edges:
-        s = dualvar[i] + dualvar[j] - 2 * wt
-        if i in chains and j in chains:
-            for bi, bj in zip(chains[i], chains[j]):
-                if bi != bj:
-                    break
-                s += 2 * blossomdual[bi]
-        if s < 0:
-            fail(f"edge ({i}, {j}) has negative slack")
-        if mate[i] == j or mate[j] == i:
-            if not (mate[i] == j and mate[j] == i):
-                fail(f"edge ({i}, {j}) is matched on one side only")
-            if s != 0:
-                fail(f"matched edge ({i}, {j}) has slack")
+    for recs in adj:
+        for i, j, wt2 in recs:
+            if j < i:
+                continue  # checked at j
+            s = dualvar[i] + dualvar[j] - wt2
+            if i in chains and j in chains:
+                for bi, bj in zip(chains[i], chains[j]):
+                    if bi != bj:
+                        break
+                    s += 2 * blossomdual[bi]
+            if s < 0:
+                fail(f"edge ({i}, {j}) has negative slack")
+            if mate[i] == j or mate[j] == i:
+                if not (mate[i] == j and mate[j] == i):
+                    fail(f"edge ({i}, {j}) is matched on one side only")
+                if s != 0:
+                    fail(f"matched edge ({i}, {j}) has slack")
     # 2. the matching is symmetric (networkx checks that after every stage);
     for v, m in enumerate(mate):
         if m != SINGLE and mate[m] != v:

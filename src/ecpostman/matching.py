@@ -8,8 +8,10 @@ one run either ends perfect or proves that no perfect matching exists.
 It runs on reflected weights, so that the minimum-weight perfect
 matching drops out exactly; with integer weights every comparison is
 exact, and the dual certificate is checked on every call that returns a
-matching. ``min_weight_perfect_matching`` owns the check of the mate it
-gets back: symmetric, no vertex single, every pair an instance edge.
+matching. A ``MatchingInstance`` is already in the matcher's form, one
+adjacency list of reflected records per vertex, so nothing is copied on
+the way in. ``min_weight_perfect_matching`` owns the check of the mate
+it gets back: symmetric, no vertex single, every pair an instance edge.
 The brute-force enumerator in ``oracle`` is the independent reference
 it is checked against, and the tests compare its weight with
 networkx's, and its pairs wherever the optimum is unique.
@@ -24,9 +26,8 @@ optimum is a true one, and ties between true optima fall to the keys.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
 
 from .blossom import max_weight_perfect_matching
 from .graph import InvariantError
@@ -53,20 +54,31 @@ def tie_end(x: int) -> int:
 
 @dataclass(frozen=True)
 class MatchingInstance:
-    """Normalized matching input: no loops, no parallel edges.
+    """Normalized matching input in the matcher's own form.
 
-    ``edges`` holds (u, v, weight) with u < v, sorted by endpoints, one
-    edge per vertex pair: a true weight times ``scale`` plus a tie term
-    (1 and 0 unless the instance is canonical). The auxiliary-graph
-    builders make their instances directly, as the sorted tuple of their
-    edges: they emit every pair once, with u < v, in range and at a
-    non-negative weight. ``oracle.instance_from_edges`` normalizes any
-    edge list, for the tests.
+    Each edge {u, v} has a weight w: a true weight times ``scale`` plus a
+    tie term (1 and 0 unless the instance is canonical). ``ceiling``
+    exceeds every w, and ``adj[u]`` lists the record
+    ``(u, v, 4*(ceiling - w))`` of each edge at u, in no set order: the
+    weight reflected as 2*(ceiling - w), as ``min_weight_perfect_matching``
+    says, and doubled for the matcher's dual units. The reflected weights
+    are even, so the matcher's per-vertex start needs no rounding up.
+    Every edge is listed at both ends, with no loops and at most one edge
+    per vertex pair. The auxiliary-graph
+    builders write ``adj`` directly; ``oracle.instance_from_edges``
+    normalizes any edge list into the same form, for the tests.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
+    adj: list[list[tuple[int, int, int]]]
+    ceiling: int
     scale: int = 1
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(u, v, w) with u < v, sorted by endpoints: a view for the oracle and the tests."""
+        c = self.ceiling
+        return tuple(sorted((u, v, c - (r >> 2)) for recs in self.adj for u, v, r in recs if u < v))
 
 
 @dataclass(frozen=True)
@@ -78,30 +90,29 @@ class PerfectMatching:
 def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | None:
     """Minimum-weight perfect matching, or None when no perfect matching exists.
 
-    Exact: weights are reflected as 2*(C - w) with C above the maximum
-    weight, and a maximum-weight perfect matching on the reflected graph
-    is a minimum-weight perfect matching on the instance. The reflected
-    weights are passed as a generator, which the matcher reads once.
+    Exact: the instance's records weigh 2*(C - w) with C above every
+    weight w (doubled once more for the matcher's units), and a
+    maximum-weight perfect matching on these reflected weights is a
+    minimum-weight perfect matching on the instance. The matcher reads
+    ``inst.adj`` as it is; each matched pair is looked up in it, which
+    checks the pair and gives its weight.
     """
-    if inst.n == 0:
-        return PerfectMatching((), 0)
-    if not inst.edges:
-        return None
-    # doubled: every vertex's largest reflected weight is then even, so the
-    # matcher's per-vertex start needs no rounding up
-    ceiling = 1 + max(inst.edges, key=itemgetter(2))[2]
-    reflected = ((u, v, 2 * (ceiling - w)) for u, v, w in inst.edges)
-    mate = max_weight_perfect_matching(inst.n, reflected)
+    adj = inst.adj
+    mate = max_weight_perfect_matching(inst.n, adj)
     if mate is None:
         return None
     pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)
     if 2 * len(pairs) != inst.n:
         raise InvariantError("matching backend returned a non-perfect matching")
-    edges, total = inst.edges, 0
+    reflected = 0
     for u, v in pairs:
-        # (u, v) sorts just before its instance edge (u, v, w), if there is one
-        i = bisect_left(edges, (u, v))
-        if mate[v] != u or i == len(edges) or edges[i][:2] != (u, v):
+        if mate[v] != u:
             raise InvariantError("matching backend returned a non-perfect matching")
-        total += edges[i][2]
-    return PerfectMatching(pairs, total // inst.scale)
+        for _, x, r in adj[u]:
+            if x == v:
+                reflected += r
+                break
+        else:
+            raise InvariantError("matching backend returned a non-perfect matching")
+    # each record weighs 4*(C - w), so the pairs' weights sum to this
+    return PerfectMatching(pairs, (len(pairs) * inst.ceiling - (reflected >> 2)) // inst.scale)

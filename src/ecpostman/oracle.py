@@ -25,7 +25,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .auxgraph import NOT_AN_EDGE, MatchingGraph, SlotVertex, with_walk_edges
+from .auxgraph import NOT_AN_EDGE, Block, MatchingGraph, SlotVertex, with_walk_edges
 from .blossom import SINGLE, _run_stages
 from .euler import verify_pc_closed_walk
 from .graph import (
@@ -325,15 +325,27 @@ def greedy_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]
     return pairs_at
 
 
+def adjacency(n: int, edges: Sequence[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
+    """The blossom's adjacency of an edge list: each edge (u, v, w) listed at
+    u as ``(u, v, 2*w)`` and at v as ``(v, u, 2*w)``, in edge order."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((u, v, 2 * w))
+        adj[v].append((v, u, 2 * w))
+    return adj
+
+
 def instance_from_edges(
-    n: int, edges: list[tuple[int, int, int]] | tuple, scale: int = 1
+    n: int, edges: Sequence[tuple[int, int, int]], scale: int = 1
 ) -> MatchingInstance:
     """Normalize any edge list into a ``MatchingInstance``.
 
     Rejects loops, endpoints out of range and negative weights, and
-    keeps the minimum weight of each vertex pair (u, v), u < v, sorted
-    by endpoints. The auxiliary-graph builders make their instances
-    directly; this is the reference their sorted edge tuples must equal.
+    keeps the minimum weight of each vertex pair (u, v), u < v. The
+    records are written in the order of the sorted pairs, under the
+    ceiling 1 + the largest weight. The auxiliary-graph builders write
+    their instances directly; this is the reference whose ``edges`` view
+    theirs must equal.
     """
     best: dict[tuple[int, int], int] = {}
     for u, v, w in edges:
@@ -346,7 +358,9 @@ def instance_from_edges(
         key = (u, v) if u < v else (v, u)
         if key not in best or w < best[key]:
             best[key] = w
-    return MatchingInstance(n, tuple((u, v, best[(u, v)]) for (u, v) in sorted(best)), scale)
+    ceiling = 1 + max(best.values(), default=0)
+    reflected = [(u, v, 2 * (ceiling - w)) for (u, v), w in sorted(best.items())]
+    return MatchingInstance(n, adjacency(n, reflected), ceiling, scale)
 
 
 def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatching | None:
@@ -410,10 +424,7 @@ def max_cardinality_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> l
     there. Returns ``mate`` with ``SINGLE`` for an unmatched vertex; no
     certificate is checked.
     """
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, j, wt in edges:
-        adj[i].append((i, j, 2 * wt))
-        adj[j].append((j, i, 2 * wt))
+    adj = adjacency(n, edges)
     maxweight = max([0, *(wt for _, _, wt in edges)])
     mate = [SINGLE] * n
     for i, j, wt in edges:
@@ -477,25 +488,19 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
                 vertices.append(SlotVertex(u, None, copy))
             filler_indices[u] = idxs
 
-    edges: list[tuple[int, int, int]] = []
+    blocks: list[Block] = []
     for u in range(g.n):
         slots = []
         for c in range(1, g.k + 1):
             slots.extend(slot_indices.get((u, c), ()))
         if profiles[u].dominant is None:
-            for i in range(len(slots)):
-                for j in range(i + 1, len(slots)):
-                    edges.append((slots[i], slots[j], 0))
+            blocks.append((slots, slots, 0))
         else:
             fill = filler_indices[u]
-            for i in range(len(fill)):
-                for j in range(i + 1, len(fill)):
-                    edges.append((fill[i], fill[j], 0))
-            for s in slots:
-                for f in fill:
-                    edges.append((s, f, 0))
+            blocks.append((fill, fill, 0))
+            blocks.append((slots, fill, 0))
     dominant = {u: prof.dominant for u, prof in enumerate(profiles) if prof.dominant is not None}
-    return with_walk_edges(g, vertices, edges, slot_indices, filler_indices, dominant)
+    return with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 the live-slot model against the full slot/filler reference."""
 
 import hashlib
+import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -450,17 +452,26 @@ def test_live_and_full_models_agree_beyond_brute_force():
     assert sum(assert_live_and_full_agree(g) for g in beyond_brute_force()) >= 20
 
 
-def assert_instance_matches_edges_view(aux):
-    """The builder's flat instance is what ``from_edges`` makes of the edge view,
-    weighted as w*B + tie_break(signature), and ``signature`` classifies every
-    vertex pair as the view does."""
+def edges_view_instance(aux):
+    """What ``from_edges`` makes of the edge view, weighted as w*B + tie_break(signature)."""
     n = len(aux.vertices)
     scale = (n // 2 << TIE_BITS) + 1
     weighted = [
         (e.a, e.b, e.weight * scale + tie_break(e.signature) if e.signature else 0)
         for e in aux.edges
     ]
-    assert aux.instance == instance_from_edges(n, weighted, scale)
+    return instance_from_edges(n, weighted, scale)
+
+
+def assert_instance_matches_edges_view(aux):
+    """The builder's adjacency instance is the edge view's instance, up to
+    the order of each vertex's records; and ``signature`` classifies every
+    vertex pair as the view does."""
+    n = len(aux.vertices)
+    built, reference = aux.instance, edges_view_instance(aux)
+    assert (built.n, built.ceiling, built.scale) == (reference.n, reference.ceiling, reference.scale)
+    assert [sorted(recs) for recs in built.adj] == [sorted(recs) for recs in reference.adj]
+    assert built.edges == reference.edges
     kinds = {(e.a, e.b): e.signature for e in aux.edges}
     for a in range(n):
         assert aux.signature(a, a) == NOT_AN_EDGE
@@ -471,20 +482,51 @@ def assert_instance_matches_edges_view(aux):
 
 @given(multigraphs(connected=True, max_m=9))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-def test_flat_instance_matches_edges_view(g):
+def test_adjacency_instance_matches_edges_view(g):
     assume(has_single_color_vertex(g) is None)
     gn, _ = normalize(g)
     for aux in (build_matching_graph(g), build_matching_graph(gn), build_full_matching_graph(gn)):
         assert_instance_matches_edges_view(aux)
 
 
-def test_flat_instance_matches_edges_view_beyond_brute_force():
+def test_adjacency_instance_matches_edges_view_beyond_brute_force():
     for g in beyond_brute_force():
         gn, _ = normalize(g)
         for aux in (
             build_matching_graph(g), build_matching_graph(gn), build_full_matching_graph(gn)
         ):
             assert_instance_matches_edges_view(aux)
+
+
+def hamiltonian_digraph(n, m):
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 plus random arcs up to m, weights 1-9."""
+    rng = random.Random(n)
+    arcs = [(i, (i + 1) % n, rng.randint(1, 9)) for i in range(n)]
+    while len(arcs) < m:
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.randint(1, 9)))
+    return arcs
+
+
+def test_adjacency_instance_solves_as_its_edges_view_beyond_brute_force():
+    """Two 20/7/60 draws and a 100/300 digraph encoding (142 auxiliary
+    vertices, 5,041 edges): the builder's records, in build order, and the
+    edge view's, in sorted order, give the same edges and the same optimum,
+    weight and matched signature multiset."""
+    graphs = [gen_random_instance(20, 7, 60, 9, s) for s in (0, 1)]
+    graphs.append(encode_digraph(100, hamiltonian_digraph(100, 300)))
+    sizes = []
+    for g in graphs:
+        aux = build_matching_graph(g)
+        built, reference = aux.instance, edges_view_instance(aux)
+        assert built.edges == reference.edges
+        ours, theirs = min_weight_perfect_matching(built), min_weight_perfect_matching(reference)
+        assert ours.weight == theirs.weight
+        assert Counter(aux.signature(*p) for p in ours.pairs) == Counter(
+            aux.signature(*p) for p in theirs.pairs
+        )
+        sizes.append((len(aux.vertices), len(built.edges)))
+    assert sizes[2] == (142, 5041)
 
 
 def assert_contraction_changes_no_model(g):

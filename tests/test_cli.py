@@ -220,7 +220,7 @@ def test_solve_blossom_disagreement_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_solve_non_perfect_backend_matching_exit_code(tmp_path, capsys, monkeypatch):
     # an asymmetric mate with no single vertex in it
-    rotated = lambda n, edges: [(v + 1) % n for v in range(n)]
+    rotated = lambda n, adj: [(v + 1) % n for v in range(n)]
     monkeypatch.setattr("ecpostman.matching.max_weight_perfect_matching", rotated)
     assert run_cli("solve", write(tmp_path, "house.ecg", HOUSE)) == EXIT_ERROR
     captured = capsys.readouterr()

@@ -30,6 +30,7 @@ from ecpostman.auxgraph import build_matching_graph
 from ecpostman.blossom import SINGLE, max_weight_perfect_matching
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
+    adjacency,
     brute_force_matching,
     encode_digraph,
     gen_random_digraph,
@@ -125,7 +126,7 @@ def test_matching_validity(n, data):
 
 def test_non_perfect_backend_mate_is_an_invariant_error(monkeypatch):
     """A backend fault is an internal error, not a user-input GraphError."""
-    rotated = lambda n, edges: [(v + 1) % n for v in range(n)]
+    rotated = lambda n, adj: [(v + 1) % n for v in range(n)]
     monkeypatch.setattr("ecpostman.matching.max_weight_perfect_matching", rotated)
     with pytest.raises(InvariantError, match="non-perfect matching"):
         min_weight_perfect_matching(inst(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)]))
@@ -135,13 +136,15 @@ def test_backend_pairing_non_adjacent_vertices_is_an_invariant_error(monkeypatch
     """A symmetric, perfect mate that pairs non-adjacent vertices is still caught.
 
     The mate pairs (0, 3) and (1, 2). In each instance at least one of
-    the two is no edge: it sorts between two edges, or past the last one.
+    the two is no edge, so the adjacency list of its smaller end holds no
+    record of it: the first pair, the second after the first is found,
+    or both.
     """
-    crossed = lambda n, edges: [3, 2, 1, 0]
+    crossed = lambda n, adj: [3, 2, 1, 0]
     monkeypatch.setattr("ecpostman.matching.max_weight_perfect_matching", crossed)
     for edges in (
         [(0, 1, 1), (0, 2, 5), (1, 2, 2), (2, 3, 1)],  # (0, 3) missing, (1, 2) present
-        [(0, 1, 1), (0, 2, 5), (0, 3, 2)],  # (1, 2) missing, past the last edge
+        [(0, 1, 1), (0, 2, 5), (0, 3, 2)],  # (0, 3) present, (1, 2) missing
         [(0, 1, 1), (2, 3, 1)],  # neither present
     ):
         with pytest.raises(InvariantError, match="non-perfect matching"):
@@ -159,7 +162,7 @@ def networkx_mate(n, edges):
 
 def ported_mate(n, edges):
     """The port's perfect matching, or the oracle's matching when there is none."""
-    mate = max_weight_perfect_matching(n, edges)
+    mate = max_weight_perfect_matching(n, adjacency(n, edges))
     if mate is None:
         mate = max_cardinality_matching(n, edges)
     assert all(m == SINGLE or mate[m] == v for v, m in enumerate(mate))
@@ -191,7 +194,7 @@ def assert_same_optimum(n, edges, context=None):
     vertex single.
     """
     ours, theirs = ported_mate(n, edges), networkx_mate(n, edges)
-    perfect = max_weight_perfect_matching(n, edges) is not None
+    perfect = max_weight_perfect_matching(n, adjacency(n, edges)) is not None
     assert perfect == (2 * len(theirs) == n), context
     assert len(ours) == len(theirs), context
     assert mate_weight(ours, edges) == mate_weight(theirs, edges), context
@@ -200,9 +203,9 @@ def assert_same_optimum(n, edges, context=None):
 def fixed_corpus():
     """Sparse to complete graphs, n <= 40, mostly tie-heavy weights.
 
-    Half the graphs list their edges sorted, as MatchingInstance does; the
-    other half shuffle them and flip endpoints, so the greedy start and the
-    scan meet edges in every order.
+    Half the graphs list their edges sorted, as ``instance_from_edges``
+    writes them; the other half shuffle them and flip endpoints, so the
+    greedy start and the scan meet edges in every order.
     """
     rng = random.Random(20260)
     for case in range(240):
@@ -364,7 +367,7 @@ def test_per_vertex_starts_of_mixed_parity_match_networkx():
             continue
         mixed += 1
         assert_same_optimum(n, edges, case)
-        perfect += max_weight_perfect_matching(n, edges) is not None
+        perfect += max_weight_perfect_matching(n, adjacency(n, edges)) is not None
     assert mixed >= 150 and perfect >= 50, (mixed, perfect)
 
 
@@ -424,7 +427,7 @@ def test_tutte_barrier_run_ends_with_live_s_blossoms(monkeypatch):
         return ends[-1]
 
     monkeypatch.setattr(blossom, "_run_stages", recorded)
-    assert max_weight_perfect_matching(10, edges) is None
+    assert max_weight_perfect_matching(10, adjacency(10, edges)) is None
     monkeypatch.undo()
     blossomdual, blossomparent, bedges = ends[0]
     assert all(blossomparent[b] is None for b in blossomdual)
@@ -438,7 +441,8 @@ def test_mid_stage_t_blossom_expansions_match_networkx():
     for case, (n, edges) in enumerate(MID_STAGE_EXPANSIONS):
         assert_same_optimum(n, edges, case)
         # the per-vertex run finds a perfect matching on the last six only
-        assert (max_weight_perfect_matching(n, edges) is not None) == (case >= 11), case
+        perfect = max_weight_perfect_matching(n, adjacency(n, edges)) is not None
+        assert perfect == (case >= 11), case
 
 
 def networkx_perfect_pairs(inst):
@@ -493,27 +497,25 @@ def certificate(monkeypatch, n, edges):
         check(*args)
 
     monkeypatch.setattr(blossom, "verify_optimum", record)
-    max_weight_perfect_matching(n, edges)
+    max_weight_perfect_matching(n, adjacency(n, edges))
     monkeypatch.undo()
     return seen[0]
 
 
 def test_tampered_certificate_is_an_invariant_error(monkeypatch):
     edges = random_graph(random.Random(5), 16, 0.4, 9, shuffled=False)
-    edges_, mate, dualvar, blossomdual, blossomparent, bedges = certificate(
-        monkeypatch, 16, edges
-    )
-    blossom.verify_optimum(edges_, mate, dualvar, blossomdual, blossomparent, bedges)
+    adj, mate, dualvar, blossomdual, blossomparent, bedges = certificate(monkeypatch, 16, edges)
+    blossom.verify_optimum(adj, mate, dualvar, blossomdual, blossomparent, bedges)
     u = next(v for v, m in enumerate(mate) if m != SINGLE)
     lowered = list(dualvar)
     lowered[u] -= 2
     with pytest.raises(InvariantError, match="certificate"):
-        blossom.verify_optimum(edges_, mate, lowered, blossomdual, blossomparent, bedges)
-    i, j, _ = next(e for e in edges_ if mate[e[0]] != e[1])
+        blossom.verify_optimum(adj, mate, lowered, blossomdual, blossomparent, bedges)
+    i, j, _ = next(rec for recs in adj for rec in recs if mate[rec[0]] != rec[1])
     one_sided = list(mate)
     one_sided[i] = j
     with pytest.raises(InvariantError, match="certificate"):
-        blossom.verify_optimum(edges_, one_sided, dualvar, blossomdual, blossomparent, bedges)
+        blossom.verify_optimum(adj, one_sided, dualvar, blossomdual, blossomparent, bedges)
 
 
 def test_one_corrupted_vertex_dual_is_an_invariant_error(monkeypatch):
@@ -538,8 +540,8 @@ def test_one_corrupted_vertex_dual_is_an_invariant_error(monkeypatch):
     monkeypatch.undo()
     free = next(args for args in states if not args[3])
     live = next(args for args in states if args[3])
-    for edges, mate, dualvar, blossomdual, blossomparent, bedges in (free, live):
-        blossom.verify_optimum(edges, mate, dualvar, blossomdual, blossomparent, bedges)
+    for adj, mate, dualvar, blossomdual, blossomparent, bedges in (free, live):
+        blossom.verify_optimum(adj, mate, dualvar, blossomdual, blossomparent, bedges)
         inside = [v for v in range(len(mate)) if blossomparent[v] is not None]
         assert bool(inside) == bool(blossomdual)
         v = inside[0] if inside else 0
@@ -547,16 +549,16 @@ def test_one_corrupted_vertex_dual_is_an_invariant_error(monkeypatch):
             moved = list(dualvar)
             moved[v] += step
             with pytest.raises(InvariantError, match=fault):
-                blossom.verify_optimum(edges, mate, moved, blossomdual, blossomparent, bedges)
+                blossom.verify_optimum(adj, mate, moved, blossomdual, blossomparent, bedges)
 
 
 def test_asymmetric_mate_is_an_invariant_error():
     # vertex 2 claims 0, which is matched to 1; the pair (0, 2) is no edge,
     # so only the symmetry condition can notice
-    edges, nothing = [(0, 1, 2)], [None] * 3
-    blossom.verify_optimum(edges, [1, 0, SINGLE], [2, 2, 0], {}, nothing, nothing)
+    adj, nothing = adjacency(3, [(0, 1, 2)]), [None] * 3
+    blossom.verify_optimum(adj, [1, 0, SINGLE], [2, 2, 0], {}, nothing, nothing)
     with pytest.raises(InvariantError, match="vertex 2 is matched to 0"):
-        blossom.verify_optimum(edges, [1, 0, 0], [2, 2, 0], {}, nothing, nothing)
+        blossom.verify_optimum(adj, [1, 0, 0], [2, 2, 0], {}, nothing, nothing)
 
 
 def test_matcher_leaves_no_garbage_cycles():
