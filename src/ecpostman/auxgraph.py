@@ -64,7 +64,6 @@ for the tests.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -83,8 +82,7 @@ class SlotVertex(NamedTuple):
     copy: int
 
 
-@dataclass(frozen=True)
-class AuxEdge:
+class AuxEdge(NamedTuple):
     a: int
     b: int
     weight: int
@@ -98,7 +96,6 @@ class AuxEdge:
 Block = tuple[Sequence[int], Sequence[int], int]  # (a_slots, b_slots, weight)
 
 
-@dataclass(eq=False)
 class MatchingGraph:
     """Materialized auxiliary graph over an immutable input graph.
 
@@ -110,16 +107,28 @@ class MatchingGraph:
     b_slots, at the canonical weight w (0 when artificial). A block pairs
     a range with itself (a clique) or lies wholly below its second range.
     ``instance`` is the matcher's input, written from the blocks.
+    Models compare equal only to themselves.
     """
 
-    g: ColoredMultigraph
-    vertices: list[SlotVertex]
-    blocks: list[Block]
-    witnesses: dict[tuple[int, int, int, int], tuple[int, ...]]
-    slot_indices: dict[tuple[int, int], Sequence[int]]
-    filler_indices: dict[int, Sequence[int]]
-    dominant: dict[int, int]
-    instance: MatchingInstance
+    def __init__(
+        self,
+        g: ColoredMultigraph,
+        vertices: list[SlotVertex],
+        blocks: list[Block],
+        witnesses: dict[tuple[int, int, int, int], tuple[int, ...]],
+        slot_indices: dict[tuple[int, int], Sequence[int]],
+        filler_indices: dict[int, Sequence[int]],
+        dominant: dict[int, int],
+        instance: MatchingInstance,
+    ) -> None:
+        self.g = g
+        self.vertices = vertices
+        self.blocks = blocks
+        self.witnesses = witnesses
+        self.slot_indices = slot_indices
+        self.filler_indices = filler_indices
+        self.dominant = dominant
+        self.instance = instance
 
     def signature(self, a: int, b: int) -> tuple[int, int, int, int] | None | str:
         """Classify the vertex pair {a, b} from its two vertices.

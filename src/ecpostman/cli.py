@@ -342,6 +342,14 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except AssertionError as exc:  # the blossom keeps its port's inline asserts
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal error: assertion failed in {tb.tb_frame.f_code.co_name},"
+              f" line {tb.tb_lineno}{detail}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ entering color) states as the walk tables of ``pcwalks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .graph import (
     ColoredMultigraph,
@@ -29,8 +29,7 @@ from .graph import (
 from .pcwalks import color_states, other_colors
 
 
-@dataclass(frozen=True)
-class EulerCheck:
+class EulerCheck(NamedTuple):
     feasible: bool
     reason: str | None = None
     vertex: int | None = None
@@ -284,8 +283,7 @@ def _extract_trail(g: ColoredMultigraph) -> PCWalk:
     )
 
 
-@dataclass(frozen=True)
-class WalkReport:
+class WalkReport(NamedTuple):
     ok: bool
     failure: str | None
     weight: int

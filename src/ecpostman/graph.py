@@ -7,6 +7,11 @@ construction; every operation is a pure query or returns a new graph.
 
 An ``Edge`` is a named tuple ``(eid, u, v, color, weight)``: it reads by
 attribute, unpacks, and compares equal to the plain tuple of its fields.
+The result types here and in the later stages (``DegreeProfile``,
+``PCWalk``, ``EulerCheck``, ``WalkReport``, ``Solution``,
+``PerfectMatching``, ``AuxEdge``) are named tuples too, and behave the
+same way; ``DegreeProfile.count(c)`` is the count of color c, not
+``tuple.count``.
 The constructor validates each row once, with one combined test per row;
 only a failing row is examined field by field for its message. The CLI's
 parser checks the same facts on each line, to name the line, and then
@@ -20,7 +25,6 @@ shares the rows of every vertex that the copies do not touch.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -188,8 +192,7 @@ class ColoredMultigraph:
         return f"ColoredMultigraph(n={self.n}, k={self.k}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-vertex degree decomposition by color.
 
     ``dominant`` is the color occurring on strictly more than half of the
@@ -201,7 +204,7 @@ class DegreeProfile:
     per_color: tuple[int, ...]
     dominant: int | None
 
-    def count(self, color: int) -> int:
+    def count(self, color: int) -> int:  # overrides tuple.count: the edges of one color
         return self.per_color[color - 1]
 
 
@@ -267,8 +270,7 @@ def has_single_color_vertex(g: ColoredMultigraph) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class PCWalk:
+class PCWalk(NamedTuple):
     """A walk as alternating vertex/edge-id sequences with end colors.
 
     ``edges[i]`` joins ``vertices[i]`` and ``vertices[i+1]``. Consecutive

@@ -26,8 +26,8 @@ optimum is a true one, and ties between true optima fall to the keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .blossom import max_weight_perfect_matching
 from .graph import InvariantError
@@ -52,7 +52,6 @@ def tie_end(x: int) -> int:
     return ((x * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF) >> (64 - TIE_BITS)) + 1
 
 
-@dataclass(frozen=True)
 class MatchingInstance:
     """Normalized matching input in the matcher's own form.
 
@@ -67,12 +66,21 @@ class MatchingInstance:
     per vertex pair. The auxiliary-graph
     builders write ``adj`` directly; ``oracle.instance_from_edges``
     normalizes any edge list into the same form, for the tests.
+    Instances compare equal by value, records in order.
     """
 
-    n: int
-    adj: list[list[tuple[int, int, int]]]
-    ceiling: int
-    scale: int = 1
+    def __init__(self, n: int, adj: list[list[tuple[int, int, int]]], ceiling: int,
+                 scale: int = 1) -> None:
+        self.n = n
+        self.adj = adj
+        self.ceiling = ceiling
+        self.scale = scale
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchingInstance):
+            return NotImplemented
+        return (self.n, self.adj, self.ceiling, self.scale) == (
+            other.n, other.adj, other.ceiling, other.scale)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -81,8 +89,7 @@ class MatchingInstance:
         return tuple(sorted((u, v, c - (r >> 2)) for recs in self.adj for u, v, r in recs if u < v))
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
+class PerfectMatching(NamedTuple):
     pairs: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted
     weight: int  # true weight: the instance weights summed, divided by its scale
 

@@ -23,7 +23,7 @@ import heapq
 import itertools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .auxgraph import NOT_AN_EDGE, Block, MatchingGraph, SlotVertex, with_walk_edges
 from .blossom import SINGLE, _run_stages
@@ -744,7 +744,7 @@ def reference_solve(g: ColoredMultigraph) -> Solution:
     report = verify_pc_closed_walk(g, walk)
     if not report.ok or report.weight != sol.total_weight:
         raise InvariantError(f"contracted walk failed verification: {report.failure}")
-    return replace(sol, multiplicities=report.traversals, walk=walk)
+    return sol._replace(multiplicities=report.traversals, walk=walk)
 
 
 def encode_digraph(

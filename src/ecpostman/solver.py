@@ -47,7 +47,7 @@ trail with matching weight 0 and through the same verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph
 from .euler import _extract_trail, check_pc_euler, uncoverable_edge, verify_pc_closed_walk
@@ -66,8 +66,7 @@ INFEASIBLE_SINGLE_COLOR = "single-color-vertex"
 INFEASIBLE_NO_MATCHING = "no-perfect-matching"
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Solver output; multiplicities index the original edges.
 
     For optimal solutions: total_weight = sum(q_e * w_e) over the
@@ -165,7 +164,7 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
                 f" colored Euler trail: {fault[0]} at vertex {fault[1]}"
             )
         trail = _extract_trail(duplicated)
-        walk = replace(trail, edges=tuple(origin[eid] for eid in trail.edges))
+        walk = trail._replace(edges=tuple(origin[eid] for eid in trail.edges))
         matching_weight = matching.weight
 
     report = verify_pc_closed_walk(g, walk)

@@ -210,6 +210,20 @@ def test_solve_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: weight accounting broken\n"
 
 
+@pytest.mark.parametrize("message, detail", [((), ""), (("lost a label",), ": lost a label")])
+def test_solve_failed_assert_is_an_internal_error(tmp_path, capsys, monkeypatch, message, detail):
+    # the blossom's inline asserts; raised explicitly, so that they hold under -O
+    def broken(g):
+        raise AssertionError(*message)
+
+    monkeypatch.setattr("ecpostman.cli.solve_with_model", broken)
+    assert run_cli("solve", write(tmp_path, "tri.ecg", TRIANGLE)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = broken.__code__.co_firstlineno + 1
+    assert captured.err == f"internal error: assertion failed in broken, line {line}{detail}\n"
+
+
 def test_solve_blossom_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", lambda inst: None)
     assert run_cli("solve", write(tmp_path, "house.ecg", HOUSE)) == EXIT_ERROR
@@ -520,18 +534,22 @@ def test_byte_identical_across_processes(tmp_path):
 
 
 def test_solving_imports_neither_networkx_nor_the_oracle(tmp_path):
+    # also neither dataclasses nor inspect, which cost a launch about 15 ms;
+    # counted against a bare interpreter, whose site may import modules itself
     inst = write(tmp_path, "house.ecg", HOUSE)
+    modules = "print(*sys.modules, file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=child_pythonpath())
+    bare = subprocess.run(
+        [sys.executable, "-c", f"import sys; {modules}"], capture_output=True, text=True, env=env
+    )
     code = (
         "import sys; from ecpostman.cli import main; rc = main(['solve', sys.argv[1]]); "
-        "print('networkx' in sys.modules, 'ecpostman.oracle' in sys.modules, file=sys.stderr); "
-        "sys.exit(rc)"
+        f"{modules}; sys.exit(rc)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, inst],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=child_pythonpath()),
-    )
+    proc = subprocess.run([sys.executable, "-c", code, inst], capture_output=True, text=True, env=env)
+    assert bare.returncode == EXIT_OK
     assert proc.returncode == EXIT_OK
     assert "total_weight 11" in proc.stdout
-    assert proc.stderr == "False False\n"
+    imported = set(proc.stderr.split()) - set(bare.stderr.split())
+    assert {"ecpostman.cli", "ecpostman.blossom"} <= imported
+    assert not imported & {"networkx", "ecpostman.oracle", "dataclasses", "inspect"}
