@@ -10,7 +10,10 @@ at shared vertices merges them into one, walked once. The edge screen
 (``uncoverable_edge``) decides the weaker question the postman problem
 asks: whether some properly colored closed walk covers every edge, with
 edges traversed any number of times. It runs on the same (vertex,
-entering color) states as the walk tables of ``pcwalks``.
+entering color) states as the walk tables of ``pcwalks``, numbered by
+the same ``color_states``, with every pass-through vertex (degree 2,
+two colors) left out: a chain of them is one move between the states
+of its two ends, and answers for all of its edges.
 """
 
 from __future__ import annotations
@@ -60,31 +63,91 @@ def uncoverable_edge(g: ColoredMultigraph) -> int | None:
     walk per edge, added up, is even and balanced everywhere, so Kotzig's
     theorem gives an Euler trail of the sum.
 
-    The test runs on the states of the walk tables, numbered as they are
-    (``pcwalks.color_states``): state (x, c) means "at x, entered by
-    color c", one per color present at x. An edge xy of color c' != c
-    leads from (x, c) to (y, c'), so cycles of this digraph are exactly
-    the properly colored closed walks, wraparound included. Edge e = xy
-    of color c lies on one iff (y, c) shares a strongly connected
-    component with some (x, c'), c' != c. The successors are grouped by
-    color first (``pcwalks.other_colors``), so the two states of a
-    two-color vertex share one list each way; the verdict does not
-    depend on their order.
+    The test runs on the states of the walk tables (``pcwalks.color_states``):
+    state (x, c) means "at x, entered by color c", one per color present
+    at x. An edge xy of color c' != c leads from (x, c) to (y, c'), so
+    cycles of this digraph are exactly the properly colored closed
+    walks, wraparound included. Edge e = xy of color c lies on one iff
+    (y, c) shares a strongly connected component with some (x, c'),
+    c' != c. The successors are grouped by color first
+    (``pcwalks.other_colors``), so the two states of a two-color vertex
+    share one list each way; the verdict does not depend on their order.
+
+    A walk that enters a pass-through vertex (degree 2, two colors) must
+    leave it along its other edge, so no such vertex gets states. From a
+    kept vertex x the screen follows each chain of pass-through vertices
+    to the kept state (z, c) that the chain enters, once per chain: the
+    chain is a successor of x's group in its first color, and walked
+    backwards, of (z, c)'s group. It is also one coverage entry (x's
+    states, first color, end state, lowest edge id), checked as a single
+    edge is; every edge of a chain is covered iff the chain is, so the
+    chain answers for its lowest edge id. An edge between two kept
+    vertices is checked on its own, in id order, as long as its id is
+    below the lowest uncovered chain's. An alternating cycle of
+    pass-through vertices is itself a closed walk, and none of its edges
+    is ever looked at.
     """
-    state_at, count = color_states(g)
+    state_at, count = color_states(g, ())
+    incidence = g.incidence
+    edges = g.edges
     heads: list[list[int]] = [[] for _ in range(count)]
-    for states, ends in zip(state_at, g.incidence):
-        for _, y, color, _ in ends:
-            heads[states[color]].append(state_at[y][color])
+    chains: list[tuple[dict[int, int], int, int, int]] = []
+    walked = bytearray(len(edges))  # the last edges of the chains walked so far
+    inner = 0  # edges on the chains walked so far
+    for states, ends in zip(state_at, incidence):
+        if not states:
+            continue  # pass-through, or isolated
+        for eid, y, first, _ in ends:
+            ahead = state_at[y]
+            if ahead:
+                heads[states[first]].append(ahead[first])
+                continue
+            if walked[eid]:
+                continue  # walked from its other end already
+            # the chain never comes back to a vertex it crossed: it used
+            # both of that vertex's edges
+            low = eid
+            color = first
+            while not ahead:
+                a, b = incidence[y]
+                eid, y, color, _ = b if a[2] == color else a
+                if eid < low:
+                    low = eid
+                inner += 1
+                ahead = state_at[y]
+            walked[eid] = 1
+            inner += 1
+            start = states[first]
+            end = ahead[color]
+            heads[start].append(end)
+            heads[end].append(start)
+            chains.append((states, first, end, low))
     component = _strong_components(other_colors(state_at, heads))
-    for eid, x, y, color, _ in g.edges:
-        target = component[state_at[y][color]]
-        for c, s in state_at[x].items():
+    found = None
+    for states, first, end, low in chains:
+        target = component[end]
+        for c, s in states.items():
+            if c != first and component[s] == target:
+                break
+        else:
+            if found is None or low < found:
+                found = low
+    if inner == len(edges):
+        return found  # every edge lies on a chain
+    for eid, x, y, color, _ in edges:
+        if eid == found:
+            break
+        ahead = state_at[y]
+        states = state_at[x]
+        if not (ahead and states):
+            continue  # a chain's edge
+        target = component[ahead[color]]
+        for c, s in states.items():
             if c != color and component[s] == target:
                 break
         else:
             return eid
-    return None
+    return found
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:

@@ -6,7 +6,8 @@ postman oracle, an exhaustive properly-colored-walk enumerator with a
 witness checker, the walk finder's runs keyed by (end vertex, last
 color) and the plain tuple-keyed Dijkstra they must reproduce, a builder
 that turns a witness into a ``PCWalk``, the heap greedy that the Euler
-trail's transition system must equal, an exhaustive perfect-matching
+trail's transition system must equal, the edge screen on every state
+that the contracting screen must agree with, an exhaustive perfect-matching
 search, networkx's maximum-cardinality matching on the blossom's own
 stages, the edge-list normalizer of matching instances, the full
 slot/filler auxiliary model that the solver's live-slot model reduces,
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .auxgraph import NOT_AN_EDGE, Block, MatchingGraph, SlotVertex, with_walk_edges
 from .blossom import SINGLE, _run_stages
-from .euler import verify_pc_closed_walk
+from .euler import _strong_components, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
     DegreeProfile,
@@ -35,10 +36,11 @@ from .graph import (
     InvariantError,
     PCWalk,
     color_degrees,
+    has_single_color_vertex,
     is_connected,
 )
 from .matching import MatchingInstance, PerfectMatching
-from .pcwalks import ShortestWalkFinder
+from .pcwalks import ShortestWalkFinder, color_states, other_colors
 from .solver import Solution, solve
 
 DEFAULT_BOUND = 3
@@ -323,6 +325,29 @@ def greedy_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]
         pairs.sort()
         pairs_at.append(pairs)
     return pairs_at
+
+
+def reference_edge_screen(g: ColoredMultigraph) -> int | None:
+    """``euler.uncoverable_edge`` on every (vertex, entering color) state.
+
+    No vertex is contracted: Tarjan runs on all states, and each edge
+    xy of color c is checked on its own, passing iff (y, c) shares a
+    strongly connected component with some (x, c'), c' != c.
+    """
+    state_at, count = color_states(g)
+    heads: list[list[int]] = [[] for _ in range(count)]
+    for states, ends in zip(state_at, g.incidence):
+        for _, y, color, _ in ends:
+            heads[states[color]].append(state_at[y][color])
+    component = _strong_components(other_colors(state_at, heads))
+    for eid, x, y, color, _ in g.edges:
+        target = component[state_at[y][color]]
+        for c, s in state_at[x].items():
+            if c != color and component[s] == target:
+                break
+        else:
+            return eid
+    return None
 
 
 def adjacency(n: int, edges: Sequence[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
@@ -823,12 +848,22 @@ def directed_cpp_brute_force(
 
 
 def gen_random_instance(
-    n: int, k: int, m: int, max_w: int, seed: int, max_tries: int = 1000
+    n: int,
+    k: int,
+    m: int,
+    max_w: int,
+    seed: int,
+    max_tries: int = 1000,
+    two_colors: bool = False,
 ) -> ColoredMultigraph:
     """Deterministic connected random multigraph; retries until connected.
 
     Endpoint pairs are uniform over distinct vertex pairs, colors
-    uniform over 1..k, integer weights uniform over 1..max_w.
+    uniform over 1..k, integer weights uniform over 1..max_w. With
+    ``two_colors`` a draw is also retried until every vertex sees at
+    least two colors, so no draw fails the solver's single-color screen;
+    a seed whose first draw already passes gives the same graph either
+    way.
     """
     if n < 2 or k < 1 or max_w < 1 or m < max(1, n - 1):
         raise GraphError("impossible generator parameters")
@@ -842,9 +877,10 @@ def gen_random_instance(
                 v += 1
             edges.append((u, v, rng.randint(1, k), rng.randint(1, max_w)))
         g = ColoredMultigraph(n, k, edges)
-        if is_connected(g):
+        if is_connected(g) and not (two_colors and has_single_color_vertex(g) is not None):
             return g
-    raise GraphError(f"no connected graph with n={n}, m={m} after {max_tries} tries")
+    wanted = "connected graph with two colors at every vertex" if two_colors else "connected graph"
+    raise GraphError(f"no {wanted} with n={n}, m={m} after {max_tries} tries")
 
 
 def gen_random_trail_instance(

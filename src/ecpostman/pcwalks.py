@@ -14,15 +14,18 @@ leave its vertex in another color, grouped by color once per graph
 other color's group.
 
 A walk that enters a pass-through vertex (degree 2, two colors) must
-leave it along its other edge, so the finder contracts such vertices
-out of its state graph unless a caller reads their states: a move into
-one of them continues along its other edge, a chain of them collapses
-into one move that lists every edge it crosses, and the move weighs
-their sum. Every label of a kept state, witness included, is the one
-the uncontracted state graph gives. The caller names the vertices it
-keeps: the model builder (``auxgraph.with_walk_edges``) keeps the
-owners of slot classes, and the default keeps every state, as the
-tests' table view (``oracle.walk_table``) needs. The full model
+leave it along its other edge, so such a vertex needs no states unless
+a caller reads them. ``color_states(g, keep)`` is the one place that
+decides it: in the pass that numbers the states, a pass-through vertex
+outside ``keep`` gets an empty entry, and every caller recognises a
+chain vertex by that entry. The edge screen keeps none of them, the model
+builder (``auxgraph.with_walk_edges``) keeps the owners of slot
+classes, and ``keep=None`` keeps every vertex, as the tests' table view
+(``oracle.walk_table``) needs. In the finder a move into a contracted
+vertex continues along its other edge, a chain of them collapses into
+one move that lists every edge it crosses, and the move weighs their
+sum. Every label of a kept state, witness included, is the one the
+uncontracted state graph gives. The full model
 (``oracle.build_full_matching_graph``) goes through the same builder
 and keeps every state too: with an odd k >= 3 a two-color vertex owns
 the slot classes of its absent colors.
@@ -30,7 +33,7 @@ the slot classes of its absent colors.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from heapq import heappop, heappush
 
 from .graph import ColoredMultigraph
@@ -40,21 +43,33 @@ Label = tuple[int, tuple[int, ...], int]
 
 
 def color_states(
-    g: ColoredMultigraph, contracted: Sequence[bool] = ()
+    g: ColoredMultigraph, keep: Collection[int] | None = None
 ) -> tuple[list[dict[int, int]], int]:
     """Number the (vertex, color) states of g densely; return them and their count.
 
     ``state_at[x]`` maps each color present at x to its state id, in the
     order the colors first occur in ``incidence[x]``. Ids ascend with the
-    vertex, so the ids of one vertex are consecutive. A vertex x with
-    ``contracted[x]`` true gets no states.
+    vertex, so the ids of one vertex are consecutive. This is the one
+    definition of a contracted vertex: a pass-through vertex (degree 2,
+    two colors) outside ``keep`` gets no states, an empty entry.
+    ``keep=None`` keeps every vertex; an empty ``keep`` keeps no
+    pass-through vertex.
     """
-    incidence = g.incidence
-    if contracted:
-        incidence = [() if gone else ends for ends, gone in zip(incidence, contracted)]
     state_at: list[dict[int, int]] = []
     count = 0
-    for ends in incidence:
+    for x, ends in enumerate(g.incidence):
+        if len(ends) == 2:
+            a = ends[0][2]
+            b = ends[1][2]
+            if a == b:
+                state_at.append({a: count})
+                count += 1
+            elif keep is None or x in keep:
+                state_at.append({a: count, b: count + 1})
+                count += 2
+            else:
+                state_at.append({})
+            continue
         states: dict[int, int] = {}
         for _, _, color, _ in ends:
             if color not in states:
@@ -89,28 +104,18 @@ class ShortestWalkFinder:
     """Single-source shortest properly-colored-walk queries on one graph.
 
     One instance wraps one immutable graph and builds its state graph
-    once: ``state_at`` (see ``color_states``) and, per state, its moves
-    as (next state, edge ids, weight). A pass-through vertex outside
-    ``keep`` is contracted: it has no states (an empty ``state_at``
-    entry), and a move that crosses it lists the edges of the whole
-    chain. ``keep=None`` keeps every state. ``labels`` runs Dijkstra on
-    state ids from a (source vertex, first color), the key of a slot
-    class in the auxiliary matching graph.
+    once: ``state_at`` (``color_states(g, keep)``) and, per state, its
+    moves as (next state, edge ids, weight). A pass-through vertex
+    outside ``keep`` has no states, and a move that crosses it lists the
+    edges of the whole chain. ``keep=None`` keeps every state.
+    ``labels`` runs Dijkstra on state ids from a (source vertex, first
+    color), the key of a slot class in the auxiliary matching graph.
     """
 
     def __init__(self, g: ColoredMultigraph, keep: Collection[int] | None = None):
         self.g = g
         incidence = g.incidence
-        contracted: list[bool] = []
-        if keep is not None:
-            contracted = [
-                len(ends) == 2 and ends[0][2] != ends[1][2] and x not in keep
-                for x, ends in enumerate(incidence)
-            ]
-            if not any(contracted):
-                contracted = []
-        self._contracted = contracted
-        state_at, count = color_states(g, contracted)
+        state_at, count = color_states(g, keep)
         self.state_at = state_at
         leaving: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(count)]
         for states, ends in zip(state_at, incidence):
@@ -118,18 +123,20 @@ class ShortestWalkFinder:
                 continue  # contracted, or isolated
             for eid, y, color, w in ends:
                 group = leaving[states[color]]
-                if not (contracted and contracted[y]):
-                    group.append((state_at[y][color], (eid,), w))
+                ahead = state_at[y]
+                if ahead:
+                    group.append((ahead[color], (eid,), w))
                     continue
                 # the chain ends at a kept vertex: it never comes back to a
                 # vertex it crossed, since it used both of that vertex's edges
                 eids = [eid]
-                while contracted[y]:
+                while not ahead:
                     a, b = incidence[y]
                     eid, y, color, step = b if a[2] == color else a
                     eids.append(eid)
                     w += step
-                group.append((state_at[y][color], tuple(eids), w))
+                    ahead = state_at[y]
+                group.append((ahead[color], tuple(eids), w))
         self._leaving = leaving  # a run's first moves: the edges leaving u in color c1
         self._moves = other_colors(state_at, leaving)
 
@@ -148,7 +155,7 @@ class ShortestWalkFinder:
         labels: list[Label | None] = [None] * count
         start = self.state_at[u].get(c1)
         if start is None:
-            if self._contracted and self._contracted[u]:
+            if not self.state_at[u] and self.g.incidence[u]:
                 raise ValueError(f"vertex {u} is contracted out of the state graph")
             return labels
         heap: list[Label] = []

@@ -12,7 +12,8 @@ The edge screen (``uncoverable_edge``) is the infeasibility criterion:
 a connected input has a covering properly colored closed walk iff every
 edge lies on some properly colored closed walk. It finds the strongly
 connected components of the walk tables' (vertex, entering color)
-states once, so an infeasible input builds no model.
+states once, with each chain of pass-through vertices (degree 2, two
+colors) taken as one move, so an infeasible input builds no model.
 Its verdict keeps the historical reason ``no-perfect-matching``. Every
 input that passes it still goes through the blossom, whose failure to
 find a perfect matching would contradict the screen and is an internal

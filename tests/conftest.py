@@ -2,18 +2,51 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from ecpostman import ColoredMultigraph, Edge, PCWalk, check_pc_euler
 from ecpostman.auxgraph import MatchingGraph
+from ecpostman.cli import parse_instance_text
 from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
 from ecpostman.oracle import encode_digraph, gen_random_digraph, gen_random_instance
 
 
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
+
+
 def mg(n: int, k: int, edges) -> ColoredMultigraph:
     return ColoredMultigraph(n, k, edges)
+
+
+@pytest.fixture(scope="session")
+def benchmark_corpus() -> list[ColoredMultigraph]:
+    """The benchmark's corpus as the CLI parses it: seeds 1, 3, 5 (seed-major)
+    x the first 150 colored, 150 directed and 60 eulerian inputs of
+    ``benchmark/workloads.corpus``, 1080 graphs, generated once per run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCHMARK_DIR))
+        import workloads
+    return [
+        parse_instance_text(inst.text())
+        for seed in (1, 3, 5)
+        for workload, count in (("colored", 150), ("directed", 150), ("eulerian", 60))
+        for inst in workloads.corpus(workload, seed, count)
+    ]
+
+
+def hamiltonian_digraph(n, m):
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 plus random arcs up to m, weights 1-9."""
+    rng = random.Random(n)
+    arcs = [(i, (i + 1) % n, rng.randint(1, 9)) for i in range(n)]
+    while len(arcs) < m:
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.randint(1, 9)))
+    return arcs
 
 
 @pytest.fixture

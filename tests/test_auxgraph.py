@@ -2,14 +2,20 @@
 the live-slot model against the full slot/filler reference."""
 
 import hashlib
-import random
 from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import beyond_brute_force, chained_multigraphs, mg, multigraphs, owner_slots
+from conftest import (
+    beyond_brute_force,
+    chained_multigraphs,
+    hamiltonian_digraph,
+    mg,
+    multigraphs,
+    owner_slots,
+)
 
 from ecpostman import GraphError
 from ecpostman.auxgraph import (
@@ -496,16 +502,6 @@ def test_adjacency_instance_matches_edges_view_beyond_brute_force():
             build_matching_graph(g), build_matching_graph(gn), build_full_matching_graph(gn)
         ):
             assert_instance_matches_edges_view(aux)
-
-
-def hamiltonian_digraph(n, m):
-    """The cycle 0 -> 1 -> ... -> n-1 -> 0 plus random arcs up to m, weights 1-9."""
-    rng = random.Random(n)
-    arcs = [(i, (i + 1) % n, rng.randint(1, 9)) for i in range(n)]
-    while len(arcs) < m:
-        u, v = rng.sample(range(n), 2)
-        arcs.append((u, v, rng.randint(1, 9)))
-    return arcs
 
 
 def test_adjacency_instance_solves_as_its_edges_view_beyond_brute_force():

@@ -19,11 +19,10 @@ document of the benchmark's own corpus at once.
 
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
-from ecpostman.cli import format_result, parse_instance_text
+from ecpostman.cli import format_result
 from ecpostman.matching import MatchingInstance, PerfectMatching, min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
@@ -111,10 +110,8 @@ REFERENCE_DIGESTS = {
 }
 
 
-# seeds 1, 3, 5 (seed-major) x the first 150 colored, 150 directed and
-# 60 eulerian inputs of benchmark/workloads.corpus: 1080 documents
+# the 1080 documents of conftest.benchmark_corpus, in its order
 CORPUS_SHA256 = "c428093006f22db8e29aaefdd609f571bf0ea834ea3b93aa5608fe553be7c4a9"
-BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
 
 def instance(name: str):
@@ -169,14 +166,8 @@ def test_documents_do_not_depend_on_the_aux_vertex_order(seed, monkeypatch):
         assert hashlib.sha256(doc.encode()).hexdigest() == DIGESTS[name], name
 
 
-def test_benchmark_corpus_digest(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
-    import workloads
-
+def test_benchmark_corpus_digest(benchmark_corpus):
     digest = hashlib.sha256()
-    for seed in (1, 3, 5):
-        for workload, count in (("colored", 150), ("directed", 150), ("eulerian", 60)):
-            for inst in workloads.corpus(workload, seed, count):
-                g = parse_instance_text(inst.text())
-                digest.update(format_result(g, solve(g)).encode())
+    for g in benchmark_corpus:
+        digest.update(format_result(g, solve(g)).encode())
     assert digest.hexdigest() == CORPUS_SHA256

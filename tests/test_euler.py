@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mg, multigraphs
+from conftest import chained_multigraphs, hamiltonian_digraph, mg, multigraphs
 
 from ecpostman import (
     ColoredMultigraph,
@@ -25,10 +25,12 @@ from ecpostman.graph import has_single_color_vertex
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
+    gen_random_instance,
     gen_random_trail_instance,
     greedy_transition_system,
     normalize,
     pc_walk_minima,
+    reference_edge_screen,
     walk_from_edges,
 )
 
@@ -436,16 +438,62 @@ def test_edge_screen_agrees_with_the_walk_search(g):
     assert uncoverable_edge(g) == reference_uncoverable_edge(g)
 
 
+@given(chained_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_contracted_screen_agrees_with_the_walk_search(drawn):
+    g, _ = drawn
+    assert uncoverable_edge(g) == reference_uncoverable_edge(g)
+
+
+def reaches_the_screen(g):
+    chk = check_pc_euler(g)
+    return (
+        chk.reason != "disconnected"
+        and not chk.feasible
+        and has_single_color_vertex(g) is None
+    )
+
+
+def test_edge_screen_equals_the_reference_on_the_corpus(benchmark_corpus):
+    """Every corpus input that the solver screens: 449 colored, 450
+    directed and 90 eulerian, 353 of them with an uncovered edge."""
+    screened = [g for g in benchmark_corpus if reaches_the_screen(g)]
+    found = [uncoverable_edge(g) for g in screened]
+    assert found == [reference_edge_screen(g) for g in screened]
+    assert (len(screened), sum(eid is not None for eid in found)) == (989, 353)
+
+
+def test_edge_screen_equals_the_reference_beyond_brute_force():
+    graphs = [gen_random_instance(20, 7, 60, 9, s) for s in (0, 1)]
+    graphs.append(encode_digraph(100, hamiltonian_digraph(100, 300)))
+    for g in graphs:
+        assert uncoverable_edge(g) == reference_edge_screen(g)
+
+
 def test_edge_screen_on_a_deep_state_digraph():
     # an alternating two-color cycle of 20,000 edges, with the trapped
-    # triangle's pendant hung off vertex 0; Tarjan walks the cycle's
-    # states in one chain of 20,000 frames
+    # triangle's pendant hung off vertex 0: every cycle vertex but 0 is
+    # pass-through, so the cycle is one chain from vertex 0 back to it,
+    # followed edge by edge in a loop; alone, the cycle has no kept
+    # vertex at all
     n = 20_000
     cycle = [(i, (i + 1) % n, 1 + i % 2, 1) for i in range(n)]
     pendant = [(0, n, 1, 1), (n, n + 1, 1, 1), (n + 1, n + 2, 2, 1), (n + 2, n, 3, 1)]
     g = mg(n + 3, 3, cycle + pendant)
     assert uncoverable_edge(g) == n
     assert uncoverable_edge(mg(n, 2, cycle)) is None
+
+
+def test_edge_screen_on_a_deep_uncontracted_ring():
+    # a ring of 20,000 vertices joined by parallel edges of colors 1 and 2
+    # (degree 4 everywhere, nothing contracted) with the same pendant;
+    # Tarjan walks the ring's states in one chain of 20,000 frames
+    n = 20_000
+    ring = [(i, (i + 1) % n, color, 1) for i in range(n) for color in (1, 2)]
+    pendant = [(0, n, 1, 1), (n, n + 1, 1, 1), (n + 1, n + 2, 2, 1), (n + 2, n, 3, 1)]
+    g = mg(n + 3, 3, ring + pendant)
+    assert uncoverable_edge(g) == 2 * n
+    assert uncoverable_edge(mg(n, 2, ring)) is None
 
 
 # most small draws have a single-color vertex; this shape keeps both

@@ -5,7 +5,7 @@ import pytest
 from conftest import mg
 
 from ecpostman import GraphError, check_pc_euler, solve
-from ecpostman.graph import is_connected
+from ecpostman.graph import has_single_color_vertex, is_connected
 from ecpostman.oracle import (
     directed_cpp_brute_force,
     encode_digraph,
@@ -97,6 +97,23 @@ def test_gen_random_instance_deterministic_and_connected():
     assert is_connected(a)
     c = gen_random_instance(4, 3, 6, 3, seed=2)
     assert [(e.u, e.v) for e in a.edges] != [(e.u, e.v) for e in c.edges]
+
+
+def test_gen_two_colors_redraws_until_every_vertex_sees_two():
+    rows = lambda g: [(e.u, e.v, e.color, e.weight) for e in g.edges]
+    redrawn = 0
+    for seed in range(60):
+        plain = gen_random_instance(10, 3, 16, 9, seed)
+        two = gen_random_instance(10, 3, 16, 9, seed, two_colors=True)
+        assert rows(gen_random_instance(10, 3, 16, 9, seed, two_colors=False)) == rows(plain)
+        assert is_connected(two) and has_single_color_vertex(two) is None
+        if has_single_color_vertex(plain) is None:
+            assert rows(two) == rows(plain)  # its first draw already passed
+        else:
+            redrawn += 1
+    assert redrawn == 58
+    with pytest.raises(GraphError, match="two colors at every vertex"):
+        gen_random_instance(3, 1, 3, 3, seed=0, two_colors=True)
 
 
 def test_gen_rejects_impossible_parameters():

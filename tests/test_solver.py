@@ -200,6 +200,25 @@ def test_blossom_verdict_equals_the_screen_verdict(monkeypatch):
                 solve(g)
 
 
+def test_blossom_verdict_equals_the_screen_verdict_on_two_color_draws(monkeypatch):
+    """Seeds 0-199 at 10/3/16, each drawn until every vertex sees two
+    colors: none is already Eulerian, so all 200 reach the edge screen,
+    and 134 pass it. With the screen bypassed, the blossom decides each
+    verdict alike."""
+    drawn = [gen_random_instance(10, 3, 16, 9, seed, two_colors=True) for seed in range(200)]
+    assert all(has_single_color_vertex(g) is None for g in drawn)
+    screened = [uncoverable_edge(g) is None for g in drawn]
+    modelled = [not check_pc_euler(g).feasible for g in drawn]
+    assert (sum(screened), sum(modelled)) == (134, 200)
+    monkeypatch.setattr("ecpostman.solver.uncoverable_edge", lambda g: None)
+    for g, feasible in zip(drawn, screened):
+        if feasible:
+            assert solve(g).optimal
+        else:
+            with pytest.raises(InvariantError, match="no perfect matching"):
+                solve(g)
+
+
 def test_eulerian_route_matches_the_model_route():
     for seed in range(20):
         g = gen_random_trail_instance(12, 3, 24, 9, seed)
