@@ -25,10 +25,10 @@ walks end at u a number of times ≡ d(u), and every degree ends even.
 - A balanced two-color vertex (p = 2, d(u) even) gets no vertex at
   all, and the builder skips it before any slot arithmetic.
 Dijkstra keeps witnesses as edge-id sequences and the Euler trail pairs
-edge ends, so parallel edges need no subdivision. The walk finder keeps
-the states of class owners only: a pass-through vertex (degree 2, two
-colors, as every middle vertex of a digraph encoding) owns no class, and
-a chain of them is one move with all its edge ids and weight (``pcwalks``).
+edge ends, so parallel edges need no subdivision. The walk finder runs
+on the edge screen's numbering (``pcwalks``): a pass-through vertex
+(degree 2, two colors, as every middle vertex of a digraph encoding)
+owns no class and has no state, and a chain of them is one move.
 
 Every other slot pair (a at (u, i), b at (v, j)) receives an edge
 weighted by the minimum properly colored fixed-end walk from u to v with
@@ -56,7 +56,7 @@ A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
 tour. The structure of every perfect matching follows from the vertex
 counts above; the solver checks only their consequence, that the
-duplicated graph is even and balanced (``first_odd_or_unbalanced``).
+duplicated graph is even and balanced (``build_transition_system``).
 ``oracle.validate_matching_structure`` checks the counts themselves,
 for the tests.
 """
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .graph import ColoredMultigraph, GraphError, _new_tuple
 from .matching import TIE_BITS, MatchingInstance, tie_end, tie_mix
-from .pcwalks import ShortestWalkFinder
+from .pcwalks import Numbering, ShortestWalkFinder, color_states
 
 NOT_AN_EDGE = "not an edge"  # what MatchingGraph.signature returns for a non-edge
 
@@ -167,16 +167,16 @@ class MatchingGraph:
         return {(e.a, e.b): e for e in self.edges}
 
 
-def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant) -> MatchingGraph:
+def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant, numbering):
     """Append the walk blocks to the artificial ``blocks``; write the instance; wrap the model.
 
-    Shared by both builders; the arguments are the ``MatchingGraph``
-    fields of the same names. ``slot_indices`` lists the slot classes in
-    ascending index order, so pairing each class with itself and every
-    later class visits each slot pair a < b once, and every such block
-    has a pair.
+    Shared by both builders; ``numbering`` gives every class owner its
+    states, and the other arguments are the ``MatchingGraph`` fields of
+    the same names. ``slot_indices`` lists the slot classes in ascending
+    index order, so pairing each class with itself and every later class
+    visits each slot pair a < b once, and every such block has a pair.
     """
-    finder = ShortestWalkFinder(g, keep={u for u, _ in slot_indices})
+    finder = ShortestWalkFinder(g, numbering)
     state_at = finder.state_at
     scale = (len(vertices) // 2 << TIE_BITS) + 1
     witnesses = {}
@@ -218,13 +218,14 @@ def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant)
                          instance)
 
 
-def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
+def build_matching_graph(g: ColoredMultigraph, numbering: Numbering | None = None) -> MatchingGraph:
     """Construct the live-slot auxiliary matching graph of g.
 
     Requires no vertex incident to a single color only. Walk edges are
     built per pair of slot classes (u, c) and (v, c'): one lookup in the
     walk table for (u, c) gives the weight and witness edge ids shared
-    by every slot pair between the two classes.
+    by every slot pair between the two classes. ``numbering`` is the
+    edge screen's ``color_states(g, ())``, made here when None.
     """
     vertices: list[SlotVertex] = []
     blocks: list[Block] = []
@@ -260,7 +261,8 @@ def build_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             if fill:
                 blocks.append((fill, fill, 0))
                 blocks.append((slots, fill, 0))
-    return with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant)
+    return with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant,
+                           numbering or color_states(g, ()))
 
 
 def dump_matching_graph(mg: MatchingGraph) -> str:

@@ -20,9 +20,11 @@ from .auxgraph import dump_matching_graph
 from .euler import check_pc_euler, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
+    Edge,
     GraphError,
     InvariantError,
     PCWalk,
+    _new_tuple,
     color_degrees,
 )
 from .solver import Solution, solve_with_model
@@ -51,36 +53,42 @@ def ascii_ints(fields: list[str]) -> list[int]:
 
 
 def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
-    """Parse an instance file; raises ParseError with line numbers."""
-    header: tuple[int, int, int] | None = None
-    edges: list[tuple[int, int, int, int]] = []
-    header_line = 0
+    """Parse an instance file and build its graph; raises ParseError with line numbers.
+
+    Each edge line passes one combined test of the constructor's checks,
+    then adds its ``Edge``, incidence entries and color counts at once.
+    """
     # on ASCII text without '_', plain int reads every field as ascii_ints
     # would, so the per-line test runs only when this one fails
     plain = text.isascii() and "_" not in text
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = enumerate(text.splitlines(), start=1)
+    for header_line, raw in lines:
+        fields = raw.split()
+        if fields and fields[0][0] != "#":
+            break
+    else:
+        raise ParseError(path, 1, "missing header 'ecg <n> <k> <m>'")
+    if fields[0] != "ecg" or len(fields) != 4:
+        raise ParseError(path, header_line, "expected header 'ecg <n> <k> <m>'")
+    try:
+        n, k, m = map(int, fields[1:]) if plain else ascii_ints(fields[1:])
+    except ValueError:
+        raise ParseError(path, header_line, "header fields must be integers") from None
+    if n < 2:
+        raise ParseError(path, header_line, "need at least two vertices")
+    if m < 1:
+        raise ParseError(path, header_line, "need at least one edge")
+    if k < 1:
+        raise ParseError(path, header_line, "need at least one color")
+    edges: list[Edge] = []
+    incidence: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    counts = [[0] * k for _ in range(n)]
+    for line_no, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if header is None:
-            if fields[0] != "ecg" or len(fields) != 4:
-                raise ParseError(path, line_no, "expected header 'ecg <n> <k> <m>'")
-            try:
-                n, k, m = map(int, fields[1:]) if plain else ascii_ints(fields[1:])
-            except ValueError:
-                raise ParseError(path, line_no, "header fields must be integers") from None
-            if n < 2:
-                raise ParseError(path, line_no, "need at least two vertices")
-            if m < 1:
-                raise ParseError(path, line_no, "need at least one edge")
-            if k < 1:
-                raise ParseError(path, line_no, "need at least one color")
-            header = (n, k, m)
-            header_line = line_no
-            continue
-        n, k, m = header
-        if len(edges) >= m:
+        eid = len(edges)
+        if eid == m:
             raise ParseError(path, line_no, f"more than {m} edge lines")
         if len(fields) != 4:
             raise ParseError(path, line_no, "expected '<u> <v> <color> <weight>'")
@@ -88,29 +96,33 @@ def parse_instance_text(text: str, path: str = "<input>") -> ColoredMultigraph:
             u, v, color, weight = map(int, fields) if plain else ascii_ints(fields)
         except ValueError:
             raise ParseError(path, line_no, "edge fields must be integers") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(path, line_no, f"vertex ids must be in 1..{n}")
-        if u == v:
-            raise ParseError(path, line_no, "loops are not allowed")
-        if not (1 <= color <= k):
-            raise ParseError(path, line_no, f"colors must be in 1..{k}")
-        if weight < 0:
-            raise ParseError(path, line_no, "weights must be non-negative")
-        edges.append((u - 1, v - 1, color, weight))
-    if header is None:
-        raise ParseError(path, 1, "missing header 'ecg <n> <k> <m>'")
-    if len(edges) != header[2]:
-        raise ParseError(
-            path, header_line, f"expected {header[2]} edge lines, found {len(edges)}"
-        )
-    # every row passed the checks above, which are the constructor's own
-    return ColoredMultigraph._from_valid_rows(header[0], header[1], edges)
+        if not (0 < u <= n and 0 < v <= n and u != v and 0 < color <= k and weight >= 0):
+            if not (0 < u <= n and 0 < v <= n):
+                why = f"vertex ids must be in 1..{n}"
+            elif u == v:
+                why = "loops are not allowed"
+            elif not 0 < color <= k:
+                why = f"colors must be in 1..{k}"
+            else:
+                why = "weights must be non-negative"
+            raise ParseError(path, line_no, why)
+        u -= 1
+        v -= 1
+        edges.append(_new_tuple(Edge, (eid, u, v, color, weight)))
+        incidence[u].append((eid, v, color, weight))
+        incidence[v].append((eid, u, color, weight))
+        counts[u][color - 1] += 1
+        counts[v][color - 1] += 1
+    if len(edges) != m:
+        raise ParseError(path, header_line, f"expected {m} edge lines, found {len(edges)}")
+    return ColoredMultigraph._of_fields(n, k, tuple(edges), tuple(tuple(lst) for lst in incidence),
+                                        tuple(tuple(c) for c in counts))
 
 
 def read_text(path: str) -> str:
-    """The file's UTF-8 text; a ParseError at line 0 says why it cannot be read."""
+    """The file's UTF-8 text less any byte-order mark; a ParseError at line 0 says why not."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None

@@ -10,10 +10,10 @@ at shared vertices merges them into one, walked once. The edge screen
 (``uncoverable_edge``) decides the weaker question the postman problem
 asks: whether some properly colored closed walk covers every edge, with
 edges traversed any number of times. It runs on the same (vertex,
-entering color) states as the walk tables of ``pcwalks``, numbered by
-the same ``color_states``, with every pass-through vertex (degree 2,
-two colors) left out: a chain of them is one move between the states
-of its two ends, and answers for all of its edges.
+entering color) states as the walk tables of ``pcwalks``, in the one
+numbering a solve makes, with every pass-through vertex (degree 2, two
+colors) left out: a chain of them is one move between the states of its
+two ends, and answers for all of its edges.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .graph import (
     first_odd_or_unbalanced,
     is_connected,
 )
-from .pcwalks import color_states, other_colors
+from .pcwalks import Numbering, color_states, other_colors
 
 
 class EulerCheck(NamedTuple):
@@ -55,7 +55,7 @@ def check_pc_euler(g: ColoredMultigraph) -> EulerCheck:
     return EulerCheck(True)
 
 
-def uncoverable_edge(g: ColoredMultigraph) -> int | None:
+def uncoverable_edge(g: ColoredMultigraph, numbering: Numbering | None = None) -> int | None:
     """Return the lowest edge id on no properly colored closed walk, or None.
 
     A connected multigraph has a covering properly colored closed walk
@@ -85,9 +85,9 @@ def uncoverable_edge(g: ColoredMultigraph) -> int | None:
     vertices is checked on its own, in id order, as long as its id is
     below the lowest uncovered chain's. An alternating cycle of
     pass-through vertices is itself a closed walk, and none of its edges
-    is ever looked at.
+    is ever looked at. ``numbering``: ``color_states(g, ())``, made if None.
     """
-    state_at, count = color_states(g, ())
+    state_at, count = color_states(g, ()) if numbering is None else numbering
     incidence = g.incidence
     edges = g.edges
     heads: list[list[int]] = [[] for _ in range(count)]
@@ -200,7 +200,8 @@ def build_transition_system(g: ColoredMultigraph) -> list[list[tuple[int, int]]]
 
     Returns, per vertex, its pairs of edge ids, each pair and each list
     sorted. Every vertex must be even and balanced (``check_pc_euler``,
-    the caller's); one that is not raises InvariantError. The greedy
+    the caller's, or this count check's alone for the solver's duplicated
+    graph); one that is not raises InvariantError. The greedy
     (``oracle.greedy_transition_system``) pairs the smallest edge id of
     the most frequent remaining color with the smallest of the second
     most frequent, ties to the smaller color, and so keeps the vertex

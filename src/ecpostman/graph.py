@@ -14,12 +14,11 @@ same way; ``DegreeProfile.count(c)`` is the count of color c, not
 ``tuple.count``.
 The constructor validates each row once, with one combined test per row;
 only a failing row is examined field by field for its message. The CLI's
-parser checks the same facts on each line, to name the line, and then
-builds through the same loop with the row test off
-(``_from_valid_rows``), so no row is checked twice.
-``with_copies`` derives a graph from rows of an existing one; it checks
-the edge ids it is given but does not validate the rows again, and it
-shares the rows of every vertex that the copies do not touch.
+parser (``cli.parse_instance_text``) checks the same facts on each line,
+to name the line, and builds the fields in the same pass; ``with_copies``
+derives a graph from rows of an existing one, checks the edge ids it is
+given but not the rows, and shares the rows of every vertex that the
+copies do not touch. Both hand their ready fields to ``_of_fields``.
 """
 
 from __future__ import annotations
@@ -42,16 +41,6 @@ class Edge(NamedTuple):
     v: int
     color: int
     weight: int
-
-    def other(self, x: int) -> int:
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise GraphError(f"vertex {x} is not an endpoint of edge {self.eid}")
-
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
 # builds an Edge from a ready tuple without NamedTuple's argument parsing
@@ -95,32 +84,13 @@ class ColoredMultigraph:
     def __init__(self, n: int, k: int, edges: Iterable[tuple[int, int, int, int]]):
         if n < 0 or k < 0:
             raise GraphError("vertex and color counts must be non-negative")
-        self._build(n, k, edges, True)
-
-    @classmethod
-    def _from_valid_rows(
-        cls, n: int, k: int, rows: Iterable[tuple[int, int, int, int]]
-    ) -> ColoredMultigraph:
-        """The constructor's graph of rows already checked as it would.
-
-        The caller guarantees n, k >= 0 and, on every row, endpoints in
-        0..n-1, no loop, a color in 1..k and a non-negative ``int`` weight;
-        no row is tested again.
-        """
-        g = cls.__new__(cls)
-        g._build(n, k, rows, False)
-        return g
-
-    def _build(
-        self, n: int, k: int, rows: Iterable[tuple[int, int, int, int]], check: bool
-    ) -> None:
         self.n = n
         self.k = k
         built: list[Edge] = []
         incidence: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         counts = [[0] * k for _ in range(n)]
-        for eid, (u, v, color, weight) in enumerate(rows):
-            if check and not (
+        for eid, (u, v, color, weight) in enumerate(edges):
+            if not (
                 0 <= u < n and 0 <= v < n and u != v and 1 <= color <= k
                 and type(weight) is int and weight >= 0
             ):
@@ -135,6 +105,17 @@ class ColoredMultigraph:
             tuple(lst) for lst in incidence
         )
         self._color_counts = tuple(tuple(c) for c in counts)
+
+    @classmethod
+    def _of_fields(cls, n, k, edges, incidence, color_counts) -> ColoredMultigraph:
+        """The graph with these tuple fields, vouched for by the caller; nothing is checked."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.k = k
+        g.edges = edges
+        g.incidence = incidence
+        g._color_counts = color_counts
+        return g
 
     def with_copies(self, eids: Iterable[int]) -> ColoredMultigraph:
         """This graph plus one copy of each listed edge id, in list order.
@@ -165,17 +146,9 @@ class ColoredMultigraph:
             for _, _, color, _ in ends:
                 counts[color - 1] += 1
             color_counts[x] = tuple(counts)
-        g = ColoredMultigraph.__new__(ColoredMultigraph)
-        g.n = self.n
-        g.k = self.k
-        g.edges = source + tuple(copies)
-        g.incidence = tuple(incidence)
-        g._color_counts = tuple(color_counts)
-        return g
-
-    def degree(self, u: int) -> int:
-        self._check_vertex(u)
-        return len(self.incidence[u])
+        return ColoredMultigraph._of_fields(
+            self.n, self.k, source + tuple(copies), tuple(incidence), tuple(color_counts)
+        )
 
     def color_counts(self, u: int) -> tuple[int, ...]:
         self._check_vertex(u)

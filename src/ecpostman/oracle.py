@@ -14,7 +14,8 @@ slot/filler auxiliary model that the solver's live-slot model reduces,
 the structural-lemma checker of a matching on either model, the
 normalization (simple graph, odd color count) that the full model needs
 and the reference pipeline built on it, the classic digraph encoding
-into two colors, a brute-force directed postman solver, and
+into two colors, a brute-force directed postman solver, the edge
+helpers the tests walk with (``other_end``, ``end_pair``), and
 deterministic random instance generators.
 """
 
@@ -32,6 +33,7 @@ from .euler import _strong_components, verify_pc_closed_walk
 from .graph import (
     ColoredMultigraph,
     DegreeProfile,
+    Edge,
     GraphError,
     InvariantError,
     PCWalk,
@@ -49,6 +51,20 @@ MAX_EXPANSIONS = 5_000_000
 
 # (end vertex, last color) -> (weight, edge ids of a minimum walk)
 WalkTable = dict[tuple[int, int], tuple[int, tuple[int, ...]]]
+
+
+def other_end(e: Edge, x: int) -> int:
+    """The end of edge e that is not x; GraphError if x is not an end of e."""
+    if x == e.u:
+        return e.v
+    if x == e.v:
+        return e.u
+    raise GraphError(f"vertex {x} is not an endpoint of edge {e.eid}")
+
+
+def end_pair(e: Edge) -> tuple[int, int]:
+    """The two ends of edge e, the smaller first."""
+    return (e.u, e.v) if e.u < e.v else (e.v, e.u)
 
 
 def oracle_solve(
@@ -248,7 +264,7 @@ def check_walk_witness(
             return f"edge {eid} does not touch {cur}"
         if prev_color is not None and e.color == prev_color:
             return f"consecutive edges share color {e.color}"
-        cur = e.other(cur)
+        cur = other_end(e, cur)
         state = (cur, e.color)
         if state in states:
             return f"state {state} visited twice"
@@ -276,7 +292,7 @@ def walk_from_edges(g: ColoredMultigraph, start: int, eids: Sequence[int]) -> PC
     cur = start
     for eid in eids:
         e = g.edges[eid]
-        cur = e.other(cur)
+        cur = other_end(e, cur)
         verts.append(cur)
         total += e.weight
     return PCWalk(
@@ -469,7 +485,7 @@ def color_deficiency(profile: DegreeProfile, color: int) -> int:
 
 def is_simple(g: ColoredMultigraph) -> bool:
     """True iff no two edges of g join the same pair of vertices."""
-    pairs = {e.pair() for e in g.edges}
+    pairs = {end_pair(e) for e in g.edges}
     return len(pairs) == len(g.edges)
 
 
@@ -525,7 +541,8 @@ def build_full_matching_graph(g: ColoredMultigraph) -> MatchingGraph:
             blocks.append((fill, fill, 0))
             blocks.append((slots, fill, 0))
     dominant = {u: prof.dominant for u, prof in enumerate(profiles) if prof.dominant is not None}
-    return with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant)
+    numbering = color_states(g, {u for u, _ in slot_indices})
+    return with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant, numbering)
 
 
 @dataclass(frozen=True)
@@ -627,7 +644,7 @@ def normalize(g: ColoredMultigraph) -> tuple[ColoredMultigraph, NormalizationMap
     seen_pairs: set[tuple[int, int]] = set()
     parallel: list[int] = []
     for e in g.edges:
-        p = e.pair()
+        p = end_pair(e)
         if p in seen_pairs:
             parallel.append(e.eid)
         else:

@@ -7,28 +7,25 @@ state per query. One Dijkstra run from the source therefore answers
 every (v, c2) target at once; all weights are non-negative.
 
 The states are numbered densely (``color_states``), one per color
-present at a vertex, and the edge screen (``euler.uncoverable_edge``)
-runs on the same numbering. Each state's moves are the edges that
-leave its vertex in another color, grouped by color once per graph
-(``other_colors``): at a two-color vertex a state's moves are just the
-other color's group.
+present at a vertex, once per solve: the solver hands one numbering to
+the edge screen (``euler.uncoverable_edge``) and to the walk finder.
+Each state's moves are the edges that leave its vertex in another
+color, grouped by color once per graph (``other_colors``): at a
+two-color vertex a state's moves are just the other color's group.
 
 A walk that enters a pass-through vertex (degree 2, two colors) must
 leave it along its other edge, so such a vertex needs no states unless
 a caller reads them. ``color_states(g, keep)`` is the one place that
 decides it: in the pass that numbers the states, a pass-through vertex
 outside ``keep`` gets an empty entry, and every caller recognises a
-chain vertex by that entry. The edge screen keeps none of them, the model
-builder (``auxgraph.with_walk_edges``) keeps the owners of slot
-classes, and ``keep=None`` keeps every vertex, as the tests' table view
-(``oracle.walk_table``) needs. In the finder a move into a contracted
-vertex continues along its other edge, a chain of them collapses into
-one move that lists every edge it crosses, and the move weighs their
-sum. Every label of a kept state, witness included, is the one the
-uncontracted state graph gives. The full model
-(``oracle.build_full_matching_graph``) goes through the same builder
-and keeps every state too: with an odd k >= 3 a two-color vertex owns
-the slot classes of its absent colors.
+chain vertex by that entry. The solver keeps none (``keep=()``): a
+pass-through vertex owns no slot class of the live model. The full
+model (``oracle.build_full_matching_graph``) keeps its class owners,
+since with an odd k >= 3 a two-color vertex owns the classes of its
+absent colors, and ``keep=None`` keeps every vertex, as the tests'
+table view (``oracle.walk_table``) needs. The finder walks each chain
+once, into one move each way that lists its edges and weighs their sum;
+a kept state's label, witness included, is the uncontracted graph's.
 """
 
 from __future__ import annotations
@@ -40,11 +37,10 @@ from .graph import ColoredMultigraph
 
 # (weight, edge ids of a minimum walk, end state id)
 Label = tuple[int, tuple[int, ...], int]
+Numbering = tuple[list[dict[int, int]], int]  # color_states: (state_at, count)
 
 
-def color_states(
-    g: ColoredMultigraph, keep: Collection[int] | None = None
-) -> tuple[list[dict[int, int]], int]:
+def color_states(g: ColoredMultigraph, keep: Collection[int] | None = None) -> Numbering:
     """Number the (vertex, color) states of g densely; return them and their count.
 
     ``state_at[x]`` maps each color present at x to its state id, in the
@@ -104,31 +100,34 @@ class ShortestWalkFinder:
     """Single-source shortest properly-colored-walk queries on one graph.
 
     One instance wraps one immutable graph and builds its state graph
-    once: ``state_at`` (``color_states(g, keep)``) and, per state, its
-    moves as (next state, edge ids, weight). A pass-through vertex
-    outside ``keep`` has no states, and a move that crosses it lists the
-    edges of the whole chain. ``keep=None`` keeps every state.
-    ``labels`` runs Dijkstra on state ids from a (source vertex, first
-    color), the key of a slot class in the auxiliary matching graph.
+    once, on a ``numbering`` (``color_states``; None numbers every
+    state): ``state_at`` and, per state, its moves as (next state, edge
+    ids, weight). A move across a chain of vertices without states lists
+    the edges of the whole chain. ``labels`` runs Dijkstra on state ids
+    from a (source vertex, first color), the key of a slot class in the
+    auxiliary matching graph.
     """
 
-    def __init__(self, g: ColoredMultigraph, keep: Collection[int] | None = None):
+    def __init__(self, g: ColoredMultigraph, numbering: Numbering | None = None):
         self.g = g
         incidence = g.incidence
-        state_at, count = color_states(g, keep)
+        state_at, count = color_states(g) if numbering is None else numbering
         self.state_at = state_at
         leaving: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(count)]
+        walked = bytearray(len(g.edges))  # the last edges of the chains walked so far
         for states, ends in zip(state_at, incidence):
             if not states:
                 continue  # contracted, or isolated
             for eid, y, color, w in ends:
-                group = leaving[states[color]]
                 ahead = state_at[y]
                 if ahead:
-                    group.append((ahead[color], (eid,), w))
+                    leaving[states[color]].append((ahead[color], (eid,), w))
                     continue
+                if walked[eid]:
+                    continue  # walked from its other end already
                 # the chain ends at a kept vertex: it never comes back to a
                 # vertex it crossed, since it used both of that vertex's edges
+                start = states[color]
                 eids = [eid]
                 while not ahead:
                     a, b = incidence[y]
@@ -136,7 +135,10 @@ class ShortestWalkFinder:
                     eids.append(eid)
                     w += step
                     ahead = state_at[y]
-                group.append((ahead[color], tuple(eids), w))
+                walked[eid] = 1
+                end = ahead[color]
+                leaving[start].append((end, tuple(eids), w))
+                leaving[end].append((start, tuple(eids[::-1]), w))
         self._leaving = leaving  # a run's first moves: the edges leaving u in color c1
         self._moves = other_colors(state_at, leaving)
 

@@ -11,9 +11,10 @@ everything before returning.
 The edge screen (``uncoverable_edge``) is the infeasibility criterion:
 a connected input has a covering properly colored closed walk iff every
 edge lies on some properly colored closed walk. It finds the strongly
-connected components of the walk tables' (vertex, entering color)
-states once, with each chain of pass-through vertices (degree 2, two
-colors) taken as one move, so an infeasible input builds no model.
+connected components of the (vertex, entering color) states, numbered
+once (``color_states``) for it and the model's walk tables alike, with
+each chain of pass-through vertices (degree 2, two colors) taken as one
+move, so an infeasible input builds no model.
 Its verdict keeps the historical reason ``no-perfect-matching``. Every
 input that passes it still goes through the blossom, whose failure to
 find a perfect matching would contradict the screen and is an internal
@@ -23,9 +24,10 @@ Each fact is checked once, by its owner: ``check_pc_euler`` that the
 input is connected and whether it is already even and balanced;
 ``min_weight_perfect_matching`` that the mate is symmetric, perfect and
 made of instance edges; ``apply_matching`` that every pair is a model
-edge; ``first_odd_or_unbalanced`` that the duplicated graph is even and
-balanced, naming the first vertex that is not (the copies join vertices
-of the connected input, so connectivity is not tested again); and
+edge; the trail's ``build_transition_system`` that the duplicated graph
+is even and balanced, after which ``first_odd_or_unbalanced`` names the
+first vertex that is not (the copies join vertices of the connected
+input, so connectivity is not tested again); and
 ``verify_pc_closed_walk`` plus the weight identity that the answer is a
 covering properly colored closed walk of the stated weight. The trail
 comes from ``euler._extract_trail``, which relies on those checks
@@ -61,6 +63,7 @@ from .graph import (
     has_single_color_vertex,
 )
 from .matching import min_weight_perfect_matching
+from .pcwalks import color_states
 
 INFEASIBLE_DISCONNECTED = "disconnected"
 INFEASIBLE_SINGLE_COLOR = "single-color-vertex"
@@ -147,24 +150,27 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
     else:
         if has_single_color_vertex(g) is not None:
             return _infeasible(INFEASIBLE_SINGLE_COLOR), None
-        if uncoverable_edge(g) is not None:
+        numbering = color_states(g, ())
+        if uncoverable_edge(g, numbering) is not None:
             return _infeasible(INFEASIBLE_NO_MATCHING), None
-        mg = build_matching_graph(g)
+        mg = build_matching_graph(g, numbering)
         matching = min_weight_perfect_matching(mg.instance)
         if matching is None:
             raise InvariantError(
                 "no perfect matching although every edge lies on a PC closed walk"
             )
         duplicated, origin = apply_matching(g, mg, matching.pairs)
-        # copies of g's edges on g's vertices keep g connected, so only
-        # parity and balance can have been lost
-        fault = first_odd_or_unbalanced(duplicated)
-        if fault is not None:
+        try:
+            trail = _extract_trail(duplicated)
+        except InvariantError:
+            # the copies keep g connected: only parity or balance can be lost
+            fault = first_odd_or_unbalanced(duplicated)
+            if fault is None:
+                raise
             raise InvariantError(
                 "duplicated graph lost trail feasibility: graph has no properly"
                 f" colored Euler trail: {fault[0]} at vertex {fault[1]}"
-            )
-        trail = _extract_trail(duplicated)
+            ) from None
         walk = trail._replace(edges=tuple(origin[eid] for eid in trail.edges))
         matching_weight = matching.weight
 

@@ -39,7 +39,8 @@ from ecpostman.oracle import (
     validate_matching_structure,
     walk_table,
 )
-from ecpostman.pcwalks import ShortestWalkFinder
+from ecpostman.pcwalks import ShortestWalkFinder, color_states
+from ecpostman.solver import solve
 
 
 def profile(degree, per_color):
@@ -191,7 +192,7 @@ def test_class_size_parities(g):
     total = 0
     for u in range(gn.n):
         z = len(owner_slots(aux, u)) + len(aux.filler_indices.get(u, ()))
-        assert z % 2 == gn.degree(u) % 2
+        assert z % 2 == len(gn.incidence[u]) % 2
         total += z
     assert total % 2 == 0
     # derived size identities per vertex
@@ -439,7 +440,9 @@ def assert_live_and_full_agree(g):
         assert found[0].weight == found[1].weight
         assert all(validate_matching_structure(a, m.pairs).ok for a, m in zip(models, found))
     live = reference_solve(g)
-    with mock.patch("ecpostman.solver.build_matching_graph", build_full_matching_graph):
+    with mock.patch(
+        "ecpostman.solver.build_matching_graph", lambda g, numbering: build_full_matching_graph(g)
+    ):
         full = reference_solve(g)
     assert (live.status, live.reason) == (full.status, full.reason)
     assert (live.total_weight, live.matching_weight) == (full.total_weight, full.matching_weight)
@@ -525,11 +528,52 @@ def test_adjacency_instance_solves_as_its_edges_view_beyond_brute_force():
     assert sizes[2] == (142, 5041)
 
 
+def assert_solver_numbering_builds_the_owners_model(g) -> bool:
+    """The model that ``solve`` builds on its one numbering of the states
+    (``color_states(g, ())``, the edge screen's) equals the model whose
+    finder keeps the class owners' states, as the builder's own numbering
+    did: same numbering, blocks, witnesses, adjacency records and dump.
+    False when the solve builds no model."""
+    built = []
+
+    def spy(g, numbering):
+        model = build_matching_graph(g, numbering)
+        built.append((numbering, model))
+        return model
+
+    with mock.patch("ecpostman.solver.build_matching_graph", spy):
+        solve(g)
+    if not built:
+        return False
+    [(numbering, model)] = built
+    kept = color_states(g, {u for u, _ in model.slot_indices})
+    assert numbering == color_states(g, ()) == kept
+    owners = build_matching_graph(g, kept)
+    assert model.blocks == owners.blocks
+    assert model.witnesses == owners.witnesses
+    assert [sorted(recs) for recs in model.instance.adj] == [
+        sorted(recs) for recs in owners.instance.adj
+    ]
+    assert dump_matching_graph(model) == dump_matching_graph(owners)
+    return True
+
+
+def test_solver_numbering_builds_the_owners_model_on_the_corpus(benchmark_corpus):
+    built = [assert_solver_numbering_builds_the_owners_model(g) for g in benchmark_corpus]
+    assert sum(built) == 636  # 297 colored, 339 directed
+
+
+def test_solver_numbering_builds_the_owners_model_beyond_brute_force():
+    graphs = [gen_random_instance(20, 7, 60, 9, s) for s in (0, 1)]
+    graphs.append(encode_digraph(100, hamiltonian_digraph(100, 300)))
+    assert all(assert_solver_numbering_builds_the_owners_model(g) for g in graphs)
+
+
 def assert_contraction_changes_no_model(g):
     """The model's instance and witnesses are those of a finder that keeps
     every state."""
     contracted = build_matching_graph(g)
-    with mock.patch("ecpostman.auxgraph.ShortestWalkFinder", lambda g, keep: ShortestWalkFinder(g)):
+    with mock.patch("ecpostman.auxgraph.ShortestWalkFinder", lambda g, numbering: ShortestWalkFinder(g)):
         full = build_matching_graph(g)
     assert contracted.instance == full.instance
     assert contracted.witnesses == full.witnesses

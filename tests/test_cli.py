@@ -103,20 +103,24 @@ def test_the_first_faulty_line_wins(text, message):
 @st.composite
 def instance_texts(draw):
     """A valid instance text and the graph it describes, written with the
-    freedoms the format allows: comment and blank lines, runs of blanks
-    and tabs between fields, a '+' sign and leading zeros."""
+    freedoms the format allows: comment and blank lines (before the header
+    too), runs of blanks and tabs between fields and around a line, LF or
+    CRLF line endings, a '+' sign and leading zeros."""
     g = draw(multigraphs(max_n=6, max_k=4, max_m=9, max_w=20))
     gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    pad = st.sampled_from(["", "", " ", "\t"])
     prefix = st.sampled_from(["", "", "+", "0", "+00"])
+    extra = st.lists(st.sampled_from(["", " \t", "# note", "  # 1 2 3 4", "\t#x"]), max_size=2)
 
     def line(*values):
-        return draw(gap).join(draw(prefix) + str(x) for x in values)
+        return draw(pad) + draw(gap).join(draw(prefix) + str(x) for x in values) + draw(pad)
 
-    lines = ["ecg" + draw(gap) + line(g.n, g.k, len(g.edges))]
+    lines = draw(extra) + [draw(pad) + "ecg" + draw(gap) + line(g.n, g.k, len(g.edges))]
     for _, u, v, color, weight in g.edges:
-        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  # 1 2 3 4"]), max_size=1)))
+        lines.extend(draw(extra))
         lines.append(line(u + 1, v + 1, color, weight))
-    return g, "\n".join(lines) + "\n"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return g, newline.join(lines) + newline
 
 
 @given(instance_texts())
@@ -125,6 +129,76 @@ def test_parser_builds_the_constructors_graph(case):
     g, text = case
     rows = [(u, v, color, weight) for _, u, v, color, weight in g.edges]
     assert_same_graph(parse_instance_text(text), ColoredMultigraph(g.n, g.k, rows))
+
+
+def test_parser_builds_the_constructors_graph_on_the_corpus(benchmark_corpus):
+    """The parser builds each graph in its line loop; on all 1080 corpus
+    texts that graph is the constructor's: edges, incidence, color counts."""
+    for g in benchmark_corpus:
+        rows = [(u, v, color, weight) for _, u, v, color, weight in g.edges]
+        assert_same_graph(g, ColoredMultigraph(g.n, g.k, rows))
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("1 9 1 1", "vertex ids must be in 1..4"),
+        ("9 9 1 1", "vertex ids must be in 1..4"),  # and a loop
+        ("0 2 3 -1", "vertex ids must be in 1..4"),  # and a color, and a weight
+        ("2 2 1 1", "loops are not allowed"),
+        ("2 2 3 -1", "loops are not allowed"),  # and a color, and a weight
+        ("1 2 3 1", "colors must be in 1..2"),
+        ("1 2 0 -1", "colors must be in 1..2"),  # and a weight
+        ("1 2 1 -1", "weights must be non-negative"),
+        ("1 2 1", "expected '<u> <v> <color> <weight>'"),
+        ("1 2 x", "expected '<u> <v> <color> <weight>'"),  # and not an integer
+        ("1 9 1 1 1", "expected '<u> <v> <color> <weight>'"),  # and a range fault
+        ("1 9 x 1", "edge fields must be integers"),  # and a range fault
+        ("2 2 1 1_0", "edge fields must be integers"),  # and a loop
+    ],
+)
+def test_each_edge_fault_keeps_its_message_and_line(line, message):
+    """One faulty line after a comment, a blank line and a good CRLF line:
+    its first fault, in the parser's fixed order, names line 6."""
+    text = f"# c\n\necg 4 2 2\n  # note\n1 2 1 1\r\n\t{line} \n"
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text, "f.ecg")
+    assert str(err.value) == f"f.ecg:6: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# only\n\n", "f.ecg:1: missing header 'ecg <n> <k> <m>'"),
+        ("\n# c\n ecg 4 2\n", "f.ecg:3: expected header 'ecg <n> <k> <m>'"),
+        ("\n# c\n egc 4 2 1\n", "f.ecg:3: expected header 'ecg <n> <k> <m>'"),
+        ("\n# c\necg 4 x 1\n", "f.ecg:3: header fields must be integers"),
+        ("\n# c\necg 1 0 0\n", "f.ecg:3: need at least two vertices"),  # and m, and k
+        ("\n# c\necg 2 0 0\n", "f.ecg:3: need at least one edge"),  # and k
+        ("\n# c\necg 2 0 1\n", "f.ecg:3: need at least one color"),
+        ("\n# c\necg 4 2 3\n1 2 1 1\n# c\n", "f.ecg:3: expected 3 edge lines, found 1"),
+        ("ecg 4 2 1\n1 2 1 1\n\n1 2 x\n", "f.ecg:4: more than 1 edge lines"),  # and short
+    ],
+)
+def test_each_header_and_count_fault_keeps_its_message_and_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text, "f.ecg")
+    assert str(err.value) == message
+
+
+def test_a_byte_order_mark_reads_as_none(tmp_path, capsys):
+    """A UTF-8 byte-order mark may open an instance file or a tour file."""
+    plain = write(tmp_path, "house.ecg", HOUSE)
+    marked = tmp_path / "marked.ecg"
+    marked.write_bytes(b"\xef\xbb\xbf" + HOUSE.encode())
+    assert run_cli("solve", plain) == EXIT_OK
+    document = capsys.readouterr().out
+    assert run_cli("solve", str(marked)) == EXIT_OK
+    assert capsys.readouterr().out == document
+    tour = tmp_path / "marked.tour"
+    tour.write_bytes(b"\xef\xbb\xbf" + document.encode())
+    assert run_cli("verify", str(marked), str(tour)) == EXIT_OK
+    assert capsys.readouterr().out == "verdict pass\nweight 11\n"
 
 
 @pytest.mark.parametrize("at", [0, 1])

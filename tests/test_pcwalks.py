@@ -148,10 +148,11 @@ def test_labels_index_the_table_by_state(triangle):
 
 
 def assert_contracted_labels(g, keep):
-    """A finder that keeps ``keep`` drops exactly the other pass-through
-    vertices, and its labels from every kept source equal the reference
-    Dijkstra's on every state it keeps, witnesses included."""
-    finder = ShortestWalkFinder(g, keep=keep)
+    """A finder on the numbering that keeps ``keep`` drops exactly the
+    other pass-through vertices, and its labels from every kept source
+    equal the reference Dijkstra's on every state it keeps, witnesses
+    included."""
+    finder = ShortestWalkFinder(g, color_states(g, keep))
     full = color_states(g)[0]
     kept = 0
     for x, (states, ends) in enumerate(zip(finder.state_at, g.incidence)):
@@ -191,7 +192,7 @@ def test_contracted_chains_on_a_fixed_graph():
         (2, 5, 1, 0), (5, 2, 2, 1),
         (6, 7, 1, 1), (7, 8, 2, 0), (8, 9, 1, 1), (9, 6, 2, 0),
     ])
-    finder = ShortestWalkFinder(g, keep={0, 1, 2})
+    finder = ShortestWalkFinder(g, color_states(g, {0, 1, 2}))
     assert [x for x, states in enumerate(finder.state_at) if states] == [0, 1, 2]
     hit = finder.labels(0, 2)[finder.state_at[1][3]]
     assert hit[:2] == (1, (3, 4, 5))  # one move across both middle vertices

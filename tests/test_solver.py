@@ -26,7 +26,7 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
-from ecpostman.graph import has_single_color_vertex, is_connected
+from ecpostman.graph import first_odd_or_unbalanced, has_single_color_vertex, is_connected
 from ecpostman.matching import PerfectMatching, min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
@@ -191,7 +191,7 @@ def test_blossom_verdict_equals_the_screen_verdict(monkeypatch):
     corpus = drawn + encoded
     screened = [uncoverable_edge(g) is None for g in corpus]
     assert not all(screened[: len(drawn)]) and not all(screened[len(drawn) :])
-    monkeypatch.setattr("ecpostman.solver.uncoverable_edge", lambda g: None)
+    monkeypatch.setattr("ecpostman.solver.uncoverable_edge", lambda g, numbering: None)
     for g, feasible in zip(corpus, screened):
         if feasible:
             assert solve(g).optimal
@@ -210,7 +210,7 @@ def test_blossom_verdict_equals_the_screen_verdict_on_two_color_draws(monkeypatc
     screened = [uncoverable_edge(g) is None for g in drawn]
     modelled = [not check_pc_euler(g).feasible for g in drawn]
     assert (sum(screened), sum(modelled)) == (134, 200)
-    monkeypatch.setattr("ecpostman.solver.uncoverable_edge", lambda g: None)
+    monkeypatch.setattr("ecpostman.solver.uncoverable_edge", lambda g, numbering: None)
     for g, feasible in zip(drawn, screened):
         if feasible:
             assert solve(g).optimal
@@ -323,6 +323,28 @@ def test_lost_trail_feasibility_is_an_invariant_error(house, monkeypatch):
     monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", lambda inst: short)
     with pytest.raises(InvariantError, match="lost trail feasibility: .*odd-degree at vertex 1"):
         solve(house)
+
+
+def test_a_trail_fault_off_parity_keeps_its_own_message(house, monkeypatch):
+    """The trail's count check alone proves the duplicated graph even and
+    balanced: the parity scan runs only after the trail raises, and a trail
+    error on an even and balanced graph reaches the caller unchanged."""
+    scanned = []
+
+    def scan(g):
+        scanned.append(g)
+        return first_odd_or_unbalanced(g)
+
+    def broken(g):
+        raise InvariantError("pairing does not induce a single closed trail")
+
+    monkeypatch.setattr("ecpostman.solver.first_odd_or_unbalanced", scan)
+    assert solve(house).optimal and scanned == []
+    monkeypatch.setattr("ecpostman.solver._extract_trail", broken)
+    with pytest.raises(InvariantError) as err:
+        solve(house)
+    assert str(err.value) == "pairing does not induce a single closed trail"
+    assert len(scanned) == 1 and first_odd_or_unbalanced(scanned[0]) is None
 
 
 def assert_reference_agrees(g) -> Solution:
