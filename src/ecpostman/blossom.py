@@ -75,7 +75,12 @@ Otherwise, what changed is the representation and some bookkeeping:
   checks the same condition once per call, also under ``python -O``;
 * networkx's ``assert`` that an S-S slack is even raises
   :class:`InvariantError` instead, since under ``python -O`` an odd slack
-  would floor delta to zero and the stage would loop forever.
+  would floor delta to zero and the stage would loop forever;
+* blossoms persist across stages, as in Blossom V: networkx expands
+  each zero-dual top-level S-blossom at the end of a stage, but a full
+  blossom with tight internal edges is all the stages and
+  :func:`verify_optimum` need, so only a top-level T-blossom whose dual
+  reaches zero is expanded (delta4), one level, and nothing recurses.
 
 networkx's other inline ``assert`` statements are kept.
 
@@ -391,113 +396,96 @@ def _run_stages(
                 mybestslack = kslack
         bestedge[b] = mybestedge
 
-    # Expand the given top-level blossom.
-    def expand_blossom(b: int, endstage: bool) -> None:
-        # A trampoline keeps the recursion over nested sub-blossoms off the
-        # call stack: each generator yields the sub-blossom to expand next.
-
-        def _recurse(b, endstage):
-            # Convert sub-blossoms into top-level blossoms.
-            for s in childs[b]:
-                blossomparent[s] = None
-                if s >= n:
-                    if endstage and blossomdual[s] == 0:
-                        # Recursively expand this sub-blossom.
-                        yield s
-                    else:
-                        for v in leaves(s):
-                            inblossom[v] = s
-                else:
-                    inblossom[s] = s
-            # If we expand a T-blossom during a stage, its sub-blossoms must be
-            # relabeled.
-            if (not endstage) and label[b] == 2:
-                bchilds = childs[b]
-                bedg = bedges[b]
-                # Figure out through which sub-blossom the expanding blossom
-                # obtained its label initially.
-                entrychild = inblossom[labeledge[b][1]]
-                # Decide in which direction we will go round the blossom.
-                j = bchilds.index(entrychild)
-                if j & 1:
-                    # Start index is odd; go forward and wrap.
-                    j -= len(bchilds)
-                    jstep = 1
-                else:
-                    # Start index is even; go backward.
-                    jstep = -1
-                # Move along the blossom until we get to the base.
-                v, w = labeledge[b]
-                while j != 0:
-                    # Relabel the T-sub-blossom.
-                    if jstep == 1:
-                        q = bedg[j][1]
-                    else:
-                        q = bedg[j - 1][0]
-                    label[w] = 0
-                    label[q] = 0
-                    assign_label(w, 2, v)
-                    # Step to the next S-sub-blossom.
-                    j += jstep
-                    if jstep == 1:
-                        v, w = bedg[j]
-                    else:
-                        w, v = bedg[j - 1]
-                    # Step to the next T-sub-blossom.
-                    j += jstep
-                # Relabel the base T-sub-blossom WITHOUT stepping through to
-                # its mate (so don't call assign_label).
-                bw = bchilds[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = (v, w)
-                bestedge[bw] = None
-                # Continue along the blossom until we get back to entrychild.
-                j += jstep
-                while bchilds[j] != entrychild:
-                    # Examine the vertices of the sub-blossom to see whether
-                    # it is reachable from a neighboring S-vertex outside the
-                    # expanding blossom.
-                    bv = bchilds[j]
-                    if label[bv] == 1:
-                        # This sub-blossom just got label S through one of its
-                        # neighbors; leave it be.
-                        j += jstep
-                        continue
-                    if bv >= n:
-                        for v in leaves(bv):
-                            if label[v]:
-                                break
-                    else:
-                        v = bv
-                    # If the sub-blossom contains a reachable vertex, assign
-                    # label T to the sub-blossom.
-                    if label[v]:
-                        assert label[v] == 2
-                        assert inblossom[v] == bv
-                        label[v] = 0
-                        label[mate[blossombase[bv]]] = 0
-                        assign_label(v, 2, labeledge[v][0])
-                    j += jstep
-            # Remove the expanded blossom entirely; its id is never reused.
-            label[b] = 0
-            labeledge[b] = bestedge[b] = None
-            childs[b] = bedges[b] = mybestedges[b] = None
-            del blossomdual[b]
-
-        stack = [_recurse(b, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
+    # Expand top-level T-blossom b, whose dual is zero (delta4), one level.
+    def expand_blossom(b: int) -> None:
+        # Convert sub-blossoms into top-level blossoms.
+        for s in childs[b]:
+            blossomparent[s] = None
+            if s >= n:
+                for v in leaves(s):
+                    inblossom[v] = s
             else:
-                stack.pop()
+                inblossom[s] = s
+        # Relabel the sub-blossoms.
+        assert label[b] == 2
+        bchilds = childs[b]
+        bedg = bedges[b]
+        # Figure out through which sub-blossom the expanding blossom
+        # obtained its label initially.
+        entrychild = inblossom[labeledge[b][1]]
+        # Decide in which direction we will go round the blossom.
+        j = bchilds.index(entrychild)
+        if j & 1:
+            # Start index is odd; go forward and wrap.
+            j -= len(bchilds)
+            jstep = 1
+        else:
+            # Start index is even; go backward.
+            jstep = -1
+        # Move along the blossom until we get to the base.
+        v, w = labeledge[b]
+        while j != 0:
+            # Relabel the T-sub-blossom.
+            if jstep == 1:
+                q = bedg[j][1]
+            else:
+                q = bedg[j - 1][0]
+            label[w] = 0
+            label[q] = 0
+            assign_label(w, 2, v)
+            # Step to the next S-sub-blossom.
+            j += jstep
+            if jstep == 1:
+                v, w = bedg[j]
+            else:
+                w, v = bedg[j - 1]
+            # Step to the next T-sub-blossom.
+            j += jstep
+        # Relabel the base T-sub-blossom WITHOUT stepping through to
+        # its mate (so don't call assign_label).
+        bw = bchilds[j]
+        label[w] = label[bw] = 2
+        labeledge[w] = labeledge[bw] = (v, w)
+        bestedge[bw] = None
+        # Continue along the blossom until we get back to entrychild.
+        j += jstep
+        while bchilds[j] != entrychild:
+            # Examine the vertices of the sub-blossom to see whether
+            # it is reachable from a neighboring S-vertex outside the
+            # expanding blossom.
+            bv = bchilds[j]
+            if label[bv] == 1:
+                # This sub-blossom just got label S through one of its
+                # neighbors; leave it be.
+                j += jstep
+                continue
+            if bv >= n:
+                for v in leaves(bv):
+                    if label[v]:
+                        break
+            else:
+                v = bv
+            # If the sub-blossom contains a reachable vertex, assign
+            # label T to the sub-blossom.
+            if label[v]:
+                assert label[v] == 2
+                assert inblossom[v] == bv
+                label[v] = 0
+                label[mate[blossombase[bv]]] = 0
+                assign_label(v, 2, labeledge[v][0])
+            j += jstep
+        # Remove the expanded blossom entirely; its id is never reused.
+        label[b] = 0
+        labeledge[b] = bestedge[b] = None
+        childs[b] = bedges[b] = mybestedges[b] = None
+        del blossomdual[b]
 
     # Swap matched/unmatched edges over an alternating path through blossom b
     # between vertex v and the base vertex. Keep blossom bookkeeping
     # consistent.
     def augment_blossom(b: int, v: int) -> None:
-        # The same trampoline as in expand_blossom.
+        # A trampoline keeps the recursion over nested sub-blossoms off the
+        # call stack: each generator yields the sub-blossom to augment next.
 
         def _recurse(b, v):
             # Bubble up through the blossom tree from vertex v to an immediate
@@ -790,20 +778,14 @@ def _run_stages(
                 queue.append(v)
             elif deltatype == 4:
                 # Expand the least-z blossom.
-                expand_blossom(deltablossom, False)
+                expand_blossom(deltablossom)
 
             # End of a this substage.
 
-        # Stop when no more augmenting path can be found.
+        # Stop when no more augmenting path can be found. Otherwise every
+        # blossom, zero dual or not, lives on into the next stage.
         if not augmented:
             break
-
-        # End of a stage; expand all S-blossoms which have zero dual.
-        for b in list(blossomdual):
-            if b not in blossomdual:
-                continue  # already expanded
-            if blossomparent[b] is None and label_[b] == 1 and blossomdual[b] == 0:
-                expand_blossom(b, True)
 
     # assign_label reaches itself through its closure cell; emptying the
     # cell breaks that cycle, so the call's state is freed on return

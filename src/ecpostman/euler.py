@@ -71,7 +71,9 @@ def uncoverable_edge(g: ColoredMultigraph, numbering: Numbering | None = None) -
     (y, c) shares a strongly connected component with some (x, c'),
     c' != c. The successors are grouped by color first
     (``pcwalks.other_colors``), so the two states of a two-color vertex
-    share one list each way; the verdict does not depend on their order.
+    share one list each way, and a state of a three-color vertex gets
+    the other two groups joined by one list concatenation; the verdict
+    does not depend on their order.
 
     A walk that enters a pass-through vertex (degree 2, two colors) must
     leave it along its other edge, so no such vertex gets states. From a

@@ -7,11 +7,12 @@ state per query. One Dijkstra run from the source therefore answers
 every (v, c2) target at once; all weights are non-negative.
 
 The states are numbered densely (``color_states``), one per color
-present at a vertex, once per solve: the solver hands one numbering to
-the edge screen (``euler.uncoverable_edge``) and to the walk finder.
-Each state's moves are the edges that leave its vertex in another
-color, grouped by color once per graph (``other_colors``): at a
-two-color vertex a state's moves are just the other color's group.
+present at a vertex, once per solve: the solver reads its single-color
+verdict off that numbering (``has_single_state``) and hands it to the
+edge screen (``euler.uncoverable_edge``) and to the walk finder. Each
+state's moves are the edges that leave its vertex in another color,
+grouped by color once per graph (``other_colors``): at a two-color
+vertex a state's moves are just the other color's group.
 
 A walk that enters a pass-through vertex (degree 2, two colors) must
 leave it along its other edge, so such a vertex needs no states unless
@@ -75,21 +76,36 @@ def color_states(g: ColoredMultigraph, keep: Collection[int] | None = None) -> N
     return state_at, count
 
 
+def has_single_state(state_at: list[dict[int, int]]) -> bool:
+    """True iff a vertex has exactly one state: it has edges, all of one color."""
+    return 1 in map(len, state_at)
+
+
 def other_colors(state_at: list[dict[int, int]], groups: list[list]) -> list[list]:
     """Per state (x, c): the entries of the groups of every other state at x.
 
     ``groups[s]`` holds one entry per edge that leaves the vertex of
-    state s in the state's color. At a two-color vertex each state gets
-    the other state's group itself, not a copy; a single-color state gets
-    an empty list. The callers only read the result.
+    state s in the state's color; the groups come in state id order. A
+    two-color state gets the other group itself, not a copy, a
+    three-color state the other two joined by one concatenation, and a
+    single-color state an empty list. The callers only read the result.
     """
     out: list[list] = [[]] * len(groups)
     for states in state_at:
-        if len(states) == 2:
+        size = len(states)
+        if size == 2:
             s, t = states.values()
             out[s] = groups[t]
             out[t] = groups[s]
-        elif len(states) > 2:
+        elif size == 3:
+            s, t, r = states.values()
+            gs = groups[s]
+            gt = groups[t]
+            gr = groups[r]
+            out[s] = gt + gr
+            out[t] = gs + gr
+            out[r] = gs + gt
+        elif size > 3:
             ids = list(states.values())
             for s in ids:
                 out[s] = [entry for t in ids if t != s for entry in groups[t]]

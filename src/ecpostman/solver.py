@@ -1,9 +1,10 @@
 """End-to-end postman solver for edge-colored multigraphs.
 
-Pipeline: reject disconnected inputs and vertices seeing a single
-color, reject inputs with an edge on no properly colored closed walk,
-build the auxiliary matching graph of the input itself (parallel edges
-and any color count are fine), find a minimum-weight perfect matching,
+Pipeline: reject disconnected inputs, number the states and reject a
+vertex with one state, which sees a single color (``has_single_state``),
+reject inputs with an edge on no properly colored closed walk, build
+the auxiliary matching graph of the input itself (parallel edges and
+any color count are fine), find a minimum-weight perfect matching,
 duplicate the witness walk of every matched non-artificial edge, extract
 a properly colored Euler trail of the duplicated graph and re-verify
 everything before returning.
@@ -12,9 +13,10 @@ The edge screen (``uncoverable_edge``) is the infeasibility criterion:
 a connected input has a covering properly colored closed walk iff every
 edge lies on some properly colored closed walk. It finds the strongly
 connected components of the (vertex, entering color) states, numbered
-once (``color_states``) for it and the model's walk tables alike, with
-each chain of pass-through vertices (degree 2, two colors) taken as one
-move, so an infeasible input builds no model.
+once (``color_states``) for it, the single-color verdict and the
+model's walk tables alike, with each chain of pass-through vertices
+(degree 2, two colors) taken as one move, so an infeasible input builds
+no model.
 Its verdict keeps the historical reason ``no-perfect-matching``. Every
 input that passes it still goes through the blossom, whose failure to
 find a perfect matching would contradict the screen and is an internal
@@ -43,9 +45,10 @@ matched signatures only; the matching weight sums the true weights.
 An input that is already connected with every vertex even and balanced
 has a properly colored Euler trail (Kotzig), which is optimal: it
 traverses every edge once, and no vertex of it sees a single color.
-Such an input skips the single-color and edge screens, the walk
-tables, the auxiliary model and the matching; it goes straight to the
-trail with matching weight 0 and through the same verification.
+Such an input skips the state numbering, the single-color and edge
+screens, the walk tables, the auxiliary model and the matching; it goes
+straight to the trail with matching weight 0 and through the same
+verification.
 """
 
 from __future__ import annotations
@@ -54,16 +57,9 @@ from typing import NamedTuple
 
 from .auxgraph import NOT_AN_EDGE, MatchingGraph, build_matching_graph
 from .euler import _extract_trail, check_pc_euler, uncoverable_edge, verify_pc_closed_walk
-from .graph import (
-    ColoredMultigraph,
-    GraphError,
-    InvariantError,
-    PCWalk,
-    first_odd_or_unbalanced,
-    has_single_color_vertex,
-)
+from .graph import ColoredMultigraph, GraphError, InvariantError, PCWalk, first_odd_or_unbalanced
 from .matching import min_weight_perfect_matching
-from .pcwalks import color_states
+from .pcwalks import color_states, has_single_state
 
 INFEASIBLE_DISCONNECTED = "disconnected"
 INFEASIBLE_SINGLE_COLOR = "single-color-vertex"
@@ -148,9 +144,9 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
         # color): the input's own trail is the answer
         walk, matching_weight, mg = _extract_trail(g), 0, None
     else:
-        if has_single_color_vertex(g) is not None:
-            return _infeasible(INFEASIBLE_SINGLE_COLOR), None
         numbering = color_states(g, ())
+        if has_single_state(numbering[0]):
+            return _infeasible(INFEASIBLE_SINGLE_COLOR), None
         if uncoverable_edge(g, numbering) is not None:
             return _infeasible(INFEASIBLE_NO_MATCHING), None
         mg = build_matching_graph(g, numbering)

@@ -248,9 +248,12 @@ def test_mate_equals_networkx(n, data):
 # 1, 1, 1, 2, 2, 2, 3, 3, 3, 4 and 2 T-blossoms mid-stage, of which 0, 0,
 # 1, 1, 1, 1, 2, 2, 2, 3 and 2 hold a nested blossom; the matcher's own
 # per-vertex run, which returns None, expands 3 (2 nested) on the seventh
-# graph and none on the others. The last six have a perfect matching, so
-# the per-vertex run alone gives their answer; it expands 1, 1, 1, 2, 2
-# and 3, of which 1, 1, 1, 1, 1 and 2 hold a nested blossom.
+# graph, 1 (not nested) on the eighth and the eleventh, and none on the
+# others. The last six have a perfect matching, so the per-vertex run
+# alone gives their answer; it expands 2, 1, 1, 2, 2 and 3, of which 1,
+# 1, 1, 1, 1 and 2 hold a nested blossom. The counts are those of
+# blossoms that persist across stages: a zero-dual blossom is expanded
+# only as a T-blossom, never at the end of a stage.
 MID_STAGE_EXPANSIONS = [
     (7, [
         (0, 3, 0), (1, 5, 6), (2, 4, 11), (2, 5, 15), (3, 5, 18), (3, 6, 8), (4, 6, 6),

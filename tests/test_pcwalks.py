@@ -1,11 +1,14 @@
 """Shortest properly colored fixed-end walks vs exhaustive enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import chained_multigraphs, mg, multigraphs
 
-from ecpostman import ColoredMultigraph
+from ecpostman import ColoredMultigraph, solve
+from ecpostman import euler, pcwalks
+from ecpostman.graph import has_single_color_vertex
 from ecpostman.oracle import (
     check_walk_witness,
     encode_digraph,
@@ -17,7 +20,7 @@ from ecpostman.oracle import (
     walk_from_edges,
     walk_table,
 )
-from ecpostman.pcwalks import ShortestWalkFinder, color_states
+from ecpostman.pcwalks import ShortestWalkFinder, color_states, has_single_state, other_colors
 
 
 def test_triangle_fixed_values(triangle):
@@ -199,3 +202,114 @@ def test_contracted_chains_on_a_fixed_graph():
     assert finder.labels(2, 1)[finder.state_at[2][2]][:2] == (1, (6, 7))
     for keep in ({0, 1, 2}, {0}, set(), set(range(10))):
         assert_contracted_labels(g, keep)
+
+
+def comprehension_other_colors(state_at, groups):
+    """``other_colors`` built entry by entry at every vertex of two or more colors."""
+    out = [[]] * len(groups)
+    for states in state_at:
+        ids = list(states.values())
+        if len(ids) > 1:
+            for s in ids:
+                out[s] = [entry for t in ids if t != s for entry in groups[t]]
+    return out
+
+
+def test_other_colors_equals_the_comprehension_on_the_corpus(benchmark_corpus, monkeypatch):
+    """Every call that the corpus solves make, from the edge screen and
+    from the walk finder, gives each state the same entries in the same
+    order as the comprehension; three-color vertices are among them."""
+    calls = {"screen": 0, "finder": 0}
+    sizes = set()
+
+    def recorded(caller):
+        def check(state_at, groups):
+            calls[caller] += 1
+            sizes.update(map(len, state_at))
+            out = other_colors(state_at, groups)
+            assert out == comprehension_other_colors(state_at, groups)
+            return out
+        return check
+
+    monkeypatch.setattr(euler, "other_colors", recorded("screen"))
+    monkeypatch.setattr(pcwalks, "other_colors", recorded("finder"))
+    for g in benchmark_corpus:
+        solve(g)
+    assert calls["screen"] > calls["finder"] > 0
+    assert {2, 3} <= sizes
+
+
+@st.composite
+def many_colored(draw):
+    """A multigraph whose vertex 0 sees four to six colors, with keep sets."""
+    base = draw(multigraphs(min_n=3, max_n=6, max_k=6, max_m=10))
+    colors = draw(st.integers(4, 6))
+    rows = [(e.u, e.v, e.color, e.weight) for e in base.edges]
+    rows += [(0, 1 + c % (base.n - 1), c, draw(st.integers(0, 3))) for c in range(1, colors + 1)]
+    keep = draw(st.sets(st.integers(0, base.n - 1)))
+    return ColoredMultigraph(base.n, max(base.k, colors), rows), keep
+
+
+@given(st.one_of(many_colored(), chained_multigraphs()))
+@settings(max_examples=150, deadline=None)
+def test_other_colors_equals_the_comprehension_on_drawn_graphs(drawn):
+    g, keep = drawn
+    for numbering in (color_states(g), color_states(g, ()), color_states(g, keep)):
+        state_at, count = numbering
+        # one distinct entry per edge end, grouped by the state of its color
+        groups = [[] for _ in range(count)]
+        for x, (states, ends) in enumerate(zip(state_at, g.incidence)):
+            for eid, y, color, _ in ends:
+                if states:
+                    groups[states[color]].append((x, eid, y))
+        assert other_colors(state_at, groups) == comprehension_other_colors(state_at, groups)
+
+
+def test_single_state_verdict_equals_the_color_scan_on_the_corpus(benchmark_corpus):
+    """The benchmark draws no input with a single-color vertex, so here
+    every verdict is "none"; the drawn graphs below take both sides."""
+    for g in benchmark_corpus:
+        assert has_single_color_vertex(g) is None
+        assert not has_single_state(color_states(g, ())[0])
+        assert not has_single_state(color_states(g)[0])
+
+
+@st.composite
+def with_odd_vertices(draw):
+    """A multigraph plus, each drawn in or out, a ring of two-colored
+    parallel edges through its vertices (so none of them sees a single
+    color), an isolated vertex, a degree-1 vertex, a degree-2 vertex of
+    one color and a pass-through vertex (degree 2, two colors), each
+    hung off the base's vertices; and a set of vertices to keep."""
+    base = draw(multigraphs(min_n=2, max_n=5, max_k=3, max_m=8))
+    k = max(base.k, 2)
+    rows = [(e.u, e.v, e.color, e.weight) for e in base.edges]
+    n = base.n
+    if draw(st.booleans()):  # ring
+        rows += [(x, (x + 1) % n, c, 1) for x in range(n) for c in (1, 2)]
+    end = st.integers(0, base.n - 1)
+    color = st.integers(1, k)
+    if draw(st.booleans()):  # isolated
+        n += 1
+    if draw(st.booleans()):  # degree 1
+        rows.append((draw(end), n, draw(color), 1))
+        n += 1
+    if draw(st.booleans()):  # degree 2, one color
+        c = draw(color)
+        rows += [(draw(end), n, c, 1), (draw(end), n, c, 1)]
+        n += 1
+    if draw(st.booleans()):  # pass-through
+        rows += [(draw(end), n, 1, 1), (draw(end), n, 2, 1)]
+        n += 1
+    keep = draw(st.sets(st.integers(0, n - 1)))
+    return ColoredMultigraph(n, k, rows), keep
+
+
+@given(with_odd_vertices())
+@settings(max_examples=200, deadline=None)
+def test_single_state_verdict_equals_the_color_scan_on_drawn_graphs(drawn):
+    g, keep = drawn
+    scanned = has_single_color_vertex(g) is not None
+    event(f"single-color vertex: {scanned}")
+    for numbering in (color_states(g), color_states(g, ()), color_states(g, keep)):
+        assert has_single_state(numbering[0]) == scanned

@@ -103,7 +103,7 @@ def test_eulerian_input_needs_no_model(triangle, bowtie, house, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the model path ran on an already-Eulerian input")
 
-    monkeypatch.setattr("ecpostman.solver.has_single_color_vertex", unreachable)
+    monkeypatch.setattr("ecpostman.solver.color_states", unreachable)
     monkeypatch.setattr("ecpostman.solver.build_matching_graph", unreachable)
     monkeypatch.setattr("ecpostman.solver.min_weight_perfect_matching", unreachable)
     for g in (triangle, bowtie, parallel):
