@@ -71,8 +71,8 @@ def uncoverable_edge(g: ColoredMultigraph, numbering: Numbering | None = None) -
     (y, c) shares a strongly connected component with some (x, c'),
     c' != c. The successors are grouped by color first
     (``pcwalks.other_colors``), so the two states of a two-color vertex
-    share one list each way, and a state of a three-color vertex gets
-    the other two groups joined by one list concatenation; the verdict
+    share one list each way, and a state of a vertex of three or more
+    colors gets the other groups joined by concatenation; the verdict
     does not depend on their order.
 
     A walk that enters a pass-through vertex (degree 2, two colors) must

@@ -228,21 +228,6 @@ def first_odd_or_unbalanced(g: ColoredMultigraph) -> tuple[str, int] | None:
     return None
 
 
-def has_single_color_vertex(g: ColoredMultigraph) -> int | None:
-    """Return a vertex whose incident edges all share one color, if any.
-
-    Such a vertex admits no properly colored closed walk through it, so
-    instances containing one are infeasible. Vertices of degree zero do
-    not qualify (they are a connectivity problem instead).
-    """
-    for u in range(g.n):
-        counts = g._color_counts[u]
-        d = len(g.incidence[u])
-        if d >= 1 and max(counts) == d:
-            return u
-    return None
-
-
 class PCWalk(NamedTuple):
     """A walk as alternating vertex/edge-id sequences with end colors.
 

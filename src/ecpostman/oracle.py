@@ -15,8 +15,10 @@ the structural-lemma checker of a matching on either model, the
 normalization (simple graph, odd color count) that the full model needs
 and the reference pipeline built on it, the classic digraph encoding
 into two colors, a brute-force directed postman solver, the edge
-helpers the tests walk with (``other_end``, ``end_pair``), and
-deterministic random instance generators.
+helpers the tests walk with (``other_end``, ``end_pair``), the
+single-color scan ``has_single_color_vertex`` that the solver's
+numbering verdict must equal, and deterministic random instance
+generators.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .graph import (
     InvariantError,
     PCWalk,
     color_degrees,
-    has_single_color_vertex,
     is_connected,
 )
 from .matching import MatchingInstance, PerfectMatching
@@ -65,6 +66,23 @@ def other_end(e: Edge, x: int) -> int:
 def end_pair(e: Edge) -> tuple[int, int]:
     """The two ends of edge e, the smaller first."""
     return (e.u, e.v) if e.u < e.v else (e.v, e.u)
+
+
+def has_single_color_vertex(g: ColoredMultigraph) -> int | None:
+    """Return a vertex whose incident edges all share one color, if any.
+
+    Such a vertex admits no properly colored closed walk through it, so
+    instances containing one are infeasible. Vertices of degree zero do
+    not qualify (they are a connectivity problem instead). A scan of the
+    color counts, independent of the state numbering from which the
+    solver reads the same verdict (``pcwalks.has_single_state``).
+    """
+    for u in range(g.n):
+        counts = g._color_counts[u]
+        d = len(g.incidence[u])
+        if d >= 1 and max(counts) == d:
+            return u
+    return None
 
 
 def oracle_solve(

@@ -86,9 +86,10 @@ def other_colors(state_at: list[dict[int, int]], groups: list[list]) -> list[lis
 
     ``groups[s]`` holds one entry per edge that leaves the vertex of
     state s in the state's color; the groups come in state id order. A
-    two-color state gets the other group itself, not a copy, a
-    three-color state the other two joined by one concatenation, and a
-    single-color state an empty list. The callers only read the result.
+    two-color state gets the other group itself, not a copy, a state
+    of three or more colors the other groups joined by concatenation,
+    and a single-color state an empty list. The callers only read the
+    result.
     """
     out: list[list] = [[]] * len(groups)
     for states in state_at:
@@ -97,18 +98,14 @@ def other_colors(state_at: list[dict[int, int]], groups: list[list]) -> list[lis
             s, t = states.values()
             out[s] = groups[t]
             out[t] = groups[s]
-        elif size == 3:
-            s, t, r = states.values()
-            gs = groups[s]
-            gt = groups[t]
-            gr = groups[r]
-            out[s] = gt + gr
-            out[t] = gs + gr
-            out[r] = gs + gt
-        elif size > 3:
-            ids = list(states.values())
+        elif size > 2:
+            ids = states.values()
             for s in ids:
-                out[s] = [entry for t in ids if t != s for entry in groups[t]]
+                joined: list = []
+                for t in ids:
+                    if t != s:
+                        joined += groups[t]
+                out[s] = joined
     return out
 
 

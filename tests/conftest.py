@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 from ecpostman import ColoredMultigraph, Edge, PCWalk, check_pc_euler
 from ecpostman.auxgraph import MatchingGraph
 from ecpostman.cli import parse_instance_text
-from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
-from ecpostman.oracle import encode_digraph, gen_random_digraph, gen_random_instance
+from ecpostman.graph import color_degrees, is_connected
+from ecpostman.oracle import (
+    encode_digraph,
+    gen_random_digraph,
+    gen_random_instance,
+    has_single_color_vertex,
+)
 
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"

@@ -24,7 +24,7 @@ from ecpostman.auxgraph import (
     dump_matching_graph,
 )
 from ecpostman.cli import format_result
-from ecpostman.graph import DegreeProfile, color_degrees, has_single_color_vertex
+from ecpostman.graph import DegreeProfile, color_degrees
 from ecpostman.matching import TIE_BITS, min_weight_perfect_matching, tie_break
 from ecpostman.oracle import (
     build_full_matching_graph,
@@ -33,6 +33,7 @@ from ecpostman.oracle import (
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,
+    has_single_color_vertex,
     instance_from_edges,
     normalize,
     reference_solve,

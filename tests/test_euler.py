@@ -21,7 +21,6 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import _extract_trail, build_transition_system, uncoverable_edge
-from ecpostman.graph import has_single_color_vertex
 from ecpostman.matching import min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
@@ -29,6 +28,7 @@ from ecpostman.oracle import (
     gen_random_instance,
     gen_random_trail_instance,
     greedy_transition_system,
+    has_single_color_vertex,
     normalize,
     other_end,
     pc_walk_minima,

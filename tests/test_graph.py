@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from conftest import assert_same_graph, mg, multigraphs, rows_of
 
 from ecpostman import ColoredMultigraph, Edge, GraphError, InvariantError, PCWalk
-from ecpostman.graph import color_degrees, has_single_color_vertex, is_connected
+from ecpostman.graph import color_degrees, is_connected
 from ecpostman.oracle import (
     contract_walk,
     end_pair,
+    has_single_color_vertex,
     is_simple,
     normalize,
     other_end,

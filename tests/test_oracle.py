@@ -5,7 +5,7 @@ import pytest
 from conftest import mg
 
 from ecpostman import GraphError, check_pc_euler, solve
-from ecpostman.graph import has_single_color_vertex, is_connected
+from ecpostman.graph import is_connected
 from ecpostman.oracle import (
     directed_cpp_brute_force,
     encode_digraph,
@@ -13,6 +13,7 @@ from ecpostman.oracle import (
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
+    has_single_color_vertex,
     oracle_solve,
 )
 

@@ -8,12 +8,12 @@ from conftest import chained_multigraphs, mg, multigraphs
 
 from ecpostman import ColoredMultigraph, solve
 from ecpostman import euler, pcwalks
-from ecpostman.graph import has_single_color_vertex
 from ecpostman.oracle import (
     check_walk_witness,
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,
+    has_single_color_vertex,
     normalize,
     pc_walk_minima,
     reference_walk_table,

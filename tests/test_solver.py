@@ -26,13 +26,14 @@ from ecpostman import (
 )
 from ecpostman.auxgraph import build_matching_graph
 from ecpostman.euler import pc_euler_trail, uncoverable_edge
-from ecpostman.graph import first_odd_or_unbalanced, has_single_color_vertex, is_connected
+from ecpostman.graph import first_odd_or_unbalanced, is_connected
 from ecpostman.matching import PerfectMatching, min_weight_perfect_matching
 from ecpostman.oracle import (
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,
     gen_random_trail_instance,
+    has_single_color_vertex,
     is_simple,
     normalize,
     oracle_solve,
