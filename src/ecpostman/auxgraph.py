@@ -46,11 +46,19 @@ biclique and one per pair of slot classes: all vertices exist before
 the first walk edge, so the scale B is known, and a class pair weighs
 w*B + tie_break(signature) straight away, the first two rounds of the
 mix done once per class (u, i). The largest of these weights fixes the
-reflection's ceiling, and then the builder writes the canonical
-matching instance (``matching``) itself: each edge once, as the
-matcher's record at each of its ends. Nothing else is made per edge;
-the canonical triples and the ``AuxEdge`` list are views built on
-demand for dumps and tests.
+reflection's ceiling. Nothing is made per edge; the matcher's input,
+the canonical triples and the ``AuxEdge`` list are built from the
+blocks on demand.
+
+A model with no artificial edge and no filler or parity vertex, such as
+that of every two-colored input, may be bipartite. The builder decides
+that on the class graph, from the walk blocks (``dense_assignment``): no
+block pairs a class with itself, the classes 2-color, and both sides
+hold the same number of slots. Then it writes one dense cost row per
+class of one side, a block at a time, and the solver matches the model
+by the assignment (``matching.DenseAssignment``); the blossom's
+reflected adjacency (``MatchingGraph.instance``) is written only when
+something asks for it. Every other model goes to the blossom.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -68,7 +76,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graph import ColoredMultigraph, GraphError, _new_tuple
-from .matching import TIE_BITS, MatchingInstance, tie_end, tie_mix
+from .matching import TIE_BITS, DenseAssignment, MatchingInstance, tie_end, tie_mix
 from .pcwalks import Numbering, ShortestWalkFinder, color_states
 
 NOT_AN_EDGE = "not an edge"  # what MatchingGraph.signature returns for a non-edge
@@ -106,8 +114,11 @@ class MatchingGraph:
     w)`` stands for the edges (a, b, w), a < b, of a in a_slots and b in
     b_slots, at the canonical weight w (0 when artificial). A block pairs
     a range with itself (a clique) or lies wholly below its second range.
-    ``instance`` is the matcher's input, written from the blocks.
-    Models compare equal only to themselves.
+    ``scale`` is the B of the canonical weights and ``ceiling`` exceeds
+    every w. ``assignment`` holds the cost rows of a bipartite model
+    (``dense_assignment``), which the solver matches in place of
+    ``instance``, and is None on every other model. Models compare equal
+    only to themselves.
     """
 
     def __init__(
@@ -119,7 +130,9 @@ class MatchingGraph:
         slot_indices: dict[tuple[int, int], Sequence[int]],
         filler_indices: dict[int, Sequence[int]],
         dominant: dict[int, int],
-        instance: MatchingInstance,
+        scale: int,
+        ceiling: int,
+        assignment: DenseAssignment | None,
     ) -> None:
         self.g = g
         self.vertices = vertices
@@ -128,7 +141,9 @@ class MatchingGraph:
         self.slot_indices = slot_indices
         self.filler_indices = filler_indices
         self.dominant = dominant
-        self.instance = instance
+        self.scale = scale
+        self.ceiling = ceiling
+        self.assignment = assignment
 
     def signature(self, a: int, b: int) -> tuple[int, int, int, int] | None | str:
         """Classify the vertex pair {a, b} from its two vertices.
@@ -147,6 +162,23 @@ class MatchingGraph:
         return sig if sig in self.witnesses else NOT_AN_EDGE
 
     @cached_property
+    def instance(self) -> MatchingInstance:
+        """The blossom's input, written from the blocks: each edge once, as
+        the matcher's record at each of its ends, reflected below the
+        ceiling (``MatchingInstance``)."""
+        ceiling = self.ceiling
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
+        for a_slots, b_slots, w in self.blocks:
+            r = 4 * (ceiling - w)
+            for a in a_slots:
+                row = adj[a]
+                for b in b_slots:
+                    if a < b:
+                        row.append((a, b, r))
+                        adj[b].append((b, a, r))
+        return MatchingInstance(len(self.vertices), adj, ceiling, self.scale)
+
+    @cached_property
     def canonical(self) -> list[tuple[int, int, int]]:
         """The edges as canonical (a, b, w) triples, a < b, in build order (for dumps and tests).
 
@@ -159,7 +191,7 @@ class MatchingGraph:
     @cached_property
     def edges(self) -> list[AuxEdge]:
         """The edges in build order with their true weights (for dumps and tests)."""
-        scale = self.instance.scale
+        scale = self.scale
         return [AuxEdge(a, b, w // scale, self.signature(a, b)) for a, b, w in self.canonical]
 
     @cached_property
@@ -168,13 +200,15 @@ class MatchingGraph:
 
 
 def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant, numbering):
-    """Append the walk blocks to the artificial ``blocks``; write the instance; wrap the model.
+    """Append the walk blocks to the artificial ``blocks``; wrap the model.
 
     Shared by both builders; ``numbering`` gives every class owner its
     states, and the other arguments are the ``MatchingGraph`` fields of
     the same names. ``slot_indices`` lists the slot classes in ascending
     index order, so pairing each class with itself and every later class
     visits each slot pair a < b once, and every such block has a pair.
+    A model with no artificial block and no vertex but slots may be
+    bipartite, which ``dense_assignment`` decides from the walk blocks.
     """
     finder = ShortestWalkFinder(g, numbering)
     state_at = finder.state_at
@@ -183,6 +217,7 @@ def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant,
     top = 0  # the largest walk weight so far
     classes = list(slot_indices.items())
     ends = {u: j + 1 for j, (u, _) in enumerate(slot_indices)}  # past u's last class
+    slots_only = not blocks and sum(map(len, slot_indices.values())) == len(vertices)
     for i, ((u, cu), a_slots) in enumerate(classes):
         # a balanced owner's classes pair among themselves only artificially,
         # and a class pairs with itself only if it has two slots
@@ -201,21 +236,66 @@ def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant,
                 top = w
             witnesses[(u, cu, v, cv)] = hit[1]
             blocks.append((a_slots, b_slots, w))
-    # every weight is known, so each record is written once, reflected below
-    # the ceiling (``MatchingInstance``)
-    ceiling = top + 1
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
-    for a_slots, b_slots, w in blocks:
-        r = 4 * (ceiling - w)
-        for a in a_slots:
-            row = adj[a]
-            for b in b_slots:
-                if a < b:
-                    row.append((a, b, r))
-                    adj[b].append((b, a, r))
-    instance = MatchingInstance(len(vertices), adj, ceiling, scale)
+    assignment = dense_assignment(classes, blocks, top, scale) if slots_only else None
     return MatchingGraph(g, vertices, blocks, witnesses, slot_indices, filler_indices, dominant,
-                         instance)
+                         scale, top + 1, assignment)
+
+
+def dense_assignment(classes, blocks, top, scale) -> DenseAssignment | None:
+    """The cost rows of a bipartite model, or None when it is not one.
+
+    ``classes`` are the slot classes in ascending index order and
+    ``blocks`` the walk blocks between them, the model's only edges; its
+    only vertices are slots. It is bipartite when no block pairs a class
+    with itself, the class graph 2-colors, and both sides hold the same
+    number of slots. The first class of each component goes to the rows'
+    side. A column per slot of the other side, in index order; every
+    slot of a class shares its class's row, which holds w across each
+    partner class and ``forbidden`` elsewhere.
+    """
+    position = {slots[0]: i for i, (_, slots) in enumerate(classes)}
+    pairs = [(position[a_slots[0]], position[b_slots[0]]) for a_slots, b_slots, _ in blocks]
+    partners: list[list[int]] = [[] for _ in classes]
+    for i, j in pairs:
+        if i == j:
+            return None
+        partners[i].append(j)
+        partners[j].append(i)
+    side = [-1] * len(classes)
+    for root in range(len(classes)):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            other = 1 - side[i]
+            for j in partners[i]:
+                if side[j] < 0:
+                    side[j] = other
+                    stack.append(j)
+                elif side[j] != other:
+                    return None  # an odd cycle of classes
+    left: list[int] = []
+    right: list[int] = []
+    column = [0] * len(classes)  # a column class's first column
+    for i, (_, slots) in enumerate(classes):
+        if side[i]:
+            column[i] = len(right)
+            right.extend(slots)
+        else:
+            left.extend(slots)
+    if len(left) != len(right):
+        return None
+    forbidden = len(left) * top + 1  # above the weight of any perfect matching
+    row_of = [None if s else [forbidden] * len(right) for s in side]
+    for (i, j), (a_slots, b_slots, w) in zip(pairs, blocks):
+        if side[i]:
+            i, j, b_slots = j, i, a_slots
+        start = column[j]
+        row_of[i][start:start + len(b_slots)] = [w] * len(b_slots)
+    rows = [row_of[i] for i, (_, slots) in enumerate(classes) if not side[i] for _ in slots]
+    return DenseAssignment(left, right, rows, forbidden, scale)
 
 
 def build_matching_graph(g: ColoredMultigraph, numbering: Numbering | None = None) -> MatchingGraph:

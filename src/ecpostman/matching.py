@@ -1,20 +1,28 @@
-"""Exact minimum-weight perfect matching on general weighted graphs.
+"""Exact minimum-weight perfect matching on the auxiliary models.
 
-The matcher is ``blossom.max_weight_perfect_matching``, an in-repo port
-of networkx's blossom implementation (Galil's primal-dual form of
-Edmonds' algorithm). It starts each vertex at its own dual and greedily
-matches the edges tight there, as Blossom V does (Kolmogorov, 2009), and
-one run either ends perfect or proves that no perfect matching exists.
-It runs on reflected weights, so that the minimum-weight perfect
-matching drops out exactly; with integer weights every comparison is
-exact, and the dual certificate is checked on every call that returns a
+A bipartite model (``auxgraph.dense_assignment``) is a
+``DenseAssignment``, a square matrix of its edge weights, and goes to
+``assignment.min_cost_assignment``, Jonker and Volgenant's shortest
+augmenting path method, which checks its own dual certificate (every
+reduced cost non-negative, every matched one zero) and returns no
+forbidden pair. Every other model is a ``MatchingInstance`` and goes to
+``blossom.max_weight_perfect_matching``, an in-repo port of networkx's
+blossom implementation (Galil's primal-dual form of Edmonds'
+algorithm). It starts each vertex at its own dual and greedily matches
+the edges tight there, as Blossom V does (Kolmogorov, 2009), and one
+run either ends perfect or proves that no perfect matching exists. It
+runs on reflected weights, so that the minimum-weight perfect matching
+drops out exactly; with integer weights every comparison is exact, and
+the blossom's dual certificate is checked on every call that returns a
 matching. A ``MatchingInstance`` is already in the matcher's form, one
 adjacency list of reflected records per vertex, so nothing is copied on
 the way in. ``min_weight_perfect_matching`` owns the check of the mate
-it gets back: symmetric, no vertex single, every pair an instance edge.
-The brute-force enumerator in ``oracle`` is the independent reference
-it is checked against, and the tests compare its weight with
-networkx's, and its pairs wherever the optimum is unique.
+the blossom gives back: symmetric, no vertex single, every pair an
+instance edge. The brute-force enumerator in ``oracle`` is the
+independent reference both matchers are checked against, the tests
+compare the blossom's weight with networkx's, and its pairs wherever
+the optimum is unique, and they compare the assignment with the blossom
+on the same models.
 
 Which of several optima the matcher returns depends on its scan order.
 A canonical instance makes the optimum independent of that order (the
@@ -29,6 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
+from .assignment import min_cost_assignment
 from .blossom import max_weight_perfect_matching
 from .graph import InvariantError
 
@@ -63,9 +72,9 @@ class MatchingInstance:
     says, and doubled for the matcher's dual units. The reflected weights
     are even, so the matcher's per-vertex start needs no rounding up.
     Every edge is listed at both ends, with no loops and at most one edge
-    per vertex pair. The auxiliary-graph
-    builders write ``adj`` directly; ``oracle.instance_from_edges``
-    normalizes any edge list into the same form, for the tests.
+    per vertex pair. ``auxgraph.MatchingGraph.instance`` writes ``adj``
+    from the model's blocks; ``oracle.instance_from_edges`` normalizes
+    any edge list into the same form, for the tests.
     Instances compare equal by value, records in order.
     """
 
@@ -89,21 +98,64 @@ class MatchingInstance:
         return tuple(sorted((u, v, c - (r >> 2)) for recs in self.adj for u, v, r in recs if u < v))
 
 
+class DenseAssignment:
+    """A bipartite instance as the square cost matrix of ``assignment``.
+
+    ``rows[r][c]`` is the weight of the edge {left[r], right[c]}, in the
+    units of ``MatchingInstance`` (true weight times ``scale`` plus a tie
+    term), or ``forbidden`` when there is no such edge. ``forbidden``
+    exceeds the weight of any perfect matching, and rows may share a list.
+    ``n`` and ``edges`` are the views that ``MatchingInstance`` offers.
+    """
+
+    def __init__(self, left: list[int], right: list[int], rows: list[list[int]], forbidden: int,
+                 scale: int) -> None:
+        self.left = left
+        self.right = right
+        self.rows = rows
+        self.forbidden = forbidden
+        self.scale = scale
+
+    @property
+    def n(self) -> int:
+        return len(self.left) + len(self.right)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(u, v, w) with u < v, sorted by endpoints: a view for the oracle and the tests."""
+        forbidden = self.forbidden
+        return tuple(sorted((min(a, b), max(a, b), w) for a, row in zip(self.left, self.rows)
+                            for b, w in zip(self.right, row) if w != forbidden))
+
+
 class PerfectMatching(NamedTuple):
     pairs: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted
     weight: int  # true weight: the instance weights summed, divided by its scale
 
 
-def min_weight_perfect_matching(inst: MatchingInstance) -> PerfectMatching | None:
+def min_weight_perfect_matching(inst: MatchingInstance | DenseAssignment) -> PerfectMatching | None:
     """Minimum-weight perfect matching, or None when no perfect matching exists.
 
-    Exact: the instance's records weigh 2*(C - w) with C above every
-    weight w (doubled once more for the matcher's units), and a
-    maximum-weight perfect matching on these reflected weights is a
-    minimum-weight perfect matching on the instance. The matcher reads
-    ``inst.adj`` as it is; each matched pair is looked up in it, which
-    checks the pair and gives its weight.
+    A ``DenseAssignment`` goes to ``assignment.min_cost_assignment``,
+    which has checked its own dual certificate; its rows and columns
+    become the pairs, and its entries sum to the weight. A
+    ``MatchingInstance`` goes to the blossom. That is exact: the
+    instance's records weigh 2*(C - w) with C above every weight w
+    (doubled once more for the matcher's units), and a maximum-weight
+    perfect matching on these reflected weights is a minimum-weight
+    perfect matching on the instance. The matcher reads ``inst.adj`` as
+    it is; each matched pair is looked up in it, which checks the pair
+    and gives its weight.
     """
+    if isinstance(inst, DenseAssignment):
+        col4row = min_cost_assignment(inst.rows, inst.forbidden)
+        if col4row is None:
+            return None
+        right = inst.right
+        pairs = sorted((a, b) if a < b else (b, a)
+                       for a, b in zip(inst.left, [right[c] for c in col4row]))
+        weight = sum(map(list.__getitem__, inst.rows, col4row))
+        return PerfectMatching(tuple(pairs), weight // inst.scale)
     adj = inst.adj
     mate = max_weight_perfect_matching(inst.n, adj)
     if mate is None:

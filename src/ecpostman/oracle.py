@@ -402,9 +402,9 @@ def instance_from_edges(
     Rejects loops, endpoints out of range and negative weights, and
     keeps the minimum weight of each vertex pair (u, v), u < v. The
     records are written in the order of the sorted pairs, under the
-    ceiling 1 + the largest weight. The auxiliary-graph builders write
-    their instances directly; this is the reference whose ``edges`` view
-    theirs must equal.
+    ceiling 1 + the largest weight. The auxiliary models write their
+    instances from their blocks; this is the reference whose ``edges``
+    view theirs must equal.
     """
     best: dict[tuple[int, int], int] = {}
     for u, v, w in edges:

@@ -18,18 +18,24 @@ model's walk tables alike, with each chain of pass-through vertices
 (degree 2, two colors) taken as one move, so an infeasible input builds
 no model.
 Its verdict keeps the historical reason ``no-perfect-matching``. Every
-input that passes it still goes through the blossom, whose failure to
+input that passes it still goes through a matcher, the dense assignment
+on a bipartite model and the blossom on any other, whose failure to
 find a perfect matching would contradict the screen and is an internal
 error, so each criterion checks the other on every feasible solve.
 
 Each fact is checked once, by its owner: ``check_pc_euler`` that the
-input is connected and whether it is already even and balanced;
-``min_weight_perfect_matching`` that the mate is symmetric, perfect and
-made of instance edges; ``apply_matching`` that every pair is a model
-edge; the trail's ``build_transition_system`` that the duplicated graph
-is even and balanced, after which ``first_odd_or_unbalanced`` names the
-first vertex that is not (the copies join vertices of the connected
-input, so connectivity is not tested again); and
+input is connected and whether it is already even and balanced; each
+matcher that its matching is optimal, by its own dual certificate
+(``blossom.verify_optimum`` on the blossom's duals and blossoms,
+``assignment.verify_assignment`` on the assignment's row and column
+duals, which also checks that the rows took distinct columns along no
+forbidden pair); ``min_weight_perfect_matching`` that the blossom's mate
+is symmetric, perfect and made of instance edges; ``apply_matching``
+that every pair is a model edge; the trail's
+``build_transition_system`` that the duplicated graph is even and
+balanced, after which ``first_odd_or_unbalanced`` names the first
+vertex that is not (the copies join vertices of the connected input,
+so connectivity is not tested again); and
 ``verify_pc_closed_walk`` plus the weight identity that the answer is a
 covering properly colored closed walk of the stated weight. The trail
 comes from ``euler._extract_trail``, which relies on those checks
@@ -125,7 +131,7 @@ def solve(g: ColoredMultigraph) -> Solution:
     input that already has a properly colored Euler trail is answered by
     that trail without building the auxiliary graph. Every optimal
     answer is verified before it is returned; a failed check, including
-    a blossom that finds no perfect matching for an input the edge
+    a matcher that finds no perfect matching for an input the edge
     screen passed, raises InvariantError rather than returning a
     silently wrong answer.
     """
@@ -150,7 +156,7 @@ def solve_with_model(g: ColoredMultigraph) -> tuple[Solution, MatchingGraph | No
         if uncoverable_edge(g, numbering) is not None:
             return _infeasible(INFEASIBLE_NO_MATCHING), None
         mg = build_matching_graph(g, numbering)
-        matching = min_weight_perfect_matching(mg.instance)
+        matching = min_weight_perfect_matching(mg.assignment or mg.instance)
         if matching is None:
             raise InvariantError(
                 "no perfect matching although every edge lies on a PC closed walk"

@@ -170,13 +170,15 @@ def test_no_matching_after_the_screen_is_an_invariant_error(house, monkeypatch):
 
 
 def test_blossom_verdict_equals_the_screen_verdict(monkeypatch):
-    """With the screen bypassed, the blossom alone decides every verdict.
+    """With the screen bypassed, the matcher alone decides every verdict.
 
     The corpus is the gen_random_instance(9, 3, 14, 9, seed) draws of
     seeds 0-299 that reach the model (no single-color vertex, not
     already Eulerian; 13 draws, 3 infeasible) and the first 16
     gen_random_digraph(12, 30, 9, seed) encodings without a
-    single-color vertex (seeds 0-113, 2 infeasible).
+    single-color vertex (seeds 0-113, 2 infeasible). The dense
+    assignment matches 15 of the encodings' models, the blossom the
+    other models.
     """
     drawn = [gen_random_instance(9, 3, 14, 9, seed) for seed in range(300)]
     drawn = [
