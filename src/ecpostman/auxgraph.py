@@ -45,10 +45,8 @@ the edges as blocks over index ranges, one per artificial clique or
 biclique and one per pair of slot classes: all vertices exist before
 the first walk edge, so the scale B is known, and a class pair weighs
 w*B + tie_break(signature) straight away, the first two rounds of the
-mix done once per class (u, i). The largest of these weights fixes the
-reflection's ceiling. Nothing is made per edge; the matcher's input,
-the canonical triples and the ``AuxEdge`` list are built from the
-blocks on demand.
+mix done once per class (u, i). Nothing is made per edge; the matcher's
+input and the ``AuxEdge`` list are built from the blocks on demand.
 
 A model with no artificial edge and no filler or parity vertex, such as
 that of every two-colored input, may be bipartite. The builder decides
@@ -57,8 +55,8 @@ block pairs a class with itself, the classes 2-color, and both sides
 hold the same number of slots. Then it writes one dense cost row per
 class of one side, a block at a time, and the solver matches the model
 by the assignment (``matching.DenseAssignment``); the blossom's
-reflected adjacency (``MatchingGraph.instance``) is written only when
-something asks for it. Every other model goes to the blossom.
+adjacency (``MatchingGraph.instance``) is written only when something
+asks for it. Every other model goes to the blossom.
 
 A perfect matching here exists iff the postman instance is solvable,
 and its minimum weight is exactly the duplication cost of an optimal
@@ -114,11 +112,10 @@ class MatchingGraph:
     w)`` stands for the edges (a, b, w), a < b, of a in a_slots and b in
     b_slots, at the canonical weight w (0 when artificial). A block pairs
     a range with itself (a clique) or lies wholly below its second range.
-    ``scale`` is the B of the canonical weights and ``ceiling`` exceeds
-    every w. ``assignment`` holds the cost rows of a bipartite model
-    (``dense_assignment``), which the solver matches in place of
-    ``instance``, and is None on every other model. Models compare equal
-    only to themselves.
+    ``scale`` is the B of the canonical weights. ``assignment`` holds the
+    cost rows of a bipartite model (``dense_assignment``), which the
+    solver matches in place of ``instance``, and is None on every other
+    model. Models compare equal only to themselves.
     """
 
     def __init__(
@@ -131,7 +128,6 @@ class MatchingGraph:
         filler_indices: dict[int, Sequence[int]],
         dominant: dict[int, int],
         scale: int,
-        ceiling: int,
         assignment: DenseAssignment | None,
     ) -> None:
         self.g = g
@@ -142,7 +138,6 @@ class MatchingGraph:
         self.filler_indices = filler_indices
         self.dominant = dominant
         self.scale = scale
-        self.ceiling = ceiling
         self.assignment = assignment
 
     def signature(self, a: int, b: int) -> tuple[int, int, int, int] | None | str:
@@ -164,35 +159,29 @@ class MatchingGraph:
     @cached_property
     def instance(self) -> MatchingInstance:
         """The blossom's input, written from the blocks: each edge once, as
-        the matcher's record at each of its ends, reflected below the
-        ceiling (``MatchingInstance``)."""
-        ceiling = self.ceiling
+        the matcher's record at each of its ends (``MatchingInstance``)."""
         adj: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
         for a_slots, b_slots, w in self.blocks:
-            r = 4 * (ceiling - w)
+            r = -4 * w
             for a in a_slots:
                 row = adj[a]
                 for b in b_slots:
                     if a < b:
                         row.append((a, b, r))
                         adj[b].append((b, a, r))
-        return MatchingInstance(len(self.vertices), adj, ceiling, self.scale)
-
-    @cached_property
-    def canonical(self) -> list[tuple[int, int, int]]:
-        """The edges as canonical (a, b, w) triples, a < b, in build order (for dumps and tests).
-
-        Since the builders emit every pair once, ``oracle.instance_from_edges``
-        makes of them the instance that ``instance`` holds.
-        """
-        return [(a, b, w) for a_slots, b_slots, w in self.blocks
-                for a in a_slots for b in b_slots if a < b]
+        return MatchingInstance(len(self.vertices), adj, self.scale)
 
     @cached_property
     def edges(self) -> list[AuxEdge]:
-        """The edges in build order with their true weights (for dumps and tests)."""
-        scale = self.scale
-        return [AuxEdge(a, b, w // scale, self.signature(a, b)) for a, b, w in self.canonical]
+        """The edges in build order, a < b, with their true weights (for dumps and tests).
+
+        The builders emit every pair once, so ``oracle.instance_from_edges``,
+        given each edge at its canonical weight w*B + tie_break(signature),
+        makes the instance that ``instance`` holds.
+        """
+        scale, signature = self.scale, self.signature
+        return [AuxEdge(a, b, w // scale, signature(a, b))
+                for a_slots, b_slots, w in self.blocks for a in a_slots for b in b_slots if a < b]
 
     @cached_property
     def edge_by_pair(self) -> dict[tuple[int, int], AuxEdge]:
@@ -214,7 +203,6 @@ def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant,
     state_at = finder.state_at
     scale = (len(vertices) // 2 << TIE_BITS) + 1
     witnesses = {}
-    top = 0  # the largest walk weight so far
     classes = list(slot_indices.items())
     ends = {u: j + 1 for j, (u, _) in enumerate(slot_indices)}  # past u's last class
     slots_only = not blocks and sum(map(len, slot_indices.values())) == len(vertices)
@@ -232,16 +220,14 @@ def with_walk_edges(g, vertices, blocks, slot_indices, filler_indices, dominant,
             if hit is None:
                 continue
             w = hit[0] * scale + tie_end(tie_mix(prefix, (v, cv)))
-            if w > top:
-                top = w
             witnesses[(u, cu, v, cv)] = hit[1]
             blocks.append((a_slots, b_slots, w))
-    assignment = dense_assignment(classes, blocks, top, scale) if slots_only else None
+    assignment = dense_assignment(classes, blocks, scale) if slots_only else None
     return MatchingGraph(g, vertices, blocks, witnesses, slot_indices, filler_indices, dominant,
-                         scale, top + 1, assignment)
+                         scale, assignment)
 
 
-def dense_assignment(classes, blocks, top, scale) -> DenseAssignment | None:
+def dense_assignment(classes, blocks, scale) -> DenseAssignment | None:
     """The cost rows of a bipartite model, or None when it is not one.
 
     ``classes`` are the slot classes in ascending index order and
@@ -251,7 +237,8 @@ def dense_assignment(classes, blocks, top, scale) -> DenseAssignment | None:
     number of slots. The first class of each component goes to the rows'
     side. A column per slot of the other side, in index order; every
     slot of a class shares its class's row, which holds w across each
-    partner class and ``forbidden`` elsewhere.
+    partner class and ``forbidden``, the rows' count times the largest w
+    plus one, elsewhere.
     """
     position = {slots[0]: i for i, (_, slots) in enumerate(classes)}
     pairs = [(position[a_slots[0]], position[b_slots[0]]) for a_slots, b_slots, _ in blocks]
@@ -287,7 +274,8 @@ def dense_assignment(classes, blocks, top, scale) -> DenseAssignment | None:
             left.extend(slots)
     if len(left) != len(right):
         return None
-    forbidden = len(left) * top + 1  # above the weight of any perfect matching
+    # above the weight of any perfect matching
+    forbidden = len(left) * max([w for _, _, w in blocks], default=0) + 1
     row_of = [None if s else [forbidden] * len(right) for s in side]
     for (i, j), (a_slots, b_slots, w) in zip(pairs, blocks):
         if side[i]:

@@ -24,6 +24,24 @@ optimal: the conditions of :func:`verify_optimum` on slacks, matched
 edges and blossoms are its certificate, checked on every call that
 returns a matching.
 
+Moving every record by the same multiple 4K of four changes nothing, so
+``matching`` hands its costs w over as the records -4*w; networkx's
+general matcher needs them reflected below a ceiling C above every w,
+as 4*(C - w), which moves these by 4C (K = C). Under any such move:
+
+* t, the largest record at v halved, moves by 2K, which is even, so each
+  start dual t + (t & 1) moves by 2K and keeps its parity;
+* each greedy dual, the largest record at v less its neighbour's dual,
+  moves by 4K - 2K = 2K, and every slack, two duals less a record, by
+  2K + 2K - 4K = 0;
+* so every tightness test, delta, tie and choice is the same, and the
+  stages match the same ``mate`` step for step, with the same blossom
+  duals and certificate slacks.
+
+Negative records are fine: no step compares a vertex dual with zero.
+Only networkx's delta1, a single vertex's dual reaching zero, would, and
+a perfect-only run has none.
+
 One run decides whether a perfect matching exists. The stages stop when
 a stage ends without augmenting, that is when no delta2, delta3 or
 delta4 candidate is left. Then no top-level T-blossom is left, every
@@ -139,10 +157,11 @@ def max_weight_perfect_matching(
     """Maximum-weight perfect matching, or None when the graph has none.
 
     ``adj[v]`` lists the records ``(v, w, 2*weight)`` of the edges at v,
-    with integer weights: no loops, at most one edge per vertex pair, and
-    every edge listed at both ends with the same weight. The lists are
-    read, not changed. Returns ``mate`` with ``mate[v]`` the partner of v,
-    once :func:`verify_optimum` has checked its dual certificate.
+    with integer weights of any sign: no loops, at most one edge per
+    vertex pair, and every edge listed at both ends with the same weight.
+    The lists are read, not changed. Returns ``mate`` with ``mate[v]``
+    the partner of v, once :func:`verify_optimum` has checked its dual
+    certificate.
     """
     if not n:
         return []

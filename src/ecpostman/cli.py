@@ -25,7 +25,6 @@ from .graph import (
     InvariantError,
     PCWalk,
     _new_tuple,
-    color_degrees,
 )
 from .solver import Solution, solve_with_model
 
@@ -248,11 +247,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = load_instance(args.instance)
     yn = lambda b: "yes" if b else "no"
     for u in range(g.n):
-        prof = color_degrees(g, u)
-        print(
-            f"vertex {u + 1} degree {prof.degree} "
-            f"even {yn(prof.degree % 2 == 0)} balanced {yn(prof.dominant is None)}"
-        )
+        d = len(g.incidence[u])
+        balanced = 2 * max(g.color_counts(u), default=0) <= d
+        print(f"vertex {u + 1} degree {d} even {yn(d % 2 == 0)} balanced {yn(balanced)}")
     chk = check_pc_euler(g)
     print(f"connected {yn(chk.reason != 'disconnected')}")
     print(f"pc-euler {yn(chk.feasible)}")

@@ -1,4 +1,4 @@
-"""Edge-colored weighted multigraphs: degree profiles, screens, walks.
+"""Edge-colored weighted multigraphs: color counts, degree screens, walks.
 
 Vertices are dense integers 0..n-1, colors are 1..k, weights are
 non-negative integers, so every weight comparison and sum is exact.
@@ -7,11 +7,9 @@ construction; every operation is a pure query or returns a new graph.
 
 An ``Edge`` is a named tuple ``(eid, u, v, color, weight)``: it reads by
 attribute, unpacks, and compares equal to the plain tuple of its fields.
-The result types here and in the later stages (``DegreeProfile``,
-``PCWalk``, ``EulerCheck``, ``WalkReport``, ``Solution``,
-``PerfectMatching``, ``AuxEdge``) are named tuples too, and behave the
-same way; ``DegreeProfile.count(c)`` is the count of color c, not
-``tuple.count``.
+The result types here and in the later stages (``PCWalk``,
+``EulerCheck``, ``WalkReport``, ``Solution``, ``PerfectMatching``,
+``AuxEdge``) are named tuples too, and behave the same way.
 The constructor validates each row once, with one combined test per row;
 only a failing row is examined field by field for its message. The CLI's
 parser (``cli.parse_instance_text``) checks the same facts on each line,
@@ -163,34 +161,6 @@ class ColoredMultigraph:
 
     def __repr__(self) -> str:
         return f"ColoredMultigraph(n={self.n}, k={self.k}, m={len(self.edges)})"
-
-
-class DegreeProfile(NamedTuple):
-    """Per-vertex degree decomposition by color.
-
-    ``dominant`` is the color occurring on strictly more than half of the
-    incident edges, if any; at most one color can do that.
-    """
-
-    vertex: int
-    degree: int
-    per_color: tuple[int, ...]
-    dominant: int | None
-
-    def count(self, color: int) -> int:  # overrides tuple.count: the edges of one color
-        return self.per_color[color - 1]
-
-
-def color_degrees(g: ColoredMultigraph, u: int) -> DegreeProfile:
-    """Count incident edges of each color at u and find the dominant color."""
-    counts = g.color_counts(u)
-    d = len(g.incidence[u])
-    dominant = None
-    for c, cnt in enumerate(counts, start=1):
-        if 2 * cnt > d:
-            dominant = c
-            break
-    return DegreeProfile(u, d, counts, dominant)
 
 
 def is_connected(g: ColoredMultigraph) -> bool:

@@ -11,18 +11,18 @@ blossom implementation (Galil's primal-dual form of Edmonds'
 algorithm). It starts each vertex at its own dual and greedily matches
 the edges tight there, as Blossom V does (Kolmogorov, 2009), and one
 run either ends perfect or proves that no perfect matching exists. It
-runs on reflected weights, so that the minimum-weight perfect matching
-drops out exactly; with integer weights every comparison is exact, and
-the blossom's dual certificate is checked on every call that returns a
-matching. A ``MatchingInstance`` is already in the matcher's form, one
-adjacency list of reflected records per vertex, so nothing is copied on
-the way in. ``min_weight_perfect_matching`` owns the check of the mate
-the blossom gives back: symmetric, no vertex single, every pair an
-instance edge. The brute-force enumerator in ``oracle`` is the
-independent reference both matchers are checked against, the tests
-compare the blossom's weight with networkx's, and its pairs wherever
-the optimum is unique, and they compare the assignment with the blossom
-on the same models.
+maximizes the negated weights, so that the minimum-weight perfect
+matching drops out exactly; with integer weights every comparison is
+exact, and the blossom's dual certificate, which includes a symmetric
+mate, is checked on every call that returns a matching. A
+``MatchingInstance`` is already in the matcher's form, one adjacency
+list of negated records per vertex, so nothing is copied on the way in.
+``min_weight_perfect_matching`` checks the rest of the mate the blossom
+gives back: no vertex single, every pair an instance edge. The
+brute-force enumerator in ``oracle`` is the independent reference both
+matchers are checked against, the tests compare the blossom's weight
+with networkx's, and its pairs wherever the optimum is unique, and they
+compare the assignment with the blossom on the same models.
 
 Which of several optima the matcher returns depends on its scan order.
 A canonical instance makes the optimum independent of that order (the
@@ -65,11 +65,10 @@ class MatchingInstance:
     """Normalized matching input in the matcher's own form.
 
     Each edge {u, v} has a weight w: a true weight times ``scale`` plus a
-    tie term (1 and 0 unless the instance is canonical). ``ceiling``
-    exceeds every w, and ``adj[u]`` lists the record
-    ``(u, v, 4*(ceiling - w))`` of each edge at u, in no set order: the
-    weight reflected as 2*(ceiling - w), as ``min_weight_perfect_matching``
-    says, and doubled for the matcher's dual units. The reflected weights
+    tie term (1 and 0 unless the instance is canonical). ``adj[u]`` lists
+    the record ``(u, v, -4*w)`` of each edge at u, in no set order: the
+    weight negated and doubled to -2*w, as ``min_weight_perfect_matching``
+    says, and doubled again for the matcher's dual units. The records
     are even, so the matcher's per-vertex start needs no rounding up.
     Every edge is listed at both ends, with no loops and at most one edge
     per vertex pair. ``auxgraph.MatchingGraph.instance`` writes ``adj``
@@ -78,24 +77,20 @@ class MatchingInstance:
     Instances compare equal by value, records in order.
     """
 
-    def __init__(self, n: int, adj: list[list[tuple[int, int, int]]], ceiling: int,
-                 scale: int = 1) -> None:
+    def __init__(self, n: int, adj: list[list[tuple[int, int, int]]], scale: int = 1) -> None:
         self.n = n
         self.adj = adj
-        self.ceiling = ceiling
         self.scale = scale
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchingInstance):
             return NotImplemented
-        return (self.n, self.adj, self.ceiling, self.scale) == (
-            other.n, other.adj, other.ceiling, other.scale)
+        return (self.n, self.adj, self.scale) == (other.n, other.adj, other.scale)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """(u, v, w) with u < v, sorted by endpoints: a view for the oracle and the tests."""
-        c = self.ceiling
-        return tuple(sorted((u, v, c - (r >> 2)) for recs in self.adj for u, v, r in recs if u < v))
+        return tuple(sorted((u, v, -(r >> 2)) for recs in self.adj for u, v, r in recs if u < v))
 
 
 class DenseAssignment:
@@ -140,12 +135,11 @@ def min_weight_perfect_matching(inst: MatchingInstance | DenseAssignment) -> Per
     which has checked its own dual certificate; its rows and columns
     become the pairs, and its entries sum to the weight. A
     ``MatchingInstance`` goes to the blossom. That is exact: the
-    instance's records weigh 2*(C - w) with C above every weight w
-    (doubled once more for the matcher's units), and a maximum-weight
-    perfect matching on these reflected weights is a minimum-weight
-    perfect matching on the instance. The matcher reads ``inst.adj`` as
-    it is; each matched pair is looked up in it, which checks the pair
-    and gives its weight.
+    instance's records weigh -2*w (doubled once more for the matcher's
+    units), and a maximum-weight perfect matching on these negated
+    weights is a minimum-weight perfect matching on the instance. The
+    matcher reads ``inst.adj`` as it is; each matched pair is looked up
+    in it, which checks the pair and gives its weight.
     """
     if isinstance(inst, DenseAssignment):
         col4row = min_cost_assignment(inst.rows, inst.forbidden)
@@ -163,15 +157,13 @@ def min_weight_perfect_matching(inst: MatchingInstance | DenseAssignment) -> Per
     pairs = tuple((u, v) for u, v in enumerate(mate) if u < v)
     if 2 * len(pairs) != inst.n:
         raise InvariantError("matching backend returned a non-perfect matching")
-    reflected = 0
+    negated = 0
     for u, v in pairs:
-        if mate[v] != u:
-            raise InvariantError("matching backend returned a non-perfect matching")
         for _, x, r in adj[u]:
             if x == v:
-                reflected += r
+                negated += r
                 break
         else:
             raise InvariantError("matching backend returned a non-perfect matching")
-    # each record weighs 4*(C - w), so the pairs' weights sum to this
-    return PerfectMatching(pairs, (len(pairs) * inst.ceiling - (reflected >> 2)) // inst.scale)
+    # each record weighs -4*w
+    return PerfectMatching(pairs, -(negated >> 2) // inst.scale)

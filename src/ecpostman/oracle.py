@@ -9,7 +9,8 @@ that turns a witness into a ``PCWalk``, the heap greedy that the Euler
 trail's transition system must equal, the edge screen on every state
 that the contracting screen must agree with, an exhaustive perfect-matching
 search, networkx's maximum-cardinality matching on the blossom's own
-stages, the edge-list normalizer of matching instances, the full
+stages, the edge-list normalizer of matching instances, the per-vertex
+degree profile (``DegreeProfile``, ``color_degrees``), the full
 slot/filler auxiliary model that the solver's live-slot model reduces,
 the structural-lemma checker of a matching on either model, the
 normalization (simple graph, odd color count) that the full model needs
@@ -28,20 +29,12 @@ import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .auxgraph import NOT_AN_EDGE, Block, MatchingGraph, SlotVertex, with_walk_edges
 from .blossom import SINGLE, _run_stages
 from .euler import _strong_components, verify_pc_closed_walk
-from .graph import (
-    ColoredMultigraph,
-    DegreeProfile,
-    Edge,
-    GraphError,
-    InvariantError,
-    PCWalk,
-    color_degrees,
-    is_connected,
-)
+from .graph import ColoredMultigraph, Edge, GraphError, InvariantError, PCWalk, is_connected
 from .matching import MatchingInstance, PerfectMatching
 from .pcwalks import ShortestWalkFinder, color_states, other_colors
 from .solver import Solution, solve
@@ -401,10 +394,9 @@ def instance_from_edges(
 
     Rejects loops, endpoints out of range and negative weights, and
     keeps the minimum weight of each vertex pair (u, v), u < v. The
-    records are written in the order of the sorted pairs, under the
-    ceiling 1 + the largest weight. The auxiliary models write their
-    instances from their blocks; this is the reference whose ``edges``
-    view theirs must equal.
+    records are written in the order of the sorted pairs. The auxiliary
+    models write their instances from their blocks; this is the
+    reference whose ``edges`` view theirs must equal.
     """
     best: dict[tuple[int, int], int] = {}
     for u, v, w in edges:
@@ -417,9 +409,8 @@ def instance_from_edges(
         key = (u, v) if u < v else (v, u)
         if key not in best or w < best[key]:
             best[key] = w
-    ceiling = 1 + max(best.values(), default=0)
-    reflected = [(u, v, 2 * (ceiling - w)) for (u, v), w in sorted(best.items())]
-    return MatchingInstance(n, adjacency(n, reflected), ceiling, scale)
+    negated = [(u, v, -2 * w) for (u, v), w in sorted(best.items())]
+    return MatchingInstance(n, adjacency(n, negated), scale)
 
 
 def brute_force_matching(inst: MatchingInstance, limit: int = 12) -> PerfectMatching | None:
@@ -492,6 +483,34 @@ def max_cardinality_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> l
             mate[j] = i
     _run_stages(n, adj, mate, [maxweight] * n)
     return mate
+
+
+class DegreeProfile(NamedTuple):
+    """Per-vertex degree decomposition by color.
+
+    ``dominant`` is the color occurring on strictly more than half of the
+    incident edges, if any; at most one color can do that.
+    """
+
+    vertex: int
+    degree: int
+    per_color: tuple[int, ...]
+    dominant: int | None
+
+    def count(self, color: int) -> int:  # overrides tuple.count: the edges of one color
+        return self.per_color[color - 1]
+
+
+def color_degrees(g: ColoredMultigraph, u: int) -> DegreeProfile:
+    """Count incident edges of each color at u and find the dominant color."""
+    counts = g.color_counts(u)
+    d = len(g.incidence[u])
+    dominant = None
+    for c, cnt in enumerate(counts, start=1):
+        if 2 * cnt > d:
+            dominant = c
+            break
+    return DegreeProfile(u, d, counts, dominant)
 
 
 def color_deficiency(profile: DegreeProfile, color: int) -> int:

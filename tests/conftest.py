@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from ecpostman import ColoredMultigraph, Edge, PCWalk, check_pc_euler
 from ecpostman.auxgraph import MatchingGraph
 from ecpostman.cli import parse_instance_text
-from ecpostman.graph import color_degrees, is_connected
+from ecpostman.graph import is_connected
 from ecpostman.oracle import (
+    color_degrees,
     encode_digraph,
     gen_random_digraph,
     gen_random_instance,

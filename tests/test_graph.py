@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import assert_same_graph, mg, multigraphs, rows_of
 
 from ecpostman import ColoredMultigraph, Edge, GraphError, InvariantError, PCWalk
-from ecpostman.graph import color_degrees, is_connected
+from ecpostman.graph import is_connected
 from ecpostman.oracle import (
+    color_degrees,
     contract_walk,
     end_pair,
     has_single_color_vertex,

@@ -10,9 +10,12 @@ comparisons take ``oracle.max_cardinality_matching``, the same stages
 from networkx's uniform start, as the port's counterpart. The tests
 cover both starts, the mid-stage T-blossom expansions of each, a Tutte
 barrier whose run ends with live S-blossoms, and the parity that the
-per-vertex start keeps. Documents depend only on the multiset of matched
-signatures, so on the models that ``solve`` builds that multiset must
-equal the one of networkx's matching.
+per-vertex start keeps. The same mate comes back when every record
+moves by a multiple of four: on random graphs, and on the corpus models
+with their records reflected below a ceiling C, as 4*(C - w). Documents
+depend only on the multiset of matched signatures, so on the models
+that ``solve`` builds that multiset must equal the one of networkx's
+matching.
 """
 
 import gc
@@ -488,6 +491,52 @@ def test_model_instances_match_networkx():
         assert Counter(mg.signature(a, b) for a, b in ours) == Counter(
             mg.signature(a, b) for a, b in theirs
         )
+
+
+@given(st.integers(2, 10), st.integers(-9, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_moving_every_record_by_a_multiple_of_four_keeps_the_mate(n, k, data):
+    """The blossom docstring's proof: records moved by 4*k, and by -16, which
+    puts every record (at most 6 here) below zero, give the same mate or
+    None alike. Weights 0-3 make ties common."""
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
+    adj = adjacency(n, [(u, v, data.draw(st.integers(0, 3))) for u, v in chosen])
+    mate = max_weight_perfect_matching(n, adj)
+    for shift in (4 * k, -16):
+        moved = [[(u, v, r + shift) for u, v, r in recs] for recs in adj]
+        assert max_weight_perfect_matching(n, moved) == mate, shift
+
+
+def reflected_adjacency(mg):
+    """The model's blossom input with records 4*(C - w) below a ceiling C above every w."""
+    ceiling = 1 + max([w for _, _, w in mg.blocks], default=0)
+    adj = [[] for _ in mg.vertices]
+    for a_slots, b_slots, w in mg.blocks:
+        r = 4 * (ceiling - w)
+        for a in a_slots:
+            for b in b_slots:
+                if a < b:
+                    adj[a].append((a, b, r))
+                    adj[b].append((b, a, r))
+    return adj
+
+
+def test_reflected_records_give_the_same_mate_on_the_corpus(benchmark_corpus):
+    """All 211 models of the seed-1 corpus inputs (the first 360), the 113
+    bipartite ones included, get the same mate from the reflected records
+    as from their instances' records -4*w."""
+    seen = 0
+    for g in benchmark_corpus[:360]:
+        mg = solver.solve_with_model(g)[1]
+        if mg is None:
+            continue
+        n = len(mg.vertices)
+        mate = max_weight_perfect_matching(n, mg.instance.adj)
+        assert mate is not None
+        assert max_weight_perfect_matching(n, reflected_adjacency(mg)) == mate
+        seen += 1
+    assert seen == 211
 
 
 def certificate(monkeypatch, n, edges):

@@ -12,9 +12,8 @@ from conftest import mg
 from ecpostman import PCWalk, Solution, check_pc_euler, solve, verify_pc_closed_walk
 from ecpostman.auxgraph import AuxEdge, build_matching_graph
 from ecpostman.euler import EulerCheck, WalkReport
-from ecpostman.graph import DegreeProfile, color_degrees
 from ecpostman.matching import MatchingInstance, PerfectMatching
-from ecpostman.oracle import adjacency
+from ecpostman.oracle import DegreeProfile, adjacency, color_degrees
 
 HOUSE = [(0, 1, 1, 1), (1, 2, 2, 5), (2, 0, 3, 1), (1, 3, 3, 1), (3, 2, 1, 1)]
 
@@ -93,23 +92,21 @@ def test_degree_profile_count_is_the_count_of_one_color():
 
 def test_matching_instance_value_equality_and_edges_view():
     edges = [(0, 1, 3), (2, 3, 1), (0, 2, 2), (1, 3, 4)]
-    first = MatchingInstance(4, adjacency(4, [(u, v, 2 * (5 - w)) for u, v, w in edges]), 5)
-    again = MatchingInstance(n=4, adj=adjacency(4, [(u, v, 2 * (5 - w)) for u, v, w in edges]),
-                             ceiling=5, scale=1)
+    first = MatchingInstance(4, adjacency(4, [(u, v, -2 * w) for u, v, w in edges]))
+    again = MatchingInstance(n=4, adj=adjacency(4, [(u, v, -2 * w) for u, v, w in edges]), scale=1)
     assert first.scale == 1
     assert first.edges == ((0, 1, 3), (0, 2, 2), (1, 3, 4), (2, 3, 1))
     assert first.edges is first.edges  # cached
     assert first == again and not first != again  # the cached view is not compared
-    assert first != MatchingInstance(4, again.adj, 5, 2)
-    assert first != MatchingInstance(4, again.adj, 6)
-    assert first != MatchingInstance(4, [list(reversed(recs)) for recs in again.adj], 5)
-    assert first != (4, again.adj, 5, 1)
+    assert first != MatchingInstance(4, again.adj, 2)
+    assert first != MatchingInstance(4, [list(reversed(recs)) for recs in again.adj])
+    assert first != (4, again.adj, 1)
 
 
 def test_matching_graph_identity_and_cached_views():
     first, again = build_matching_graph(mg(4, 3, HOUSE)), build_matching_graph(mg(4, 3, HOUSE))
     assert first == first and first != again
     assert first.instance == again.instance
-    assert first.edges is first.edges and first.canonical is first.canonical
+    assert first.edges is first.edges
     assert first.edge_by_pair is first.edge_by_pair
     assert first.edges == again.edges
